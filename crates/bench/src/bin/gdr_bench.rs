@@ -1,13 +1,15 @@
-//! `gdr-bench` — the evaluation-harness runner behind the CI perf gate.
+//! `gdr-bench` — the one runner behind every report this repository
+//! produces.
 //!
 //! Runs a configurable subset of the dataset × model × platform grid
 //! through `gdr-system`'s report subsystem (plus the canonical serving
 //! suite) and emits the stable `gdr-bench/v1` JSON schema (see
 //! `bench/README.md`), or compares two such reports and exits nonzero on
-//! a gated regression. The `serve` subcommand simulates a single online
-//! serving scenario (or the whole suite) and writes a serve-only report
-//! whose bytes are a pure function of the flags — run it twice, `cmp`
-//! the outputs.
+//! a gated regression. The `paper` subcommand regenerates the paper's
+//! whole evaluation as one document. The `serve` subcommand simulates a
+//! single online serving scenario (or the whole suite) and writes a
+//! serve-only report whose bytes are a pure function of the flags — run
+//! it twice, `cmp` the outputs.
 //!
 //! ```text
 //! # run the grid + serving suite and write a report
@@ -19,6 +21,9 @@
 //!
 //! # pure file-vs-file gate (no simulation)
 //! gdr-bench --compare bench.json --baseline bench/baseline.json --threshold 10%
+//!
+//! # every table, figure and ablation of the paper: markdown on stdout
+//! gdr-bench paper --scale paper --out paper-report.json > EXPERIMENTS.md
 //!
 //! # simulate one serving scenario; byte-identical for a fixed seed
 //! gdr-bench serve --scale test --seed 7 --rate 800000 --batch-policy deadline --out serve.json
@@ -38,8 +43,8 @@
 
 use gdr_bench::sweep::{run_sweep_traced, sweep_record};
 use gdr_bench::{
-    default_jobs, parse_arrival, parse_autoscale, parse_axis, parse_batch_policy, parse_drop,
-    parse_faults, parse_scale, parse_scheduler, parse_slo, parse_slow, parse_threshold,
+    default_jobs, parse_arrival, parse_autoscale, parse_axis, parse_batch_policy, parse_count,
+    parse_drop, parse_faults, parse_scale, parse_scheduler, parse_slo, parse_slow, parse_threshold,
     ArrivalArgs, BENCH_SEED,
 };
 use gdr_serve::fault::{CrashWindow, FaultSpec, Slowdown};
@@ -54,11 +59,14 @@ use gdr_serve::sweep::SweepSpec;
 use gdr_system::grid::{
     paper_platforms, platform_names, platform_refs, select_platforms, ExperimentConfig,
 };
-use gdr_system::report::{collect_host_records_traced, compare, BenchReport, HostRecord};
+use gdr_system::report::{
+    collect_host_records_traced, compare, BenchReport, HostRecord, PaperReport,
+};
 use gdr_system::trace_export::ChromeTrace;
 
 const USAGE: &str = "\
-gdr-bench: run the GDR-HGNN evaluation grid, emit gdr-bench/v1 JSON, gate regressions
+gdr-bench: run the GDR-HGNN evaluation grid, emit gdr-bench/v1 JSON, gate regressions;
+           regenerate the paper's figures; simulate, sweep, trace and replay serving
 
 USAGE:
   gdr-bench [--scale test|paper|<factor>] [--seed N] [--platforms A,B,..]
@@ -66,6 +74,7 @@ USAGE:
             [--out FILE] [--baseline FILE] [--threshold PCT]
   gdr-bench --compare NEW --baseline OLD [--threshold PCT]
   gdr-bench --list-platforms
+  gdr-bench paper [--scale S] [--seed N] [--out FILE] [--quiet]
   gdr-bench host [--scale S] [--seed N] [--passes N] [--out FILE] [--quiet]
                  [--trace-out FILE]
   gdr-bench serve [--scale S] [--seed N] [--arrival poisson|bursty|closed-loop]
@@ -102,6 +111,11 @@ OPTIONS (grid mode):
   --quiet       suppress the markdown summary on stdout
   --trace-out   (host mode) also write the wall-clock session timeline as
                 Chrome trace JSON (wall clock: not byte-reproducible)
+
+OPTIONS (paper mode — Tables 2-3, Figs. 2 and 7-10, ablations A1-A3):
+  --scale       as in grid mode; \"paper\" gives the published Table 2 sizes     [test]
+  --out         also write the gdr-paper-report/v1 JSON document to FILE
+  --quiet       suppress the markdown document on stdout
 
 OPTIONS (serve mode — all simulated in virtual time, byte-for-byte reproducible):
   --arrival       arrival process                                                   [poisson]
@@ -166,7 +180,34 @@ OPTIONS (replay mode — every serve scenario flag applies, plus):
                   wall clock (host family: reported, never gated)
 ";
 
+/// The subcommand named by the first argument; none runs the grid.
+#[derive(Clone, Copy)]
+enum Command {
+    Grid,
+    Paper,
+    Host,
+    Serve,
+    Sweep,
+    Trace,
+    Replay,
+}
+
+impl Command {
+    fn parse(word: &str) -> Option<Self> {
+        Some(match word {
+            "paper" => Self::Paper,
+            "host" => Self::Host,
+            "serve" => Self::Serve,
+            "sweep" => Self::Sweep,
+            "trace" => Self::Trace,
+            "replay" => Self::Replay,
+            _ => return None,
+        })
+    }
+}
+
 struct Args {
+    command: Command,
     scale: f64,
     seed: u64,
     platforms: Option<Vec<String>>,
@@ -179,22 +220,14 @@ struct Args {
     no_host: bool,
     passes: usize,
     list_platforms: bool,
-    // host-mode flag
-    host: bool,
-    // trace-mode flag (`trace_out` also serves host/sweep modes)
-    trace: bool,
     trace_out: Option<String>,
-    // replay-mode flag (`jobs` is shared with sweep mode)
-    replay: bool,
-    // sweep-mode flags
-    sweep: bool,
+    // sweep-mode flags (`jobs` also serves host/replay modes)
     axes: Vec<String>,
     jobs: Option<usize>,
     slo_p99: Option<f64>,
     budget: Option<f64>,
     max_scenarios: Option<usize>,
     // serve-mode flags
-    serve: bool,
     suite: bool,
     arrival: String,
     rate: Option<f64>,
@@ -220,7 +253,9 @@ struct Args {
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let command = argv.first().and_then(|w| Command::parse(w));
     let mut args = Args {
+        command: command.unwrap_or(Command::Grid),
         scale: parse_scale("test").expect("default scale is valid"),
         seed: BENCH_SEED,
         platforms: None,
@@ -233,17 +268,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         no_host: false,
         passes: 2,
         list_platforms: false,
-        host: false,
-        trace: false,
         trace_out: None,
-        replay: false,
-        sweep: false,
         axes: Vec::new(),
         jobs: None,
         slo_p99: None,
         budget: None,
         max_scenarios: None,
-        serve: false,
         suite: false,
         arrival: "poisson".into(),
         rate: None,
@@ -267,35 +297,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         deadline: 0,
         control: false,
     };
-    let mut it = argv.iter();
-    let mut first = true;
+    let mut it = argv.iter().skip(usize::from(command.is_some()));
     while let Some(flag) = it.next() {
-        if first && flag == "serve" {
-            args.serve = true;
-            first = false;
-            continue;
-        }
-        if first && flag == "host" {
-            args.host = true;
-            first = false;
-            continue;
-        }
-        if first && flag == "sweep" {
-            args.sweep = true;
-            first = false;
-            continue;
-        }
-        if first && flag == "trace" {
-            args.trace = true;
-            first = false;
-            continue;
-        }
-        if first && flag == "replay" {
-            args.replay = true;
-            first = false;
-            continue;
-        }
-        first = false;
         let mut value = || {
             it.next()
                 .map(String::as_str)
@@ -324,7 +327,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--quiet" => args.quiet = true,
             "--no-serve" => args.no_serve = true,
             "--no-host" => args.no_host = true,
-            "--passes" => args.passes = parse_num("--passes", value()?)?.max(1) as usize,
+            "--passes" => args.passes = parse_count(flag, value()?)?,
             "--list-platforms" => args.list_platforms = true,
             "--suite" => args.suite = true,
             "--arrival" => args.arrival = value()?.to_string(),
@@ -345,14 +348,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .filter(|x: &f64| *x > 0.0 && *x <= 1.0)
                     .ok_or("invalid --burst-duty: expected a fraction in (0, 1]")?;
             }
-            "--clients" => args.clients = parse_num("--clients", value()?)?.max(1) as usize,
+            "--clients" => args.clients = parse_count(flag, value()?)?,
             "--think" => args.think = Some(parse_num("--think", value()?)?),
             "--batch-policy" => args.batch_policy = value()?.to_string(),
-            "--batch-cap" => args.batch_cap = parse_num("--batch-cap", value()?)?.max(1) as usize,
+            "--batch-cap" => args.batch_cap = parse_count(flag, value()?)?,
             "--batch-timeout" => args.batch_timeout = Some(parse_num("--batch-timeout", value()?)?),
             "--scheduler" => args.scheduler = value()?.to_string(),
-            "--replicas" => args.replicas = parse_num("--replicas", value()?)?.max(1) as usize,
-            "--requests" => args.requests = parse_num("--requests", value()?)?.max(1) as usize,
+            "--replicas" => args.replicas = parse_count(flag, value()?)?,
+            "--requests" => args.requests = parse_count(flag, value()?)?,
             "--shards" => args.shards = parse_num("--shards", value()?)? as usize,
             "--cache-bytes" => args.cache_bytes = parse_num("--cache-bytes", value()?)?,
             "--autoscale" => args.autoscale = Some(parse_autoscale(value()?)?),
@@ -363,10 +366,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--deadline" => args.deadline = parse_num("--deadline", value()?)?,
             "--control" => args.control = true,
             "--axis" => args.axes.push(value()?.to_string()),
-            "--jobs" => args.jobs = Some(parse_num("--jobs", value()?)? as usize),
-            "--max-scenarios" => {
-                args.max_scenarios = Some(parse_num("--max-scenarios", value()?)?.max(1) as usize);
-            }
+            "--jobs" => args.jobs = Some(parse_count(flag, value()?)?),
+            "--max-scenarios" => args.max_scenarios = Some(parse_count(flag, value()?)?),
             "--slo-p99" => {
                 args.slo_p99 = Some(
                     value()?
@@ -404,6 +405,13 @@ fn gate(baseline_path: &str, current: &BenchReport, threshold: f64) -> Result<bo
     Ok(cmp.passed())
 }
 
+/// Writes `text` to `path` and logs the path on stderr.
+fn write_file(path: &str, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("gdr-bench: wrote {path}");
+    Ok(())
+}
+
 /// Emits the report (markdown, `--out`, `--baseline` gate) and returns
 /// the process exit code.
 fn finish(args: &Args, report: &BenchReport) -> Result<i32, String> {
@@ -411,9 +419,7 @@ fn finish(args: &Args, report: &BenchReport) -> Result<i32, String> {
         println!("{}", report.to_markdown());
     }
     if let Some(path) = &args.out {
-        std::fs::write(path, report.to_json().to_pretty())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("gdr-bench: wrote {path}");
+        write_file(path, &report.to_json().to_pretty())?;
     }
     if let Some(baseline_path) = &args.baseline {
         return Ok(if gate(baseline_path, report, args.threshold)? {
@@ -428,10 +434,37 @@ fn finish(args: &Args, report: &BenchReport) -> Result<i32, String> {
 /// Writes a Chrome-trace-event JSON file (`--out` in trace mode,
 /// `--trace-out` in host/sweep modes).
 fn write_trace(path: &str, trace: &ChromeTrace) -> Result<(), String> {
-    std::fs::write(path, trace.to_json().to_pretty())
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
-    eprintln!("gdr-bench: wrote {} trace events to {path}", trace.len());
+    write_file(path, &trace.to_json().to_pretty())?;
+    eprintln!("gdr-bench: {} trace events", trace.len());
     Ok(())
+}
+
+/// `gdr-bench paper`: regenerate the paper's whole evaluation — Tables
+/// 2–3, the §3 motivation, Figs. 2 and 7–10 and the A1–A3 ablations —
+/// as one [`PaperReport`]: the markdown document on stdout, the
+/// `gdr-paper-report/v1` JSON with `--out`. Everything but
+/// `grid_wall_clock_s` is a deterministic function of `(seed, scale)`.
+fn run_paper(args: &Args) -> Result<i32, String> {
+    let cfg = ExperimentConfig {
+        seed: args.seed,
+        scale: args.scale,
+    };
+    eprintln!(
+        "gdr-bench paper: running the full grid (seed {}, scale {})",
+        cfg.seed, cfg.scale
+    );
+    let report = PaperReport::collect(&cfg);
+    eprintln!(
+        "gdr-bench paper: grid done in {:.1}s",
+        report.grid_wall_clock_s
+    );
+    if !args.quiet {
+        print!("{}", report.to_markdown());
+    }
+    if let Some(path) = &args.out {
+        write_file(path, &report.to_json().to_pretty())?;
+    }
+    Ok(0)
 }
 
 /// `gdr-bench host`: measure host-side restructuring throughput only —
@@ -453,7 +486,7 @@ fn run_host(args: &Args) -> Result<i32, String> {
     let mut host = collect_host_records_traced(&cfg, args.passes, trace.as_mut());
     host.extend(sharded_replay_records(
         &cfg,
-        args.jobs.unwrap_or_else(default_jobs).max(1),
+        args.jobs.unwrap_or_else(default_jobs),
     )?);
     let report = BenchReport {
         seed: cfg.seed,
@@ -551,7 +584,7 @@ fn run_replay(args: &Args) -> Result<i32, String> {
         .run_replayable(&spec, args.seed)
         .map_err(|e| e.to_string())?;
     let datasets = ReplayDatasets::build(&log.config);
-    let jobs = args.jobs.unwrap_or_else(default_jobs).max(1);
+    let jobs = args.jobs.unwrap_or_else(default_jobs);
     let host = replay_ladder(&log, &datasets, jobs)?;
     let wall_clock_s = host
         .iter()
@@ -791,7 +824,7 @@ fn run_sweep_cmd(args: &Args) -> Result<i32, String> {
         "gdr-bench sweep: {} scenarios over {} lanes (seed {}, scale {})",
         spec.scenario_count()
             .map_or_else(|| "?".into(), |n| n.to_string()),
-        jobs.max(1),
+        jobs,
         cfg.seed,
         cfg.scale
     );
@@ -835,22 +868,21 @@ fn run(argv: &[String]) -> Result<i32, String> {
         }
         return Ok(0);
     }
-    if args.host {
-        return run_host(&args);
+    match args.command {
+        Command::Grid => run_grid(&args),
+        Command::Paper => run_paper(&args),
+        Command::Host => run_host(&args),
+        Command::Serve => run_serve(&args),
+        Command::Sweep => run_sweep_cmd(&args),
+        Command::Trace => run_trace(&args),
+        Command::Replay => run_replay(&args),
     }
-    if args.trace {
-        return run_trace(&args);
-    }
-    if args.replay {
-        return run_replay(&args);
-    }
-    if args.serve {
-        return run_serve(&args);
-    }
-    if args.sweep {
-        return run_sweep_cmd(&args);
-    }
+}
 
+/// The default mode: gate a report file with `--compare`, or run the
+/// grid (plus the serving suite and host rows unless skipped) and emit
+/// the report.
+fn run_grid(args: &Args) -> Result<i32, String> {
     // Pure file-vs-file gate: no simulation.
     if let Some(current_path) = &args.compare_file {
         let baseline_path = args
@@ -907,7 +939,7 @@ fn run(argv: &[String]) -> Result<i32, String> {
         );
     }
 
-    finish(&args, &report)
+    finish(args, &report)
 }
 
 fn main() {

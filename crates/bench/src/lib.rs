@@ -1,32 +1,28 @@
-//! Shared setup for the `gdr-bench` runner binary and the criterion
-//! figure benches, so neither duplicates grid configuration or dataset
-//! wiring that `gdr-system` already owns — plus the flag parsers of the
-//! `gdr-bench serve` subcommand (kept here so they are unit-testable).
+//! Shared setup for the `gdr-bench` runner binary: the seed and scale
+//! constants its reports are keyed by, the sweep executor, and the flag
+//! parsers of every subcommand (kept here so they are unit-testable).
 
 #![warn(missing_docs)]
 
 pub mod sweep;
 
-use gdr_hetgraph::datasets::Dataset;
-use gdr_hetgraph::BipartiteGraph;
-use gdr_hgnn::model::ModelKind;
-use gdr_hgnn::workload::Workload;
 use gdr_serve::batcher::BatchPolicy;
 use gdr_serve::fault::{CrashWindow, Slowdown};
 use gdr_serve::scheduler::{AutoscaleSpec, SchedPolicy, SloSpec};
 use gdr_serve::sweep::{ArrivalKind, FaultVariant, SweepSpec};
 use gdr_serve::workload::ArrivalProcess;
-use gdr_system::grid::{cell_inputs, ExperimentConfig};
+use gdr_system::grid::ExperimentConfig;
 
 /// The default worker-lane count everywhere `gdr-bench` takes one (the
-/// `--jobs` default of the sweep executor, the lane count of the
-/// session-streaming bench): the machine's available parallelism,
-/// clamped to at least 1 when it cannot be determined.
+/// `--jobs` default of `host`, `sweep` and `replay`): the machine's
+/// available parallelism, clamped to at least 1 when it cannot be
+/// determined.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The seed every bench and committed baseline uses, taken from
+/// The default `--seed` of every `gdr-bench` mode, and the seed the
+/// committed baseline uses, taken from
 /// [`ExperimentConfig::test_scale`] (the single source of truth).
 /// Changing it invalidates `bench/baseline.json`.
 pub const BENCH_SEED: u64 = ExperimentConfig::test_scale().seed;
@@ -36,14 +32,6 @@ pub const BENCH_SEED: u64 = ExperimentConfig::test_scale().seed;
 /// in seconds, large enough that the NA buffer thrashes and the
 /// platform ordering matches full scale.
 pub const TEST_SCALE: f64 = ExperimentConfig::test_scale().scale;
-
-/// Grid configuration for the figure benches (printed headline tables).
-pub fn figure_config() -> ExperimentConfig {
-    ExperimentConfig {
-        seed: BENCH_SEED,
-        scale: 0.25,
-    }
-}
 
 /// Parses a `--scale` argument: `test` (the CI gate scale), `paper`
 /// (Table 2 sizes), or a literal factor.
@@ -94,6 +82,28 @@ pub fn parse_threshold(arg: &str) -> Result<f64, String> {
         _ => Err(format!(
             "invalid --threshold {arg:?}: expected a non-negative percentage like \"10%\""
         )),
+    }
+}
+
+/// Parses a count flag (`--requests`, `--replicas`, `--batch-cap`,
+/// `--clients`, `--passes`, `--max-scenarios`, `--jobs`): a positive
+/// integer. Zero is an error, never silently clamped to 1, so a typo
+/// cannot run a different experiment than the one asked for.
+///
+/// # Errors
+///
+/// Returns a message naming `flag` for non-numeric input or zero.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(gdr_bench::parse_count("--requests", "384"), Ok(384));
+/// assert!(gdr_bench::parse_count("--requests", "0").is_err());
+/// ```
+pub fn parse_count(flag: &str, arg: &str) -> Result<usize, String> {
+    match arg.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("invalid {flag} {arg:?}: expected a positive count")),
     }
 }
 
@@ -662,19 +672,6 @@ pub fn parse_axis(spec: &mut SweepSpec, arg: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The thrashing-dominant single-cell inputs (RGCN on DBLP) the
-/// accelerator microbenches iterate on.
-pub fn thrash_cell(scale: f64) -> (Workload, Vec<BipartiteGraph>) {
-    cell_inputs(
-        ModelKind::Rgcn,
-        Dataset::Dblp,
-        &ExperimentConfig {
-            seed: BENCH_SEED,
-            scale,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,10 +694,16 @@ mod tests {
     }
 
     #[test]
-    fn thrash_cell_is_aligned() {
-        let (w, graphs) = thrash_cell(0.05);
-        assert_eq!(w.graphs().len(), graphs.len());
-        assert!(!graphs.is_empty());
+    fn count_flags_reject_zero_instead_of_clamping() {
+        assert_eq!(parse_count("--requests", "384"), Ok(384));
+        assert_eq!(parse_count("--jobs", "1"), Ok(1));
+        for bad in ["0", "", "-1", "1.5", "many", " 4"] {
+            let err = parse_count("--replicas", bad).unwrap_err();
+            assert!(err.contains("--replicas"), "{bad:?}: {err}");
+        }
+        assert!(parse_count("--requests", "0")
+            .unwrap_err()
+            .contains("positive"));
     }
 
     #[test]

@@ -183,114 +183,6 @@ impl EdgeSchedule {
         }
     }
 
-    /// The GDR-HGNN restructured order walking each subgraph **backbone
-    /// side major** — the order Algorithm 2's hardware naturally emits:
-    /// the Backbone Searcher examines one backbone vertex at a time and
-    /// pushes its non-backbone neighbors right behind it, so
-    ///
-    /// * `Src_out × Dst_in` — destination-major over the backbone
-    ///   destinations (their accumulators get perfect locality; the
-    ///   streamed sources are unmatched leftovers with low degree, ≈ one
-    ///   use each),
-    /// * `Src_in × Dst_in` — destination-major (backbone-internal),
-    /// * `Src_in × Dst_out` — source-major over the backbone sources.
-    pub fn restructured_backbone_major(r: &RestructuredSubgraphs) -> Self {
-        let mut edges = Vec::with_capacity(r.total_edges());
-        for (kind, sg) in r.iter() {
-            match kind {
-                SubgraphKind::OutIn | SubgraphKind::InIn => {
-                    for d in 0..sg.dst_count() {
-                        for &s in sg.in_neighbors(d) {
-                            edges.push(Edge::new(s, d as u32));
-                        }
-                    }
-                }
-                SubgraphKind::InOut => {
-                    for s in 0..sg.src_count() {
-                        for &d in sg.out_neighbors(s) {
-                            edges.push(Edge::new(s as u32, d));
-                        }
-                    }
-                }
-            }
-        }
-        Self::new("restructured-backbone-major", edges)
-    }
-
-    /// The GDR-HGNN restructured order with **capacity-aware tiling** —
-    /// the paper's sub-subgraph extension (§4.3: the method "can be
-    /// applied to subgraphs to generate smaller sub-subgraphs, thereby
-    /// exploiting data locality in a smaller on-chip buffer"). The
-    /// backbone side of each subgraph is split into tiles of
-    /// `tile_vertices`; within a tile the streamed side is grouped, so
-    /// the tile's backbone features stay resident even when the whole
-    /// backbone exceeds the buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile_vertices == 0`. Use
-    /// [`EdgeSchedule::try_restructured_tiled`] for a fallible variant.
-    pub fn restructured_tiled(r: &RestructuredSubgraphs, tile_vertices: usize) -> Self {
-        Self::try_restructured_tiled(r, tile_vertices).expect("tile must hold at least one vertex")
-    }
-
-    /// Fallible [`EdgeSchedule::restructured_tiled`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GdrError::InvalidConfig`] if `tile_vertices == 0`.
-    pub fn try_restructured_tiled(
-        r: &RestructuredSubgraphs,
-        tile_vertices: usize,
-    ) -> GdrResult<Self> {
-        if tile_vertices == 0 {
-            return Err(GdrError::invalid_config(
-                "tile_vertices",
-                "tile must hold at least one vertex",
-            ));
-        }
-        let mut edges = Vec::with_capacity(r.total_edges());
-        for (kind, sg) in r.iter() {
-            match kind {
-                // backbone on the destination side: tile destinations,
-                // group by source within each tile
-                SubgraphKind::OutIn | SubgraphKind::InIn => {
-                    let touched: Vec<u32> = (0..sg.dst_count() as u32)
-                        .filter(|&d| sg.in_degree(d as usize) > 0)
-                        .collect();
-                    let mut tile_of = vec![u32::MAX; sg.dst_count()];
-                    for (rank, &d) in touched.iter().enumerate() {
-                        tile_of[d as usize] = (rank / tile_vertices) as u32;
-                    }
-                    let mut tagged: Vec<(u32, u32, u32)> = sg
-                        .iter_edges()
-                        .map(|e| (tile_of[e.dst.index()], e.src.raw(), e.dst.raw()))
-                        .collect();
-                    tagged.sort_unstable();
-                    edges.extend(tagged.into_iter().map(|(_, s, d)| Edge::new(s, d)));
-                }
-                // backbone on the source side: tile sources, group by
-                // destination within each tile
-                SubgraphKind::InOut => {
-                    let touched: Vec<u32> = (0..sg.src_count() as u32)
-                        .filter(|&s| sg.out_degree(s as usize) > 0)
-                        .collect();
-                    let mut tile_of = vec![u32::MAX; sg.src_count()];
-                    for (rank, &s) in touched.iter().enumerate() {
-                        tile_of[s as usize] = (rank / tile_vertices) as u32;
-                    }
-                    let mut tagged: Vec<(u32, u32, u32)> = sg
-                        .iter_edges()
-                        .map(|e| (tile_of[e.src.index()], e.dst.raw(), e.src.raw()))
-                        .collect();
-                    tagged.sort_unstable();
-                    edges.extend(tagged.into_iter().map(|(_, d, s)| Edge::new(s, d)));
-                }
-            }
-        }
-        Ok(Self::new("restructured-tiled", edges))
-    }
-
     /// Schedule label.
     pub fn name(&self) -> &str {
         &self.name

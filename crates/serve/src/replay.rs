@@ -14,9 +14,9 @@
 //!   preserved (a lane re-serves the same datasets its replicas were
 //!   sharded to) and every replica's batches execute in exactly the
 //!   order the simulator issued them;
-//! * **per-lane atomic cursors**: each lane pulls its next assignment
-//!   index with a `fetch_add(1)` on its own [`AtomicUsize`], draining
-//!   its slice of the log in assignment order;
+//! * **per-lane plans**: the log is split into one list of assignment
+//!   indices per lane up front, and each lane walks its own list in
+//!   assignment order — no lane ever touches another's work;
 //! * **work per batch**: for every semantic graph of the batch's
 //!   dataset, decouple → recouple → schedule
 //!   ([`Restructurer::restructure_with`](gdr_core::restructure::Restructurer::restructure_with))
@@ -33,7 +33,6 @@
 //!
 //! [`ServeHarness::run_replayable`]: crate::suite::ServeHarness::run_replayable
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use gdr_accel::hihgnn::HiHgnnConfig;
@@ -134,7 +133,7 @@ pub struct LaneStats {
     pub graphs: u64,
     /// Requests completed (summed over executed batches).
     pub requests: u64,
-    /// Wall-clock nanoseconds the lane spent between its first pull
+    /// Wall-clock nanoseconds the lane spent between starting its plan
     /// and its last completion.
     pub busy_ns: u64,
 }
@@ -283,11 +282,10 @@ pub fn lane_na_sim() -> NaBufferSim {
 /// Replays an [`AssignmentLog`] on `jobs` real worker lanes and
 /// measures sustained wall-clock throughput.
 ///
-/// Replica → lane pinning is `replica % jobs`; each lane drains its
-/// share of the log in assignment order through a per-lane atomic
-/// cursor. Which requests complete, on which replica, in which order is
-/// identical for every `jobs` value — only the wall-clock numbers
-/// (never gated) differ between machines.
+/// Replica → lane pinning is `replica % jobs`; each lane walks its
+/// share of the log in assignment order. Which requests complete, on
+/// which replica, in which order is identical for every `jobs` value —
+/// only the wall-clock numbers (never gated) differ between machines.
 ///
 /// # Errors
 ///
@@ -310,19 +308,13 @@ pub fn replay(
     for (i, a) in log.assignments.iter().enumerate() {
         plans[a.replica % jobs].push(i);
     }
-    let cursors: Vec<AtomicUsize> = (0..jobs).map(|_| AtomicUsize::new(0)).collect();
-
-    struct LaneOutcome {
-        stats: LaneStats,
-        executed: Vec<usize>,
-    }
 
     let start = Instant::now();
-    let outcomes: Vec<LaneOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|lane| {
-                let plan = &plans[lane];
-                let cursor = &cursors[lane];
+    let lanes: Vec<LaneStats> = std::thread::scope(|scope| {
+        let handles: Vec<_> = plans
+            .iter()
+            .enumerate()
+            .map(|(lane, plan)| {
                 scope.spawn(move || {
                     let mut ws = Workspace::new();
                     let restructurer = Restructurer::new();
@@ -334,20 +326,16 @@ pub fn replay(
                         requests: 0,
                         busy_ns: 0,
                     };
-                    let mut executed = Vec::with_capacity(plan.len());
                     let t0 = Instant::now();
-                    loop {
-                        let next = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&idx) = plan.get(next) else { break };
+                    for &idx in plan {
                         let a = &log.assignments[idx];
                         stats.graphs +=
                             replay_batch(&mut ws, &restructurer, &na_sim, datasets, a) as u64;
                         stats.batches += 1;
                         stats.requests += a.request_ids.len() as u64;
-                        executed.push(idx);
                     }
                     stats.busy_ns = t0.elapsed().as_nanos() as u64;
-                    LaneOutcome { stats, executed }
+                    stats
                 })
             })
             .collect();
@@ -359,13 +347,13 @@ pub fn replay(
     let wall_ns = start.elapsed().as_nanos() as u64;
 
     // Fold execution evidence: completed ids (sorted) and per-replica
-    // completion order (walk each lane's executed indices in order —
-    // within a lane that IS wall-clock execution order).
+    // completion order (walk each lane's plan in order — a lane that
+    // returned executed its whole plan, in exactly that order).
     let replica_count = log.replica_count();
     let mut per_replica_ids: Vec<Vec<u64>> = vec![Vec::new(); replica_count];
     let mut completed_ids: Vec<u64> = Vec::with_capacity(log.total_requests());
-    for outcome in &outcomes {
-        for &idx in &outcome.executed {
+    for plan in &plans {
+        for &idx in plan {
             let a = &log.assignments[idx];
             per_replica_ids[a.replica].extend(a.request_ids.iter().copied());
             completed_ids.extend(a.request_ids.iter().copied());
@@ -378,7 +366,7 @@ pub fn replay(
         seed: log.seed,
         jobs,
         wall_ns,
-        lanes: outcomes.into_iter().map(|o| o.stats).collect(),
+        lanes,
         completed_ids,
         per_replica_ids,
     })

@@ -123,7 +123,7 @@ impl AblationReport {
         }
     }
 
-    /// Markdown rendering (the `run_experiments` ablation section).
+    /// Markdown rendering (the ablation section of `gdr-bench paper`).
     pub fn to_markdown(&self) -> String {
         let mut out = format!(
             "### A1: backbone strategy ({} semantic graph `{}`, buffer {} features)\n\n",

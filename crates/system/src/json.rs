@@ -4,9 +4,10 @@
 //! hand-rolls the slice of JSON it needs: a value tree with *insertion
 //! ordered* objects (the bench schema guarantees stable key order, see
 //! `bench/README.md`), a compact and a pretty writer, and a strict
-//! recursive-descent parser for reading baselines back. Numbers are
-//! stored as `f64`; every counter in the schema is far below 2⁵³, so the
-//! round-trip is exact.
+//! recursive-descent parser for reading baselines back, bounded at
+//! [`MAX_DEPTH`] levels of nesting so hostile input cannot overflow the
+//! stack. Numbers are stored as `f64`; every counter in the schema is far
+//! below 2⁵³, so the round-trip is exact.
 //!
 //! # Examples
 //!
@@ -20,6 +21,11 @@
 //! ```
 
 use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. The report
+/// schemas nest five levels deep; anything past this bound is rejected
+/// with an error instead of recursing until the stack overflows.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Object keys keep insertion order — the writer never
 /// sorts, so serialization order is exactly construction order.
@@ -178,16 +184,17 @@ impl Json {
     }
 
     /// Parses a JSON document (strict: one value, nothing but whitespace
-    /// around it).
+    /// around it, at most [`MAX_DEPTH`] levels of nesting).
     ///
     /// # Errors
     ///
     /// Returns a human-readable message naming the byte offset of the
-    /// first syntax error.
+    /// first syntax error or of the first bracket past [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -265,6 +272,8 @@ fn write_seq(
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -306,11 +315,26 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to recurse
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -486,6 +510,17 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // deep enough to overflow any thread stack if the parser recursed
+        assert!(Json::parse(&nest(200_000)).is_err());
+        assert!(Json::parse(&"{\"k\":".repeat(200_000)).is_err());
     }
 
     #[test]

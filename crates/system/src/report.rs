@@ -16,8 +16,8 @@
 //! measurements — so two runs of the same commit produce byte-identical
 //! metric values on any machine, and a regression in the JSON diff is a
 //! real modeling change, never timer noise. [`compare`] therefore gates
-//! on simulated metrics only ([`GATED_METRICS`]) and ignores the
-//! wall-clock fields.
+//! on the simulated metrics of one table ([`GATED_METRICS`]) and ignores
+//! the wall-clock fields.
 
 use std::time::Instant;
 
@@ -39,48 +39,60 @@ use crate::trace_export::ChromeTrace;
 /// Schema identifier written into every report.
 pub const SCHEMA: &str = "gdr-bench/v1";
 
-/// Metrics the CI perf gate exits nonzero on (both lower-is-better).
-/// The remaining fields are recorded for observability but not gated:
-/// they are either derived from these (accesses, utilization), direction-
-/// ambiguous (stage split), or nondeterministic (wall-clock).
-pub const GATED_METRICS: &[&str] = &["time_ns", "dram_bytes"];
+/// The record family a [`GATED_METRICS`] entry applies to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GateFamily {
+    /// Grid records: one per (cell, platform).
+    Grid,
+    /// Serve records: one per (scenario, platform), plus `"ALL"`.
+    Serve,
+}
 
-/// Serve-family metrics the gate compares, as `(key, higher_is_better)`:
-/// tail latency must not grow, throughput must not shrink, the
-/// cross-batch feature cache must not lose hits, and partial-replica
-/// routing must not start missing shards. The remaining serve metrics
-/// (mean/max latency, queue depths, batch shape, autoscale shape) are
-/// observability-only.
-pub const SERVE_GATED_METRICS: &[(&str, bool)] = &[
-    ("p99_ns", false),
-    ("throughput_rps", true),
-    ("cache_hit_rate", true),
-    ("shard_miss_count", false),
-];
+/// When [`compare`] checks a [`GATED_METRICS`] entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gating {
+    /// On every record: the metric absent on either side fails the gate.
+    Always,
+    /// Only once the baseline pins the metric. Baselines written before
+    /// the key existed parse and gate unchanged (default-absent, never
+    /// gated-to-zero); a current report that lost a pinned metric fails.
+    IfPinned,
+}
 
-/// Fault-family serve metrics the gate compares **only when the baseline
-/// records them**, as `(key, higher_is_better)`. Pre-fault baselines
-/// simply lack these keys, so they parse and gate unchanged
-/// (default-absent, not gated-to-zero); once a baseline pins them, a
-/// current report missing one fails the gate like any other gated
-/// metric. Availability must not shrink; failover time, the
-/// under-failure tail, and the re-issue volume must not grow.
-pub const SERVE_FAULT_GATED_METRICS: &[(&str, bool)] = &[
-    ("availability", true),
-    ("p99_under_failure_ns", false),
-    ("failover_ns", false),
-    ("requeued_batches", false),
-];
-
-/// Cost-family serve metrics the gate compares **only when the baseline
-/// pins them**, as `(key, higher_is_better)` — the same conditional
-/// convention as [`SERVE_FAULT_GATED_METRICS`]. This is the "meet the
-/// SLO at minimum replica-seconds" half of the serving evaluation:
-/// once a baseline records a scenario's `replica_seconds` (cost of
-/// goods) and `slo_violation_rate`, neither may grow. Baselines written
-/// before these keys existed parse and gate unchanged.
-pub const SERVE_COST_GATED_METRICS: &[(&str, bool)] =
-    &[("replica_seconds", false), ("slo_violation_rate", false)];
+/// Every metric the CI perf gate compares, as `(family, key,
+/// higher_is_better, gating)`, in comparison order. Everything else is
+/// recorded for observability only: derived (accesses, utilization),
+/// direction-ambiguous (stage split, batch and queue shape), or wall
+/// clock.
+///
+/// * Grid: simulated latency and DRAM traffic must not grow.
+/// * Serve: tail latency must not grow, throughput must not shrink, the
+///   cross-batch feature cache must not lose hits, and partial-replica
+///   routing must not start missing shards.
+/// * Serve faults, once pinned: availability must not shrink; the
+///   under-failure tail, failover time and re-issue volume must not
+///   grow.
+/// * Serve cost, once pinned: the "meet the SLO at minimum
+///   replica-seconds" half of the evaluation — neither
+///   `replica_seconds` nor `slo_violation_rate` may grow.
+pub const GATED_METRICS: &[(GateFamily, &str, bool, Gating)] = {
+    use GateFamily::{Grid, Serve};
+    use Gating::{Always, IfPinned};
+    &[
+        (Grid, "time_ns", false, Always),
+        (Grid, "dram_bytes", false, Always),
+        (Serve, "p99_ns", false, Always),
+        (Serve, "throughput_rps", true, Always),
+        (Serve, "cache_hit_rate", true, Always),
+        (Serve, "shard_miss_count", false, Always),
+        (Serve, "availability", true, IfPinned),
+        (Serve, "p99_under_failure_ns", false, IfPinned),
+        (Serve, "failover_ns", false, IfPinned),
+        (Serve, "requeued_batches", false, IfPinned),
+        (Serve, "replica_seconds", false, IfPinned),
+        (Serve, "slo_violation_rate", false, IfPinned),
+    ]
+};
 
 /// The canonical metric keys of a [`ServeRunRecord`], in serialization
 /// order. `gdr-serve` emits exactly this set; the golden-file schema test
@@ -88,8 +100,8 @@ pub const SERVE_COST_GATED_METRICS: &[(&str, bool)] =
 /// virtual time — is the serving cost-of-goods metric, and
 /// `slo_violation_rate` the fraction of completions that blew the
 /// scenario's SLO target (0 when no SLO is set); both are deterministic
-/// (virtual time, not wall clock) and gated conditionally via
-/// [`SERVE_COST_GATED_METRICS`] — only when the baseline pins them.
+/// (virtual time, not wall clock) and gated [`Gating::IfPinned`] in
+/// [`GATED_METRICS`] — only when the baseline pins them.
 pub const SERVE_METRIC_KEYS: &[&str] = &[
     "completed",
     "p50_ns",
@@ -1553,6 +1565,8 @@ pub fn collect_host_records_traced(
 /// one grid pass over [`crate::grid::paper_platforms`] and rendered as
 /// one markdown document ([`PaperReport::to_markdown`], the source of
 /// `EXPERIMENTS.md`) or one JSON document ([`PaperReport::to_json`]).
+/// `gdr-bench paper` prints the first and writes the second with
+/// `--out`.
 ///
 /// This is the paper-shaped sibling of the platform-generic
 /// [`BenchReport`]: it exists because Figs. 2 and 7–10 are projections
@@ -1587,7 +1601,7 @@ pub struct PaperReport {
 impl PaperReport {
     /// Regenerates every figure and table at `cfg`, running the grid
     /// once. The ablations run on DBLP's largest semantic graph with the
-    /// HiHGNN NA-window capacity, as `run_experiments` always has.
+    /// HiHGNN NA-window capacity.
     pub fn collect(cfg: &ExperimentConfig) -> Self {
         let t0 = Instant::now();
         let grid = run_grid(cfg);
@@ -1608,7 +1622,7 @@ impl PaperReport {
         }
     }
 
-    /// The full experiment document (the `run_experiments` output).
+    /// The full experiment document (the `gdr-bench paper` stdout).
     pub fn to_markdown(&self) -> String {
         let mut out = format!(
             "# GDR-HGNN experiment results (scale {})\n\n",
@@ -1782,31 +1796,87 @@ impl Comparison {
         describe(&mut out, "regressions", &self.regressions);
         describe(&mut out, "improvements", &self.improvements);
         if self.passed() {
-            let serve_gated: Vec<String> = SERVE_GATED_METRICS
-                .iter()
-                .map(|&(k, higher)| {
-                    format!("{k} ({} better)", if higher { "higher" } else { "lower" })
-                })
-                .collect();
+            let keys = |family: GateFamily, gating: Gating| -> String {
+                GATED_METRICS
+                    .iter()
+                    .filter(|&&(f, _, _, g)| f == family && g == gating)
+                    .map(|&(_, k, higher, _)| {
+                        format!("{k} ({} better)", if higher { "higher" } else { "lower" })
+                    })
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            };
             out.push_str(&format!(
-                "perf gate PASSED: no gated metric (grid: {}; serve: {}) moved more than {}% \
-                 in the bad direction on all compared records\n",
-                GATED_METRICS.join(", "),
-                serve_gated.join(", "),
+                "perf gate PASSED: no gated metric (grid: {}; serve: {}; serve, when pinned: {}) \
+                 moved more than {}% in the bad direction on all compared records\n",
+                keys(GateFamily::Grid, Gating::Always),
+                keys(GateFamily::Serve, Gating::Always),
+                keys(GateFamily::Serve, Gating::IfPinned),
                 self.threshold_pct,
             ));
         }
         out
     }
+
+    /// Gates one baseline record against its current counterpart on
+    /// every `family` entry of [`GATED_METRICS`]. `point` and `platform`
+    /// label the deltas and the missing-metric messages.
+    fn check_record(
+        &mut self,
+        family: GateFamily,
+        point: &str,
+        platform: &str,
+        baseline: impl Fn(&str) -> Option<f64>,
+        current: impl Fn(&str) -> Option<f64>,
+    ) {
+        let band = self.threshold_pct / 100.0;
+        for &(f, metric, higher_is_better, gating) in GATED_METRICS {
+            if f != family {
+                continue;
+            }
+            let missing = || format!("{metric} for {point} on {platform}");
+            // A gated metric absent on either side must not pass silently
+            // — a vacuous comparison is a broken gate — unless the
+            // baseline predates an IfPinned key.
+            let b = match (baseline(metric), gating) {
+                (Some(b), _) => b,
+                (None, Gating::IfPinned) => continue,
+                (None, Gating::Always) => {
+                    self.missing.push(missing());
+                    continue;
+                }
+            };
+            let Some(c) = current(metric) else {
+                self.missing.push(missing());
+                continue;
+            };
+            let (grew, shrank) = (c > b * (1.0 + band), c < b * (1.0 - band));
+            let (worse, better) = if higher_is_better {
+                (shrank, grew)
+            } else {
+                (grew, shrank)
+            };
+            let delta = Delta {
+                point: point.to_string(),
+                platform: platform.to_string(),
+                metric: metric.to_string(),
+                baseline: b,
+                current: c,
+            };
+            if worse {
+                self.regressions.push(delta);
+            } else if better {
+                self.improvements.push(delta);
+            }
+        }
+    }
 }
 
-/// Compares `current` against `baseline` on [`GATED_METRICS`] (grid
-/// records, lower-is-better), [`SERVE_GATED_METRICS`] (serve records,
-/// direction per metric), and — when the baseline records them —
-/// [`SERVE_FAULT_GATED_METRICS`] and [`SERVE_COST_GATED_METRICS`]
-/// (the fault family and the replica-seconds / SLO-violation cost
-/// family), flagging any gated metric that moved in the bad direction
-/// by more than `threshold_pct` percent.
+/// Compares `current` against `baseline` on every [`GATED_METRICS`]
+/// entry — the grid family on each (cell, platform) record, the serve
+/// family on each (scenario, platform) record — flagging any gated
+/// metric that moved in the bad direction by more than `threshold_pct`
+/// percent. A baseline record absent from `current` fails as missing.
 /// Wall-clock fields and non-gated metrics are never compared — they
 /// are either machine-dependent or direction-ambiguous. The `host`,
 /// `sweep`, and `breakdown` families are likewise ignored: host
@@ -1833,123 +1903,38 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, threshold_pct: f64
             .points
             .iter()
             .find(|p| p.model == b_point.model && p.dataset == b_point.dataset);
+        let point = b_point.label();
         for b_run in &b_point.runs {
             let c_run = c_point.and_then(|p| p.runs.iter().find(|r| r.platform == b_run.platform));
             let Some(c_run) = c_run else {
-                cmp.missing
-                    .push(format!("{} on {}", b_point.label(), b_run.platform));
+                cmp.missing.push(format!("{point} on {}", b_run.platform));
                 continue;
             };
-            for &metric in GATED_METRICS {
-                let (Some(b), Some(c)) = (b_run.metric(metric), c_run.metric(metric)) else {
-                    // A gated metric absent on either side must not pass
-                    // silently — a vacuous comparison is a broken gate.
-                    cmp.missing.push(format!(
-                        "{} for {} on {}",
-                        metric,
-                        b_point.label(),
-                        b_run.platform
-                    ));
-                    continue;
-                };
-                let delta = Delta {
-                    point: b_point.label(),
-                    platform: b_run.platform.clone(),
-                    metric: metric.to_string(),
-                    baseline: b,
-                    current: c,
-                };
-                if c > b * (1.0 + threshold_pct / 100.0) {
-                    cmp.regressions.push(delta);
-                } else if c < b * (1.0 - threshold_pct / 100.0) {
-                    cmp.improvements.push(delta);
-                }
-            }
+            cmp.check_record(
+                GateFamily::Grid,
+                &point,
+                &b_run.platform,
+                |k| b_run.metric(k),
+                |k| c_run.metric(k),
+            );
         }
     }
     for b_scn in &baseline.serve {
         let c_scn = current.serve.iter().find(|s| s.scenario == b_scn.scenario);
+        let point = format!("serve {}", b_scn.scenario);
         for b_run in &b_scn.runs {
             let c_run = c_scn.and_then(|s| s.runs.iter().find(|r| r.platform == b_run.platform));
             let Some(c_run) = c_run else {
-                cmp.missing
-                    .push(format!("serve {} on {}", b_scn.scenario, b_run.platform));
+                cmp.missing.push(format!("{point} on {}", b_run.platform));
                 continue;
             };
-            for &(metric, higher_is_better) in SERVE_GATED_METRICS {
-                let (Some(b), Some(c)) = (b_run.metric(metric), c_run.metric(metric)) else {
-                    cmp.missing.push(format!(
-                        "{} for serve {} on {}",
-                        metric, b_scn.scenario, b_run.platform
-                    ));
-                    continue;
-                };
-                let delta = Delta {
-                    point: format!("serve {}", b_scn.scenario),
-                    platform: b_run.platform.clone(),
-                    metric: metric.to_string(),
-                    baseline: b,
-                    current: c,
-                };
-                let (worse, better) = if higher_is_better {
-                    (
-                        c < b * (1.0 - threshold_pct / 100.0),
-                        c > b * (1.0 + threshold_pct / 100.0),
-                    )
-                } else {
-                    (
-                        c > b * (1.0 + threshold_pct / 100.0),
-                        c < b * (1.0 - threshold_pct / 100.0),
-                    )
-                };
-                if worse {
-                    cmp.regressions.push(delta);
-                } else if better {
-                    cmp.improvements.push(delta);
-                }
-            }
-            let conditional = SERVE_FAULT_GATED_METRICS
-                .iter()
-                .chain(SERVE_COST_GATED_METRICS);
-            for &(metric, higher_is_better) in conditional {
-                // Fault and cost metrics gate only once the baseline
-                // pins them: older baselines lack the keys entirely,
-                // and treating absence as zero would invent
-                // regressions.
-                let Some(b) = b_run.metric(metric) else {
-                    continue;
-                };
-                let Some(c) = c_run.metric(metric) else {
-                    cmp.missing.push(format!(
-                        "{} for serve {} on {}",
-                        metric, b_scn.scenario, b_run.platform
-                    ));
-                    continue;
-                };
-                let delta = Delta {
-                    point: format!("serve {}", b_scn.scenario),
-                    platform: b_run.platform.clone(),
-                    metric: metric.to_string(),
-                    baseline: b,
-                    current: c,
-                };
-                let (worse, better) = if higher_is_better {
-                    (
-                        c < b * (1.0 - threshold_pct / 100.0),
-                        c > b * (1.0 + threshold_pct / 100.0),
-                    )
-                } else {
-                    (
-                        c > b * (1.0 + threshold_pct / 100.0),
-                        c < b * (1.0 - threshold_pct / 100.0),
-                    )
-                };
-                if worse {
-                    cmp.regressions.push(delta);
-                } else if better {
-                    cmp.improvements.push(delta);
-                }
-            }
+            cmp.check_record(
+                GateFamily::Serve,
+                &point,
+                &b_run.platform,
+                |k| b_run.metric(k),
+                |k| c_run.metric(k),
+            );
         }
     }
     cmp
@@ -2370,6 +2355,20 @@ mod tests {
         assert_eq!(parsed, bare);
     }
 
+    /// `report` as a baseline written before any [`Gating::IfPinned`]
+    /// key existed.
+    fn without_pinned_metrics(report: &BenchReport) -> BenchReport {
+        let mut old = report.clone();
+        for r in old.serve.iter_mut().flat_map(|s| &mut s.runs) {
+            r.metrics.retain(|(k, _)| {
+                !GATED_METRICS
+                    .iter()
+                    .any(|&(_, gk, _, g)| gk == k && g == Gating::IfPinned)
+            });
+        }
+        old
+    }
+
     #[test]
     fn comparator_gates_fault_metrics_only_when_the_baseline_pins_them() {
         let mut base = tiny_report();
@@ -2412,13 +2411,7 @@ mod tests {
 
         // A *baseline* without the fault keys gates nothing on them: the
         // same degraded current report passes (pre-fault back-compat).
-        let mut old = base.clone();
-        for s in &mut old.serve {
-            for r in &mut s.runs {
-                r.metrics
-                    .retain(|(k, _)| !SERVE_FAULT_GATED_METRICS.iter().any(|&(fk, _)| fk == k));
-            }
-        }
+        let old = without_pinned_metrics(&base);
         assert!(compare(&old, &flaky, 10.0).passed());
     }
 
@@ -2463,13 +2456,7 @@ mod tests {
 
         // A *baseline* without the cost keys gates nothing on them:
         // reports written before the keys existed stay comparable.
-        let mut old = base.clone();
-        for s in &mut old.serve {
-            for r in &mut s.runs {
-                r.metrics
-                    .retain(|(k, _)| !SERVE_COST_GATED_METRICS.iter().any(|&(ck, _)| ck == k));
-            }
-        }
+        let old = without_pinned_metrics(&base);
         assert!(compare(&old, &pricey, 10.0).passed());
         assert!(compare(&old, &violating, 10.0).passed());
     }

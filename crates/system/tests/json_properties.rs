@@ -6,12 +6,18 @@
 //! every case derives an arbitrary nested [`Json`] tree — objects,
 //! arrays, escaped strings, integers, dyadic fractions — from a
 //! deterministic per-case seed, and checks that writing then parsing is
-//! the identity, for both the compact and the pretty writer. Failures
-//! reproduce from the case index alone.
+//! the identity, for both the compact and the pretty writer. A second
+//! net feeds truncated and byte-mutated copies of the committed gate
+//! baseline to the report parser, which may reject them but never panics.
+//! Failures reproduce from the case index alone.
 
 use gdr_system::json::Json;
+use gdr_system::report::BenchReport;
 
 const CASES: u64 = 256;
+
+/// The committed gate baseline: a real, schema-complete report.
+const BASELINE: &str = include_str!("../../../bench/baseline.json");
 
 /// Deterministic case expansion (SplitMix64).
 fn mix(case: u64, salt: u64) -> u64 {
@@ -164,5 +170,31 @@ fn object_key_order_survives_round_trips() {
             j.as_obj().unwrap().iter().map(|(k, _)| k.clone()).collect()
         };
         assert_eq!(keys(&back), keys(&v), "case {case}");
+    }
+}
+
+#[test]
+fn report_parser_never_panics_on_truncated_or_mutated_baselines() {
+    // `gdr-bench --compare` maps a parse error to exit 2; a panic here
+    // would abort the gate instead.
+    assert!(BenchReport::parse(BASELINE).is_ok());
+    let bytes = BASELINE.as_bytes();
+    let len = bytes.len() as u64;
+    for case in 0..48 {
+        let cut = (mix(case, 300) % len) as usize;
+        let truncated = String::from_utf8_lossy(&bytes[..cut]);
+        if !truncated.trim_end().ends_with('}') {
+            assert!(
+                BenchReport::parse(&truncated).is_err(),
+                "case {case}: cut {cut}"
+            );
+        }
+        // Up to 8 arbitrary bytes overwritten anywhere; non-UTF-8 bytes
+        // become U+FFFD, exercising the multi-byte paths too.
+        let mut mutated = bytes.to_vec();
+        for i in 0..=mix(case, 301) % 8 {
+            mutated[(mix(case, 310 + i) % len) as usize] = mix(case, 320 + i) as u8;
+        }
+        let _ = BenchReport::parse(&String::from_utf8_lossy(&mutated));
     }
 }

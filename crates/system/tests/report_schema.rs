@@ -283,8 +283,8 @@ fn pre_fault_baselines_parse_and_gate_without_the_new_metrics() {
     // `availability`, `p99_under_failure_ns`, `failover_ns`,
     // `requeued_batches`). They must keep parsing — new fields
     // default-absent, not gated-to-zero — and keep gating cleanly as the
-    // *baseline*: SERVE_FAULT_GATED_METRICS only arm once a baseline
-    // pins them.
+    // *baseline*: the IfPinned entries of GATED_METRICS only arm once
+    // a baseline pins them.
     let current = test_scale_report();
     let mut old_json = current.to_json();
     for key in [
