@@ -548,12 +548,7 @@ fn sharded_replay_records(cfg: &ExperimentConfig, jobs: usize) -> Result<Vec<Hos
         .into_iter()
         .find(|s| s.name == "sharded/warm-cache/shard-affinity-partial")
         .ok_or("committed sharded scenario missing from the suite")?;
-    let mut names: Vec<&str> = Vec::new();
-    for n in &spec.pool {
-        if !names.contains(&n.as_str()) {
-            names.push(n);
-        }
-    }
+    let names: Vec<&str> = spec.pool.iter().map(String::as_str).collect();
     let harness = ServeHarness::new(cfg, &names).map_err(|e| e.to_string())?;
     let (_record, log) = harness
         .run_replayable(&spec, cfg.seed)

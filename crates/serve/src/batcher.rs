@@ -65,9 +65,26 @@ pub struct Batch {
     pub requests: Vec<Request>,
     /// Virtual time the batch was formed (dispatched to the scheduler).
     pub formed_ns: u64,
+    /// Start of the open stall episode, while the batch is parked or
+    /// orphaned off a crashed replica (`None` otherwise).
+    pub(crate) stalled_since: Option<u64>,
+    /// Total time of the closed stall episodes, ns — the `stall_ns`
+    /// the trace reports when the batch starts.
+    pub(crate) stall_ns: u64,
 }
 
 impl Batch {
+    /// A freshly sealed batch that has never stalled.
+    pub(crate) fn new(cell: Cell, requests: Vec<Request>, formed_ns: u64) -> Self {
+        Self {
+            cell,
+            requests,
+            formed_ns,
+            stalled_since: None,
+            stall_ns: 0,
+        }
+    }
+
     /// Number of requests in the batch.
     pub fn len(&self) -> usize {
         self.requests.len()
@@ -108,11 +125,7 @@ impl Batcher {
         let buf = &mut self.pending[cell.index()];
         buf.push(req);
         if buf.len() >= self.policy.cap() {
-            return Some(Batch {
-                cell,
-                requests: std::mem::take(buf),
-                formed_ns: now,
-            });
+            return Some(Batch::new(cell, std::mem::take(buf), now));
         }
         None
     }
@@ -143,11 +156,11 @@ impl Batcher {
                 .first()
                 .is_some_and(|r| r.arrival_ns + timeout_ns <= now);
             if due {
-                out.push(Batch {
-                    cell: Cell::from_index(i),
-                    requests: std::mem::take(&mut self.pending[i]),
-                    formed_ns: now,
-                });
+                out.push(Batch::new(
+                    Cell::from_index(i),
+                    std::mem::take(&mut self.pending[i]),
+                    now,
+                ));
             }
         }
         out
@@ -159,11 +172,11 @@ impl Batcher {
         let mut out = Vec::new();
         for i in 0..CELL_COUNT {
             if !self.pending[i].is_empty() {
-                out.push(Batch {
-                    cell: Cell::from_index(i),
-                    requests: std::mem::take(&mut self.pending[i]),
-                    formed_ns: now,
-                });
+                out.push(Batch::new(
+                    Cell::from_index(i),
+                    std::mem::take(&mut self.pending[i]),
+                    now,
+                ));
             }
         }
         out

@@ -44,7 +44,7 @@
 //!   CI-gated scenario suite, including the crash/failover availability
 //!   headline pair;
 //! * [`mod@replay`] — the **real-threads replay executor**: the simulator's
-//!   recorded batch placements ([`AssignmentLog`]) executed on
+//!   batch placements, folded from its trace ([`AssignmentLog`]), executed on
 //!   `std::thread` worker lanes over the zero-alloc frontend hot path,
 //!   measuring sustained wall-clock graphs/sec (the `host` record
 //!   family — reported, never gated);
@@ -53,8 +53,8 @@
 //!   enumeration behind `gdr-bench sweep` and its Pareto recommender;
 //! * [`trace`] — the zero-cost-when-disabled [`TraceSink`] lifecycle
 //!   event stream (arrival → seal → dispatch → start → complete/drop,
-//!   plus replica-scope fault and autoscale events), the per-request
-//!   latency-attribution breakdown built on it, and the fold into a
+//!   plus replica-scope fault and autoscale events) and its folds: the
+//!   per-request latency-attribution breakdown, the replay log, and a
 //!   Perfetto-loadable
 //!   [`ChromeTrace`](gdr_system::trace_export::ChromeTrace).
 //!
@@ -228,15 +228,17 @@
 //! # Replaying a scenario on real threads
 //!
 //! Everything above runs in virtual time. To measure what the *host*
-//! can sustain, record a run's batch placements with
-//! [`ServeHarness::run_replayable`] and execute the log on real worker
-//! lanes: each lane owns a frontend
+//! can sustain, fold a traced run's batch starts into an assignment
+//! log with [`ServeHarness::run_replayable`] and execute the log on
+//! real worker lanes: each lane owns a frontend
 //! [`Workspace`](gdr_core::workspace::Workspace) and drives the
 //! steady-state zero-allocation decouple → recouple → schedule →
-//! execute path per batch. Which requests complete, where, and in what
-//! per-replica order is identical for every lane count — only the
-//! wall-clock throughput (reported through the `host` family, never
-//! gated) depends on the machine:
+//! NA-sim path per batch — for every batch, including the ones the
+//! simulator priced as schedule-cache or feature-cache hits, so replay
+//! times the plan as if every batch ran cold. Which requests complete,
+//! where, and in what per-replica order is identical for every lane
+//! count — only the wall-clock throughput (reported through the `host`
+//! family, never gated) depends on the machine:
 //!
 //! ```
 //! use gdr_serve::prelude::*;

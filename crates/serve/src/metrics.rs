@@ -14,6 +14,8 @@
 //! and per distinct platform. Every value is a pure function of the
 //! scenario configuration, so records diff byte-for-byte across runs.
 
+use std::collections::HashMap;
+
 use gdr_system::report::{
     BreakdownRecord, BreakdownStage, ServeRunRecord, ServeScenarioRecord, BREAKDOWN_STAGE_KEYS,
     SERVE_METRIC_KEYS,
@@ -114,7 +116,8 @@ impl RequestBreakdown {
 /// events overwrite earlier ones. Dropped requests never complete and
 /// are not attributed. `events` must come from the same run as
 /// `result`; requests missing from the trace (impossible for a
-/// complete trace) are skipped.
+/// complete trace) are skipped. Starts are keyed by request id, so the
+/// fold reads each input once: linear in the run's length.
 pub fn request_breakdowns(result: &SimResult, events: &[TraceEvent]) -> Vec<RequestBreakdown> {
     /// What the final start span recorded for one request.
     struct Started {
@@ -125,7 +128,7 @@ pub fn request_breakdowns(result: &SimResult, events: &[TraceEvent]) -> Vec<Requ
         service_ns: u64,
         stall_ns: u64,
     }
-    let mut starts: Vec<(u64, Started)> = Vec::with_capacity(result.completed.len());
+    let mut starts: HashMap<u64, Started> = HashMap::with_capacity(result.completed.len());
     for event in events {
         let TraceEvent::BatchStarted {
             time_ns,
@@ -140,26 +143,25 @@ pub fn request_breakdowns(result: &SimResult, events: &[TraceEvent]) -> Vec<Requ
             continue;
         };
         for &(id, arrival_ns) in requests {
-            let started = Started {
-                arrival_ns,
-                formed_ns: *formed_ns,
-                start_ns: *time_ns,
-                bind_ns: *bind_ns,
-                service_ns: *service_ns,
-                stall_ns: *stall_ns,
-            };
-            match starts.iter_mut().find(|(k, _)| *k == id) {
-                // A later start voids the earlier one (crash + re-issue).
-                Some((_, slot)) => *slot = started,
-                None => starts.push((id, started)),
-            }
+            // A later start voids the earlier one (crash + re-issue).
+            starts.insert(
+                id,
+                Started {
+                    arrival_ns,
+                    formed_ns: *formed_ns,
+                    start_ns: *time_ns,
+                    bind_ns: *bind_ns,
+                    service_ns: *service_ns,
+                    stall_ns: *stall_ns,
+                },
+            );
         }
     }
     result
         .completed
         .iter()
         .filter_map(|c| {
-            let (_, s) = starts.iter().find(|(k, _)| *k == c.request.id)?;
+            let s = starts.get(&c.request.id)?;
             Some(RequestBreakdown {
                 request: c.request.id,
                 latency_ns: c.latency_ns(),
@@ -185,7 +187,15 @@ pub fn breakdown_record(
     result: &SimResult,
     events: &[TraceEvent],
 ) -> BreakdownRecord {
-    let per_request = request_breakdowns(result, events);
+    aggregate_breakdowns(scenario, seed, &request_breakdowns(result, events))
+}
+
+/// [`breakdown_record`] over already-folded per-request rows.
+pub(crate) fn aggregate_breakdowns(
+    scenario: &str,
+    seed: u64,
+    per_request: &[RequestBreakdown],
+) -> BreakdownRecord {
     let n = per_request.len();
     let stages = BREAKDOWN_STAGE_KEYS
         .iter()

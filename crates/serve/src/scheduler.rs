@@ -296,25 +296,19 @@ pub struct BatchRecord {
     pub service_ns: u64,
 }
 
-/// One recorded batch dispatch — the replayable unit of the
-/// virtual-time scheduler's decisions. Recorded (in execution-start
-/// order, the same order as [`SimResult::batches`]) only when
-/// [`Simulator::record_assignments`] was requested; the replay executor
-/// (`crate::replay`) re-executes exactly this sequence on real host
-/// threads, preserving per-replica order.
+/// One batch execution start — the replayable unit of the
+/// virtual-time scheduler's decisions, folded from a trace's
+/// [`TraceEvent::BatchStarted`] events by
+/// [`AssignmentLog::from_events`](crate::replay::AssignmentLog::from_events)
+/// in execution-start order (the order of [`SimResult::batches`]). The
+/// replay executor (`crate::replay`) re-executes exactly this sequence
+/// on real host threads, preserving per-replica order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
-    /// Replica the batch was dispatched to.
+    /// Replica the batch started on.
     pub replica: usize,
     /// The (model, dataset) cell every request in the batch shares.
     pub cell: Cell,
-    /// Whether the replica was dataset-warm at dispatch.
-    pub warm: bool,
-    /// Whether the feature cache held the cell's working set.
-    pub cache_hit: bool,
-    /// Whether the dispatch cold-bound a dataset outside the replica's
-    /// shard.
-    pub shard_miss: bool,
     /// The ids of the requests riding in the batch, batch order.
     pub request_ids: Vec<u64>,
 }
@@ -368,7 +362,11 @@ pub struct DroppedRequest {
     pub replica: Option<usize>,
 }
 
-/// The raw outcome of one scenario simulation.
+/// The raw outcome of one scenario simulation: per-request and
+/// per-batch outcomes plus run totals. Lifecycle detail — stall
+/// episodes, migrations, each span's bind/service split, the dispatch
+/// sequence replay executes — travels in the [`TraceEvent`] stream of a
+/// sink attached with [`Simulator::with_trace`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Every completed request (every generated request completes
@@ -399,11 +397,6 @@ pub struct SimResult {
     /// Batches that migrated off crashed replicas for re-issue (control
     /// plane only).
     pub requeued_batches: u64,
-    /// The dispatch sequence, execution-start order — empty unless the
-    /// run was built with [`Simulator::record_assignments`]. Recording
-    /// never perturbs the simulation (it copies state `start` already
-    /// computes), so every other field is byte-identical either way.
-    pub assignments: Vec<Assignment>,
 }
 
 #[derive(Debug)]
@@ -501,7 +494,10 @@ impl Replica {
     }
 }
 
-/// The discrete-event simulator for one scenario.
+/// The discrete-event simulator for one scenario. [`Simulator::run`]
+/// returns the [`SimResult`]; an attached [`TraceSink`] receives the
+/// lifecycle events, which the latency breakdown, the replay log and
+/// the Perfetto export fold.
 #[derive(Debug)]
 pub struct Simulator<'c> {
     cost: &'c CostModel,
@@ -546,26 +542,7 @@ pub struct Simulator<'c> {
     /// loop on the exact pre-tracing path — every emission site is
     /// guarded, mirroring the lazily-created `drop_rng`.
     trace: Option<&'c mut dyn TraceSink>,
-    /// Per-batch parked/orphaned bookkeeping for the trace's `stall_ns`
-    /// component, keyed by batch id (first request id). Maintained only
-    /// while a sink is attached.
-    stalls: Vec<StallEntry>,
-    /// Whether `start` records each dispatch into
-    /// [`SimResult::assignments`] (off by default; see
-    /// [`Simulator::record_assignments`]).
-    record_assignments: bool,
     result: SimResult,
-}
-
-/// Accumulated parked/orphaned time of one batch (tracing only).
-#[derive(Debug, Clone, Copy)]
-struct StallEntry {
-    /// Batch id: the id of the batch's first request.
-    key: u64,
-    /// Open stall episode's start time, if the batch is parked now.
-    since: Option<u64>,
-    /// Closed episodes' total, ns.
-    accum_ns: u64,
 }
 
 impl<'c> Simulator<'c> {
@@ -699,8 +676,6 @@ impl<'c> Simulator<'c> {
             parked: VecDeque::new(),
             followups: Vec::new(),
             trace: None,
-            stalls: Vec::new(),
-            record_assignments: false,
             result: SimResult {
                 completed: Vec::new(),
                 batches: Vec::new(),
@@ -714,7 +689,6 @@ impl<'c> Simulator<'c> {
                 view_changes: 0,
                 failover_ns: 0,
                 requeued_batches: 0,
-                assignments: Vec::new(),
             },
         }
     }
@@ -730,16 +704,6 @@ impl<'c> Simulator<'c> {
     /// [`SimResult`] is byte-identical to an untraced one.
     pub fn with_trace(mut self, sink: &'c mut dyn TraceSink) -> Self {
         self.trace = Some(sink);
-        self
-    }
-
-    /// Records every batch dispatch into [`SimResult::assignments`] so
-    /// the run can be replayed on real host threads
-    /// (see `crate::replay`). Like [`Simulator::with_trace`], recording
-    /// never alters the simulation — every other result field stays
-    /// byte-identical.
-    pub fn record_assignments(mut self) -> Self {
-        self.record_assignments = true;
         self
     }
 
@@ -762,46 +726,6 @@ impl<'c> Simulator<'c> {
     /// is unique because a request rides in exactly one batch.
     fn batch_key(batch: &Batch) -> u64 {
         batch.requests.first().map_or(u64::MAX, |req| req.id)
-    }
-
-    /// Opens a stall episode for `batch` at `now` (tracing only): the
-    /// batch just parked or was orphaned off a crashed replica.
-    fn stall_open(&mut self, batch: &Batch, now: u64) {
-        if !self.tracing() {
-            return;
-        }
-        let key = Self::batch_key(batch);
-        match self.stalls.iter_mut().find(|e| e.key == key) {
-            Some(entry) => entry.since = entry.since.or(Some(now)),
-            None => self.stalls.push(StallEntry {
-                key,
-                since: Some(now),
-                accum_ns: 0,
-            }),
-        }
-    }
-
-    /// Closes `batch`'s open stall episode at `now`, if any (tracing
-    /// only): the batch found a replica again.
-    fn stall_close(&mut self, batch: &Batch, now: u64) {
-        if !self.tracing() {
-            return;
-        }
-        let key = Self::batch_key(batch);
-        if let Some(entry) = self.stalls.iter_mut().find(|e| e.key == key) {
-            if let Some(since) = entry.since.take() {
-                entry.accum_ns += now - since;
-            }
-        }
-    }
-
-    /// Total closed stall time accumulated by `batch`, ns.
-    fn stall_of(&self, batch: &Batch) -> u64 {
-        let key = Self::batch_key(batch);
-        self.stalls
-            .iter()
-            .find(|e| e.key == key)
-            .map_or(0, |e| e.accum_ns)
     }
 
     /// Emits the seal event for a freshly formed batch and dispatches
@@ -1064,6 +988,10 @@ impl<'c> Simulator<'c> {
         }
         dead.extend(replica.queue.drain(..));
         if self.control.is_some() {
+            // Orphans stall until the re-issue path places them.
+            for batch in &mut dead {
+                batch.stalled_since.get_or_insert(now);
+            }
             let was_primary = {
                 let cp = self.control.as_mut().expect("checked above");
                 let wp = cp.primary() == r;
@@ -1080,7 +1008,6 @@ impl<'c> Simulator<'c> {
                         from: r,
                         size: batch.len(),
                     });
-                    self.stall_open(batch, now);
                 }
             }
             self.orphans.extend(dead);
@@ -1217,7 +1144,7 @@ impl<'c> Simulator<'c> {
             .expect("Dataset::ALL is exhaustive")
     }
 
-    fn dispatch(&mut self, batch: Batch, now: u64) {
+    fn dispatch(&mut self, mut batch: Batch, now: u64) {
         // In-transit loss: drawn only when the fault plan asks for it,
         // so fault-free runs never touch the RNG.
         if let Some(rng) = self.drop_rng.as_mut() {
@@ -1241,7 +1168,7 @@ impl<'c> Simulator<'c> {
                 batch: Self::batch_key(&batch),
                 size: batch.len(),
             });
-            self.stall_open(&batch, now);
+            batch.stalled_since.get_or_insert(now);
             self.parked.push_back(batch);
             return;
         }
@@ -1295,7 +1222,9 @@ impl<'c> Simulator<'c> {
         for (b, at) in prepares {
             self.push(at, EventKind::CtrlDeliver(b));
         }
-        self.stall_close(&batch, now);
+        if let Some(since) = batch.stalled_since.take() {
+            batch.stall_ns += now - since;
+        }
         self.emit(TraceEvent::Dispatched {
             time_ns: now,
             batch: Self::batch_key(&batch),
@@ -1361,6 +1290,7 @@ impl<'c> Simulator<'c> {
                 time_ns: now,
                 batch: Self::batch_key(&batch),
                 replica: r,
+                cell: batch.cell.index(),
                 formed_ns: batch.formed_ns,
                 size: batch.len(),
                 warm,
@@ -1368,7 +1298,7 @@ impl<'c> Simulator<'c> {
                 shard_miss,
                 bind_ns: service - exec_stretched,
                 service_ns: exec_stretched,
-                stall_ns: self.stall_of(&batch),
+                stall_ns: batch.stall_ns,
                 requests: batch
                     .requests
                     .iter()
@@ -1391,16 +1321,6 @@ impl<'c> Simulator<'c> {
             dram_bytes,
             service_ns: service,
         });
-        if self.record_assignments {
-            self.result.assignments.push(Assignment {
-                replica: r,
-                cell: batch.cell,
-                warm,
-                cache_hit,
-                shard_miss,
-                request_ids: batch.requests.iter().map(|req| req.id).collect(),
-            });
-        }
         replica.in_flight = Some((batch, service));
         let generation = replica.generation;
         self.push(
@@ -2103,16 +2023,13 @@ mod tests {
     /// A one-request batch for direct replica-state manipulation.
     fn test_batch(id: u64) -> Batch {
         let cell = crate::request::Cell::from_index(0);
-        Batch {
+        let request = Request {
+            id,
+            client: id as usize,
+            arrival_ns: 0,
             cell,
-            requests: vec![Request {
-                id,
-                client: id as usize,
-                arrival_ns: 0,
-                cell,
-            }],
-            formed_ns: 0,
-        }
+        };
+        Batch::new(cell, vec![request], 0)
     }
 
     fn autoscaled_sim(cost: &CostModel, initial: usize, max: usize) -> Simulator<'_> {

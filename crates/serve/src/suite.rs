@@ -24,10 +24,10 @@ use gdr_system::trace_export::ChromeTrace;
 use crate::batcher::{BatchPolicy, Batcher};
 use crate::cost::CostModel;
 use crate::fault::{CrashWindow, FaultSpec, Slowdown};
-use crate::metrics::{breakdown_record, request_breakdowns, scenario_record, RequestBreakdown};
+use crate::metrics::{aggregate_breakdowns, request_breakdowns, scenario_record, RequestBreakdown};
 use crate::replay::AssignmentLog;
-use crate::scheduler::{AutoscaleSpec, PoolConfig, SchedPolicy, Simulator, SloSpec};
-use crate::trace::{chrome_trace, RecordingSink, TraceEvent};
+use crate::scheduler::{AutoscaleSpec, PoolConfig, SchedPolicy, SimResult, Simulator, SloSpec};
+use crate::trace::{chrome_trace, RecordingSink, TraceEvent, TraceSink};
 use crate::workload::{ArrivalProcess, Traffic};
 
 /// The shared `arrival/batch/scheduler` scenario-label prefix — the
@@ -150,7 +150,9 @@ pub struct ServeHarness {
 impl ServeHarness {
     /// Builds the harness: constructs the named platforms and measures
     /// their service costs at `cfg` (the expensive, one-off step —
-    /// scenarios then run in microseconds of wall time).
+    /// scenarios then run in microseconds of wall time). Repeated names
+    /// are measured once, in first-occurrence order, so a scenario pool
+    /// can be passed as is.
     ///
     /// # Errors
     ///
@@ -188,41 +190,14 @@ impl ServeHarness {
     /// zero target, or headroom outside `(0, 1]`), or the fault plan is
     /// inconsistent with the slot count ([`FaultSpec::validate`]).
     pub fn run(&self, spec: &ScenarioSpec, seed: u64) -> GdrResult<ServeScenarioRecord> {
-        let replicas = self.validate(spec)?;
-        let traffic = Traffic {
-            process: spec.process,
-            requests: spec.requests,
-            seed,
-        };
-        let pool = spec.pool_config();
-        let result = Simulator::with_faults(
-            &self.cost,
-            spec.sched,
-            &replicas,
-            &pool,
-            &spec.faults,
-            spec.control,
-            seed,
-        )
-        .run(traffic.stream(), Batcher::new(spec.batch));
-        Ok(scenario_record(
-            &spec.name,
-            &traffic,
-            spec.batch,
-            spec.sched,
-            &pool,
-            &spec.faults,
-            spec.control,
-            &result,
-            self.cost.platforms(),
-        ))
+        Ok(self.simulate(spec, seed, None)?.0)
     }
 
-    /// [`ServeHarness::run`] with assignment recording switched on: the
-    /// same simulation (recording never perturbs it — the returned
-    /// record is byte-identical to [`run`]'s for the same
-    /// `(spec, seed)`), plus the [`AssignmentLog`] the real-threads
-    /// replay executor ([`mod@crate::replay`]) consumes.
+    /// [`ServeHarness::run`] traced, plus the [`AssignmentLog`] the
+    /// real-threads replay executor ([`mod@crate::replay`]) consumes,
+    /// folded from the trace by [`AssignmentLog::from_events`]. Tracing
+    /// never perturbs the simulation, so the returned record is
+    /// byte-identical to [`run`]'s for the same `(spec, seed)`.
     ///
     /// # Errors
     ///
@@ -234,41 +209,9 @@ impl ServeHarness {
         spec: &ScenarioSpec,
         seed: u64,
     ) -> GdrResult<(ServeScenarioRecord, AssignmentLog)> {
-        let replicas = self.validate(spec)?;
-        let traffic = Traffic {
-            process: spec.process,
-            requests: spec.requests,
-            seed,
-        };
-        let pool = spec.pool_config();
-        let mut result = Simulator::with_faults(
-            &self.cost,
-            spec.sched,
-            &replicas,
-            &pool,
-            &spec.faults,
-            spec.control,
-            seed,
-        )
-        .record_assignments()
-        .run(traffic.stream(), Batcher::new(spec.batch));
-        let record = scenario_record(
-            &spec.name,
-            &traffic,
-            spec.batch,
-            spec.sched,
-            &pool,
-            &spec.faults,
-            spec.control,
-            &result,
-            self.cost.platforms(),
-        );
-        let log = AssignmentLog {
-            scenario: spec.name.clone(),
-            seed,
-            config: self.cfg,
-            assignments: std::mem::take(&mut result.assignments),
-        };
+        let mut sink = RecordingSink::default();
+        let (record, _) = self.simulate(spec, seed, Some(&mut sink))?;
+        let log = AssignmentLog::from_events(&spec.name, seed, self.cfg, &sink.events);
         Ok((record, log))
     }
 
@@ -283,38 +226,10 @@ impl ServeHarness {
     ///
     /// [`run`]: ServeHarness::run
     pub fn run_traced(&self, spec: &ScenarioSpec, seed: u64) -> GdrResult<TracedRun> {
-        let replicas = self.validate(spec)?;
-        let traffic = Traffic {
-            process: spec.process,
-            requests: spec.requests,
-            seed,
-        };
-        let pool = spec.pool_config();
         let mut sink = RecordingSink::default();
-        let result = Simulator::with_faults(
-            &self.cost,
-            spec.sched,
-            &replicas,
-            &pool,
-            &spec.faults,
-            spec.control,
-            seed,
-        )
-        .with_trace(&mut sink)
-        .run(traffic.stream(), Batcher::new(spec.batch));
-        let record = scenario_record(
-            &spec.name,
-            &traffic,
-            spec.batch,
-            spec.sched,
-            &pool,
-            &spec.faults,
-            spec.control,
-            &result,
-            self.cost.platforms(),
-        );
-        let breakdown = breakdown_record(&spec.name, seed, &result, &sink.events);
+        let (record, result) = self.simulate(spec, seed, Some(&mut sink))?;
         let requests = request_breakdowns(&result, &sink.events);
+        let breakdown = aggregate_breakdowns(&spec.name, seed, &requests);
         let chrome = chrome_trace(
             &spec.name,
             &sink.events,
@@ -330,7 +245,53 @@ impl ServeHarness {
         })
     }
 
-    /// Shared `run`/`run_traced` validation: checks the spec against
+    /// The one simulation path behind [`run`](Self::run),
+    /// [`run_replayable`](Self::run_replayable) and
+    /// [`run_traced`](Self::run_traced): validates `spec`, simulates the
+    /// request stream `seed` with `sink` attached (if any), and returns
+    /// the serve record with the raw result it was built from.
+    fn simulate(
+        &self,
+        spec: &ScenarioSpec,
+        seed: u64,
+        sink: Option<&mut dyn TraceSink>,
+    ) -> GdrResult<(ServeScenarioRecord, SimResult)> {
+        let replicas = self.validate(spec)?;
+        let traffic = Traffic {
+            process: spec.process,
+            requests: spec.requests,
+            seed,
+        };
+        let pool = spec.pool_config();
+        let sim = Simulator::with_faults(
+            &self.cost,
+            spec.sched,
+            &replicas,
+            &pool,
+            &spec.faults,
+            spec.control,
+            seed,
+        );
+        let sim = match sink {
+            Some(sink) => sim.with_trace(sink),
+            None => sim,
+        };
+        let result = sim.run(traffic.stream(), Batcher::new(spec.batch));
+        let record = scenario_record(
+            &spec.name,
+            &traffic,
+            spec.batch,
+            spec.sched,
+            &pool,
+            &spec.faults,
+            spec.control,
+            &result,
+            self.cost.platforms(),
+        );
+        Ok((record, result))
+    }
+
+    /// The simulation path's validation: checks the spec against
     /// the harness and resolves the pool to cost-model platform
     /// indices.
     fn validate(&self, spec: &ScenarioSpec) -> GdrResult<Vec<usize>> {
@@ -804,14 +765,10 @@ pub fn default_suite_with_breakdown(
 /// One harness measuring every platform the canonical suite pools.
 fn suite_harness(cfg: &ExperimentConfig) -> GdrResult<ServeHarness> {
     let specs = default_specs(cfg);
-    let mut names: Vec<&str> = Vec::new();
-    for spec in &specs {
-        for name in &spec.pool {
-            if !names.contains(&name.as_str()) {
-                names.push(name);
-            }
-        }
-    }
+    let names: Vec<&str> = specs
+        .iter()
+        .flat_map(|spec| spec.pool.iter().map(String::as_str))
+        .collect();
     ServeHarness::new(cfg, &names)
 }
 

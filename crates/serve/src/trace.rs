@@ -22,7 +22,10 @@
 //! <https://ui.perfetto.dev> loads directly: one track per replica,
 //! batches as duration events, faults and control-plane activity as
 //! instant events. `gdr-bench trace --out trace.json` wires it to the
-//! CLI.
+//! CLI. The same list feeds the latency breakdown
+//! ([`request_breakdowns`](crate::metrics::request_breakdowns)) and the
+//! replay log
+//! ([`AssignmentLog::from_events`](crate::replay::AssignmentLog::from_events)).
 
 use gdr_system::json::Json;
 use gdr_system::trace_export::ChromeTrace;
@@ -93,6 +96,8 @@ pub enum TraceEvent {
         batch: u64,
         /// Executing replica slot.
         replica: usize,
+        /// Targeted grid cell index.
+        cell: usize,
         /// When the batcher sealed the batch, ns.
         formed_ns: u64,
         /// Requests in the batch.
@@ -340,6 +345,7 @@ pub fn chrome_trace(
                 time_ns,
                 batch,
                 replica,
+                cell: _,
                 formed_ns,
                 size,
                 warm,
@@ -475,6 +481,7 @@ mod tests {
             time_ns,
             batch,
             replica,
+            cell: 0,
             formed_ns: time_ns.saturating_sub(10),
             size: 2,
             warm: false,

@@ -12,11 +12,25 @@
 //!   ratio is asserted loosely (well under the ≥1.5× the CI runners
 //!   show), with retries, and only on hosts that actually have ≥2
 //!   cores; the conservation half is asserted unconditionally.
+//!
+//! The two tests take one lock, [`exclusive_cores`], so they never run
+//! at once: a speedup timed while the property net replays on the same
+//! cores measures the contention, not the executor.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gdr_serve::prelude::*;
 use gdr_serve::replay::{replay, ReplayDatasets};
 
 const SEEDS: u64 = 48;
+
+/// Held for the whole of each test in this binary; see the module docs.
+/// A poisoned lock is still exclusive, so a failed sibling does not
+/// fail the other test too.
+fn exclusive_cores() -> MutexGuard<'static, ()> {
+    static CORES: Mutex<()> = Mutex::new(());
+    CORES.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -41,6 +55,7 @@ fn issue_order(log: &AssignmentLog) -> Vec<Vec<u64>> {
 
 #[test]
 fn replay_completes_exactly_the_simulated_assignment_set() {
+    let _cores = exclusive_cores();
     let cfg = harness_cfg();
     let harness = ServeHarness::new(&cfg, &["HiHGNN+GDR"]).unwrap();
     let datasets = ReplayDatasets::build(&cfg);
@@ -99,6 +114,7 @@ fn replay_completes_exactly_the_simulated_assignment_set() {
 
 #[test]
 fn multi_lane_replay_outpaces_single_lane_on_the_sharded_scenario() {
+    let _cores = exclusive_cores();
     let cfg = harness_cfg();
     let spec = default_specs(&cfg)
         .into_iter()
@@ -109,6 +125,10 @@ fn multi_lane_replay_outpaces_single_lane_on_the_sharded_scenario() {
     let (_record, log) = harness.run_replayable(&spec, cfg.seed).unwrap();
     let jobs = cores();
 
+    // One untimed run first, so the first multi-lane run does not pay
+    // alone for the allocator arenas and caches of a lane thread the
+    // process has never run.
+    replay(&log, &datasets, jobs).unwrap();
     let solo = replay(&log, &datasets, 1).unwrap();
     let multi = replay(&log, &datasets, jobs).unwrap();
     // The deterministic half holds on any machine.

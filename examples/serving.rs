@@ -314,11 +314,13 @@ fn main() -> GdrResult<()> {
     );
 
     // 9. Replay a simulated schedule on real threads. Everything above
-    //    ran in virtual time; `run_replayable` records the scheduler's
-    //    batch placements and `replay` executes them on `std::thread`
-    //    worker lanes — each lane drives the zero-allocation frontend
-    //    hot path per batch. The completed set and per-replica order
-    //    are identical at any lane count; only the wall-clock
+    //    ran in virtual time; `run_replayable` folds the scheduler's
+    //    batch placements out of the run's trace and `replay` executes
+    //    them on `std::thread` worker lanes — each lane drives the
+    //    zero-allocation frontend hot path for every batch, cache hits
+    //    included (replay does not model the simulator's warm and
+    //    feature-cache discounts). The completed set and per-replica
+    //    order are identical at any lane count; only the wall-clock
     //    throughput is machine-dependent (host family: reported, never
     //    gated). `gdr-bench replay --jobs N` does this from the CLI.
     let (_, log) = harness.run_replayable(

@@ -84,9 +84,6 @@ fn replay_hot_path_is_allocation_free_after_warmup() {
                 model: ModelKind::ALL[i % ModelKind::ALL.len()],
                 dataset,
             },
-            warm: true,
-            cache_hit: false,
-            shard_miss: false,
             request_ids: vec![i as u64],
         })
         .collect();
