@@ -163,7 +163,7 @@ pub struct HiHgnnSim {
 /// The pooled state of one [`HiHgnnSim`].
 #[derive(Debug, Default)]
 struct HiHgnnScratch {
-    /// NA buffer + per-wave request log; its fetch counters aggregate
+    /// NA buffer + per-wave request log; its fetch counts aggregate
     /// across waves within one execution.
     na: BufferScratch,
     /// Full-execution DRAM request trace.
@@ -373,8 +373,8 @@ impl HiHgnnSim {
                 .iter()
                 .map(|&gi| (&graphs[gi], all_schedules[gi], gi as u64))
                 .collect();
-            // The pooled buffer is flushed per wave (fresh residency,
-            // identical stats) while its fetch counters aggregate the
+            // The pooled buffer is reset per wave (fresh residency,
+            // identical stats) while `na.fetch_counts` aggregates the
             // waves — tags are graph-namespaced, so the final table is
             // exactly the per-wave sum. Fig. 2 reports per-NA-pass
             // replacement times; deeper layers repeat the same pattern,
@@ -400,9 +400,7 @@ impl HiHgnnSim {
         // Move the aggregated counters out in one right-sized allocation
         // (the previous execution's table size is the capacity hint).
         let mut na_fetch_counts: HashMap<u64, u32> = HashMap::with_capacity((*counts_hint).max(16));
-        if let Some(buf) = &na.buffer {
-            na_fetch_counts.extend(buf.fetch_counts().iter().map(|(&t, &f)| (t, f)));
-        }
+        na_fetch_counts.extend(na.fetch_counts.iter().map(|(&t, &f)| (t, f)));
         *counts_hint = na_fetch_counts.len();
 
         let stats = hbm.stats().clone();

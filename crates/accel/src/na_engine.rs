@@ -4,6 +4,13 @@
 //! and produces the DRAM request trace plus the per-vertex replacement
 //! statistics of Fig. 2. Used by the HiHGNN model with either the natural
 //! destination-major schedule or a GDR-restructured schedule.
+//!
+//! The buffer itself models residency only; the Fig. 2 statistics are
+//! fetch counts per tag, kept in
+//! [`BufferScratch::fetch_counts`](gdr_core::workspace::BufferScratch::fetch_counts)
+//! by the paths that report them ([`NaBufferSim::simulate_wave_with`] and
+//! the allocating wrappers). The replay path,
+//! [`NaBufferSim::simulate_edges_with`], counts nothing.
 
 use std::collections::HashMap;
 
@@ -28,15 +35,18 @@ fn tag(graph_tag: u64, is_dst: bool, id: u32) -> u64 {
 
 /// One edge's buffer traffic: a source feature read and a destination
 /// partial-sum read-modify-write, with dirty accumulator write-backs.
+/// Each fetched tag is reported to `on_fetch`.
 fn access_edge(
     buf: &mut SetAssocBuffer,
     requests: &mut Vec<MemRequest>,
     graph_tag: u64,
     e: &gdr_hetgraph::Edge,
     fb: u32,
+    on_fetch: &mut impl FnMut(u64),
 ) {
     let t = tag(graph_tag, false, e.src.raw());
     if let Access::Miss { .. } = buf.access(t) {
+        on_fetch(t);
         requests.push(MemRequest::read(
             SRC_BASE + e.src.raw() as u64 * fb as u64,
             fb,
@@ -44,6 +54,7 @@ fn access_edge(
     }
     let t = tag(graph_tag, true, e.dst.raw());
     if let Access::Miss { evicted } = buf.access(t) {
+        on_fetch(t);
         requests.push(MemRequest::read(
             DST_BASE + e.dst.raw() as u64 * fb as u64,
             fb,
@@ -169,11 +180,12 @@ impl NaBufferSim {
     }
 
     /// [`NaBufferSim::simulate_wave`] over caller-pooled scratch. The
-    /// returned stats cover this wave only; the DRAM request trace is
-    /// left in `scratch.requests` and the buffer's fetch counters keep
-    /// aggregating across waves (tags are graph-namespaced) until the
-    /// caller resets the scratch. Per-wave residency, stats, and
-    /// requests are identical to the transient-buffer path.
+    /// returned stats cover this wave only and the DRAM request trace is
+    /// left in `scratch.requests`. Every fetch is counted into
+    /// `scratch.fetch_counts` (Fig. 2's table), which keeps aggregating
+    /// across waves (tags are graph-namespaced) until the caller resets
+    /// the scratch or changes the geometry. Per-wave residency, stats,
+    /// and requests are identical to the transient-buffer path.
     pub fn simulate_wave_with(
         &self,
         scratch: &mut BufferScratch,
@@ -181,8 +193,10 @@ impl NaBufferSim {
         chunk: usize,
     ) -> BufferStats {
         assert!(chunk > 0, "chunk must be positive");
-        let (buf, requests) = scratch.prepare(self.capacity_features, self.ways, self.policy);
+        let (buf, requests, fetch_counts) =
+            scratch.prepare(self.capacity_features, self.ways, self.policy);
         let fb = FEATURE_BYTES as u32;
+        let mut count = |t: u64| *fetch_counts.entry(t).or_insert(0) += 1;
 
         // Topology streams per lane.
         for &(g, _, graph_tag) in items {
@@ -200,7 +214,7 @@ impl NaBufferSim {
                 }
                 let end = (cursors[i] + chunk).min(edges.len());
                 for e in &edges[cursors[i]..end] {
-                    access_edge(buf, requests, graph_tag, e, fb);
+                    access_edge(buf, requests, graph_tag, e, fb, &mut count);
                 }
                 cursors[i] = end;
                 if cursors[i] < edges.len() {
@@ -216,21 +230,22 @@ impl NaBufferSim {
     }
 
     /// Simulates the schedule; `graph_tag` namespaces the tags so traces
-    /// from several semantic graphs can be aggregated.
+    /// from several semantic graphs can be aggregated. A one-graph wave
+    /// whose single chunk is the whole schedule, so the trace carries
+    /// the fetch counts.
     pub fn simulate(&self, g: &BipartiteGraph, schedule: &EdgeSchedule, graph_tag: u64) -> NaTrace {
-        let mut scratch = BufferScratch::default();
-        let stats = self.simulate_edges_with(&mut scratch, g, schedule.edges(), graph_tag);
-        Self::into_trace(stats, &mut scratch)
+        self.simulate_wave(&[(g, schedule, graph_tag)], schedule.len().max(1))
     }
 
-    /// [`NaBufferSim::simulate`] over caller-pooled scratch and a raw
-    /// edge slice — the zero-allocation entry point for replayed
-    /// schedules living in a
+    /// The NA-buffer walk of [`NaBufferSim::simulate`] over caller-pooled
+    /// scratch and a raw edge slice — the zero-allocation entry point
+    /// for replayed schedules living in a
     /// [`Workspace`](gdr_core::workspace::Workspace)'s `edges` buffer
     /// (the state [`restructure_with`](gdr_core::restructure::Restructurer::restructure_with)
-    /// leaves behind). Same contract as
-    /// [`NaBufferSim::simulate_wave_with`]: per-run stats returned,
-    /// requests in `scratch.requests`, fetch counters aggregating.
+    /// leaves behind). Per-run stats are returned and the requests left
+    /// in `scratch.requests`, as in [`NaBufferSim::simulate_wave_with`];
+    /// fetches are **not** counted, so `scratch.fetch_counts` is left as
+    /// it was.
     pub fn simulate_edges_with(
         &self,
         scratch: &mut BufferScratch,
@@ -238,7 +253,7 @@ impl NaBufferSim {
         edges: &[gdr_hetgraph::Edge],
         graph_tag: u64,
     ) -> BufferStats {
-        let (buf, requests) = scratch.prepare(self.capacity_features, self.ways, self.policy);
+        let (buf, requests, _) = scratch.prepare(self.capacity_features, self.ways, self.policy);
         let fb = FEATURE_BYTES as u32;
 
         // Topology streaming: the edge list itself (8 B per edge), read
@@ -246,7 +261,7 @@ impl NaBufferSim {
         stream_topology(requests, g, graph_tag);
 
         for e in edges {
-            access_edge(buf, requests, graph_tag, e, fb);
+            access_edge(buf, requests, graph_tag, e, fb, &mut |_| {});
         }
         // Flush: every destination written once at the end (finished
         // accumulators stream out to the SF stage's DRAM region).
@@ -262,11 +277,7 @@ impl NaBufferSim {
             hits: stats.hits,
             misses: stats.misses,
             requests: std::mem::take(&mut scratch.requests),
-            fetch_counts: scratch
-                .buffer
-                .as_mut()
-                .map(SetAssocBuffer::take_fetch_counts)
-                .unwrap_or_default(),
+            fetch_counts: std::mem::take(&mut scratch.fetch_counts),
         }
     }
 }
@@ -376,6 +387,13 @@ mod tests {
         let ka: Vec<u64> = a.fetch_counts.keys().copied().collect();
         let kb: Vec<u64> = b.fetch_counts.keys().copied().collect();
         assert!(ka.iter().all(|k| !kb.contains(k)));
+        // pooled waves keep both graphs' counts apart in one table
+        let mut scratch = BufferScratch::default();
+        for graph_tag in [0, 3] {
+            let sched = EdgeSchedule::dst_major(&g);
+            sim.simulate_wave_with(&mut scratch, &[(&g, &sched, graph_tag)], 16);
+        }
+        assert_eq!(scratch.fetch_counts.len(), ka.len() + kb.len());
     }
 
     #[test]
@@ -388,7 +406,6 @@ mod tests {
     fn pooled_scratch_matches_transient_runs() {
         let sim = NaBufferSim::new(96, 8);
         let mut scratch = BufferScratch::default();
-        let mut expected_counts: HashMap<u64, u32> = HashMap::new();
         for seed in 0..5u64 {
             let g = PowerLawConfig::new(120, 120, 900)
                 .dst_alpha(0.8)
@@ -400,13 +417,70 @@ mod tests {
             assert_eq!(stats.hits, fresh.hits, "seed {seed}");
             assert_eq!(stats.misses, fresh.misses, "seed {seed}");
             assert_eq!(scratch.requests, fresh.requests, "seed {seed}");
-            // counters aggregate across runs (tags are namespaced by seed)
-            for (t, f) in &fresh.fetch_counts {
-                *expected_counts.entry(*t).or_insert(0) += f;
-            }
-            let buf = scratch.buffer.as_ref().unwrap();
-            assert_eq!(buf.fetch_counts(), &expected_counts, "seed {seed}");
+            // the replay path counts no fetches
+            assert!(scratch.fetch_counts.is_empty(), "seed {seed}");
+            assert!(!fresh.fetch_counts.is_empty(), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn replacement_times_track_refetches() {
+        // One line: every access evicts the previous tag.
+        let g = BipartiteGraph::from_pairs("t", 1, 2, &[(0, 0), (0, 1)]).unwrap();
+        let t = NaBufferSim::new(1, 1).simulate(&g, &EdgeSchedule::dst_major(&g), 0);
+        // src 0 is fetched, evicted by dst 0, and fetched again for dst 1
+        assert_eq!(t.fetch_counts[&tag(0, false, 0)], 2);
+        assert_eq!(t.fetch_counts[&tag(0, true, 0)], 1);
+        assert_eq!(t.fetch_counts[&tag(0, true, 1)], 1);
+        assert_eq!(t.src_replacement_times(), vec![1]);
+    }
+
+    #[test]
+    fn wave_fetch_counts_aggregate_until_reset() {
+        let a = PowerLawConfig::new(90, 90, 700).generate("a", 1);
+        let b = PowerLawConfig::new(60, 60, 400).generate("b", 2);
+        let (sa, sb) = (EdgeSchedule::dst_major(&a), EdgeSchedule::dst_major(&b));
+        let sim = NaBufferSim::new(64, 8);
+        let mut scratch = BufferScratch::default();
+        let mut expected: HashMap<u64, u32> = HashMap::new();
+        // the third wave repeats the first graph's tags, so its counts add
+        for (round, items) in [[(&a, &sa, 0u64)], [(&b, &sb, 1)], [(&a, &sa, 0)]]
+            .iter()
+            .enumerate()
+        {
+            sim.simulate_wave_with(&mut scratch, items, 16);
+            for (t, f) in sim.simulate_wave(items, 16).fetch_counts {
+                *expected.entry(t).or_insert(0) += f;
+            }
+            assert_eq!(scratch.fetch_counts, expected, "round {round}");
+            // the replay path neither counts nor clears
+            sim.simulate_edges_with(&mut scratch, &a, sa.edges(), 9);
+            assert_eq!(scratch.fetch_counts, expected, "round {round}");
+        }
+        scratch.reset();
+        assert!(scratch.fetch_counts.is_empty());
+        sim.simulate_wave_with(&mut scratch, &[(&b, &sb, 1)], 16);
+        assert_eq!(
+            scratch.fetch_counts,
+            sim.simulate_wave(&[(&b, &sb, 1)], 16).fetch_counts
+        );
+    }
+
+    #[test]
+    fn geometry_change_clears_fetch_counts() {
+        let g = PowerLawConfig::new(90, 90, 700).generate("g", 3);
+        let sched = EdgeSchedule::dst_major(&g);
+        let mut scratch = BufferScratch::default();
+        NaBufferSim::new(64, 8).simulate_wave_with(&mut scratch, &[(&g, &sched, 0)], 16);
+        assert!(!scratch.fetch_counts.is_empty());
+        // same geometry, other policy: the counts restart
+        let lru = NaBufferSim::new(64, 8).with_policy(Replacement::Lru);
+        lru.simulate_wave_with(&mut scratch, &[(&g, &sched, 1)], 16);
+        let fresh = lru.simulate_wave(&[(&g, &sched, 1)], 16);
+        assert_eq!(scratch.fetch_counts, fresh.fetch_counts);
+        // and so do they on a size change seen by the replay path
+        NaBufferSim::new(128, 8).simulate_edges_with(&mut scratch, &g, sched.edges(), 0);
+        assert!(scratch.fetch_counts.is_empty());
     }
 
     #[test]

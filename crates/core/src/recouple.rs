@@ -172,65 +172,51 @@ impl RestructuredSubgraphs {
     /// backbone, i.e. if `b` is not a vertex cover of `g`.
     pub fn generate(g: &BipartiteGraph, b: &Backbone) -> Self {
         let mut out = RestructuredSubgraphs::default();
-        let mut scratch = RecoupleScratch::default();
+        let mut scratch = RecoupleScratch;
         Self::generate_into(g, b, &mut out, &mut scratch);
         out
     }
 
     /// Workspace variant of [`RestructuredSubgraphs::generate`]: the
-    /// three subgraphs are rebuilt **in place** — their CSR and name
-    /// storage reused through
-    /// [`BipartiteGraph::rebuild_from_pairs`] — and the edge-partition
-    /// buffers come from `scratch`, so regenerating subgraphs in a loop
-    /// performs no heap allocation at steady state. Results are
-    /// identical to the allocating path, including the release-mode
-    /// cover-violation accounting.
+    /// three subgraphs are rebuilt **in place**, reusing their CSR and
+    /// name storage, so regenerating subgraphs in a loop performs no heap
+    /// allocation at steady state. Results are identical to the
+    /// allocating path, including the release-mode cover-violation
+    /// accounting.
+    ///
+    /// [`BipartiteGraph::split_by_side_into`] deals `g`'s edges by
+    /// backbone membership in one pass over
+    /// [`g.out_csr()`](BipartiteGraph::out_csr) and one over
+    /// [`g.in_csr()`](BipartiteGraph::in_csr). A row's neighbors are
+    /// already ascending, so each subgraph's rows come out sorted, and
+    /// every `Dst_out` row goes whole into `in-out` (its sources are in
+    /// the backbone, or are violations filed there too). Violations are
+    /// counted during the source-major pass. `scratch` holds nothing; it
+    /// stays in the signature so callers that pass
+    /// [`Workspace::recouple_scratch`](crate::workspace::Workspace::recouple_scratch)
+    /// keep compiling.
     pub fn generate_into(
         g: &BipartiteGraph,
         b: &Backbone,
         out: &mut RestructuredSubgraphs,
-        scratch: &mut RecoupleScratch,
+        _scratch: &mut RecoupleScratch,
     ) {
-        let RecoupleScratch {
-            in_out,
-            in_in,
-            out_in,
-            cursor,
-        } = scratch;
-        in_out.clear();
-        in_in.clear();
-        out_in.clear();
-        let mut violations = 0usize;
-        for e in g.iter_edges() {
-            let (s, d) = (e.src.raw(), e.dst.raw());
-            match (b.src_in(s as usize), b.dst_in(d as usize)) {
-                (true, false) => in_out.push((s, d)),
-                (true, true) => in_in.push((s, d)),
-                (false, true) => out_in.push((s, d)),
-                (false, false) => {
-                    debug_assert!(false, "backbone is not a vertex cover: edge {e}");
-                    // Release-mode fallback keeps the partition total;
-                    // the breach is surfaced through cover_violations.
-                    violations += 1;
-                    in_out.push((s, d));
-                }
-            }
-        }
-        for (slot, name, pairs) in [
-            (0, "in-out", &*in_out),
-            (1, "in-in", &*in_in),
-            (2, "out-in", &*out_in),
-        ] {
-            out.subgraphs[slot]
-                .rebuild_from_pairs(
-                    format_args!("{}/{}", g.name(), name),
-                    g.src_count(),
-                    g.dst_count(),
-                    pairs,
-                    cursor,
-                )
-                .expect("edges come from a validated graph");
-        }
+        // Slots 0/1/2 are in-out/in-in/out-in; `[src in][dst in]` routes
+        // a non-cover edge (both outside) into in-out.
+        const ROUTE: [[usize; 2]; 2] = [[0, 2], [0, 1]];
+        let cells = g.split_by_side_into(
+            b.src_bitmap(),
+            b.dst_bitmap(),
+            ROUTE,
+            &mut out.subgraphs,
+            ["in-out", "in-in", "out-in"],
+        );
+        let violations = cells[0][0];
+        debug_assert!(
+            violations == 0,
+            "backbone is not a vertex cover: {violations} edges of {} have no backbone endpoint",
+            g.name()
+        );
         out.cover_violations = violations;
     }
 
@@ -377,6 +363,44 @@ mod tests {
         assert_eq!(r.cover_violations(), 2);
         assert_eq!(r.total_edges(), g.edge_count(), "partition stays total");
         assert_eq!(r.get(SubgraphKind::InOut).edge_count(), 2);
+    }
+
+    /// A partly covering backbone: the non-cover edges sit mid-row in
+    /// both directions, and the one-pass split must still file each into
+    /// `in-out` in ascending order, exactly as `from_pairs` over the
+    /// classified edges would. Release only, like the test above.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn non_cover_edges_are_filed_like_from_pairs() {
+        // a backbone selected for another graph of the same shape
+        let (g, _) = setup(4);
+        let (_, b) = setup(5);
+        let mut classes: [Vec<(u32, u32)>; 3] = Default::default();
+        let mut violations = 0;
+        for e in g.iter_edges() {
+            let (s, d) = (e.src.raw(), e.dst.raw());
+            let slot = match (b.src_in(s as usize), b.dst_in(d as usize)) {
+                (true, true) => 1,
+                (false, true) => 2,
+                (true, false) => 0,
+                (false, false) => {
+                    violations += 1;
+                    0
+                }
+            };
+            classes[slot].push((s, d));
+        }
+        assert!(violations > 0, "test premise: the backbone misses edges");
+        let r = RestructuredSubgraphs::generate(&g, &b);
+        assert_eq!(r.cover_violations(), violations);
+        for (kind, name, pairs) in [
+            (SubgraphKind::InOut, "in-out", &classes[0]),
+            (SubgraphKind::InIn, "in-in", &classes[1]),
+            (SubgraphKind::OutIn, "out-in", &classes[2]),
+        ] {
+            let want = BipartiteGraph::from_pairs(format!("t/{name}"), 40, 40, pairs).unwrap();
+            assert_eq!(r.get(kind), &want, "{kind}");
+        }
     }
 
     #[test]

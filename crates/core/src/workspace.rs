@@ -12,9 +12,9 @@
 //! [`crate::schedule::EdgeSchedule::restructured_into`],
 //! [`crate::restructure::Restructurer::restructure_with`]) reuse it:
 //! buffers are `clear()`ed, never dropped, and subgraph
-//! [`BipartiteGraph`](gdr_hetgraph::BipartiteGraph)s are rebuilt in
-//! place through
-//! [`BipartiteGraph::rebuild_from_pairs`](gdr_hetgraph::BipartiteGraph::rebuild_from_pairs).
+//! [`BipartiteGraph`](gdr_hetgraph::BipartiteGraph)s are refilled in
+//! place, row by row, by one pass over each of the parent graph's CSRs
+//! ([`BipartiteGraph::split_by_side_into`](gdr_hetgraph::BipartiteGraph::split_by_side_into)).
 //! At steady state — once every buffer has grown to the largest graph
 //! seen — a restructuring pass performs **zero heap allocation** for
 //! its intermediates. Retained products are pooled too: DRAM request
@@ -47,7 +47,7 @@
 //! }
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use gdr_hetgraph::Edge;
 use gdr_memsim::buffer::{Replacement, SetAssocBuffer};
@@ -59,50 +59,65 @@ use crate::matching::Matching;
 use crate::recouple::{RestructuredSubgraphs, VertexPartition};
 
 /// Pooled set-associative buffer simulation state: one
-/// [`SetAssocBuffer`] (kept across runs, [`SetAssocBuffer::flush`]ed
-/// between them so its fetch counters can aggregate) plus a DRAM
-/// request-log vector, both `clear()`ed, never dropped. The NA-engine
-/// models drive their `_with` entry points through one of these instead
-/// of constructing transient buffers per wave.
+/// [`SetAssocBuffer`] (kept across runs, reset between them), a DRAM
+/// request-log vector and a per-tag fetch-count table, all `clear()`ed,
+/// never dropped. The NA-engine models drive their `_with` entry points
+/// through one of these instead of constructing transient buffers per
+/// wave.
 #[derive(Debug, Clone, Default)]
 pub struct BufferScratch {
     /// Pooled buffer; `None` until the first [`BufferScratch::prepare`].
     pub buffer: Option<SetAssocBuffer>,
     /// Pooled DRAM request log (cleared per prepare, capacity kept).
     pub requests: Vec<MemRequest>,
+    /// Fetches per buffer tag, for the runs that count them (HiHGNN's
+    /// NA waves: the "replacement times" table of Fig. 2, where a tag's
+    /// replacement times are its fetches − 1). Kept by
+    /// [`BufferScratch::prepare`], so the counts aggregate across runs
+    /// until [`BufferScratch::reset`] or a geometry change clears them.
+    pub fetch_counts: HashMap<u64, u32>,
 }
 
 impl BufferScratch {
     /// Readies the scratch for one simulation run at the given buffer
     /// geometry: the request log is cleared and the pooled buffer is
-    /// flushed (residency and stats restart; **fetch counters are
-    /// kept**, aggregating across runs until [`BufferScratch::reset`]).
-    /// A geometry change reshapes the buffer in place, which resets the
-    /// counters too.
+    /// reset (residency and stats restart; **fetch counts are kept**,
+    /// aggregating across runs until [`BufferScratch::reset`]). A
+    /// geometry change reshapes the buffer in place and clears the
+    /// counts too.
     pub fn prepare(
         &mut self,
         capacity_lines: usize,
         ways: usize,
         policy: Replacement,
-    ) -> (&mut SetAssocBuffer, &mut Vec<MemRequest>) {
+    ) -> (
+        &mut SetAssocBuffer,
+        &mut Vec<MemRequest>,
+        &mut HashMap<u64, u32>,
+    ) {
         self.requests.clear();
         let sets = (capacity_lines / ways).max(1);
         match &mut self.buffer {
             Some(buf) if buf.sets() == sets && buf.ways() == ways && buf.policy() == policy => {
-                buf.flush();
+                buf.reset();
             }
-            Some(buf) => buf.reshape(sets, ways, policy),
+            Some(buf) => {
+                buf.reshape(sets, ways, policy);
+                self.fetch_counts.clear();
+            }
             None => self.buffer = Some(SetAssocBuffer::new(sets, ways, policy)),
         }
         (
             self.buffer.as_mut().expect("just ensured"),
             &mut self.requests,
+            &mut self.fetch_counts,
         )
     }
 
-    /// Clears everything, fetch counters included (capacity kept).
+    /// Clears everything, fetch counts included (capacity kept).
     pub fn reset(&mut self) {
         self.requests.clear();
+        self.fetch_counts.clear();
         if let Some(buf) = &mut self.buffer {
             buf.reset();
         }
@@ -133,21 +148,14 @@ pub struct MatchScratch {
     pub z_dst: Vec<bool>,
 }
 
-/// Scratch consumed by three-subgraph generation: the per-class edge
-/// partition buffers and the CSR counting-sort cursor used by the
-/// in-place rebuilds.
+/// Scratch slot of three-subgraph generation. It holds nothing:
+/// [`RestructuredSubgraphs::generate_into`] deals the parent graph's
+/// CSR rows straight into the subgraphs. The type and the
+/// [`Workspace::recouple_scratch`] field stay so the `generate_into`
+/// signature, and every caller passing `&mut ws.recouple_scratch`, keep
+/// compiling.
 #[derive(Debug, Clone, Default)]
-pub struct RecoupleScratch {
-    /// `Src_in × Dst_out` edge-partition buffer.
-    pub in_out: Vec<(u32, u32)>,
-    /// `Src_in × Dst_in` edge-partition buffer.
-    pub in_in: Vec<(u32, u32)>,
-    /// `Src_out × Dst_in` edge-partition buffer.
-    pub out_in: Vec<(u32, u32)>,
-    /// Counting-sort cursor for
-    /// [`Csr`](gdr_hetgraph::Csr) rebuilds.
-    pub cursor: Vec<u32>,
-}
+pub struct RecoupleScratch;
 
 /// The reusable restructuring arena: output slots rebuilt in place
 /// (matching, backbone, partition, subgraphs, schedule edges) plus the
@@ -171,10 +179,10 @@ pub struct Workspace {
     /// Four-way vertex partition output slot.
     pub partition: VertexPartition,
     /// Three-subgraph output slot; each
-    /// [`BipartiteGraph`](gdr_hetgraph::BipartiteGraph) rebuilds its CSR
+    /// [`BipartiteGraph`](gdr_hetgraph::BipartiteGraph) refills its CSR
     /// storage in place.
     pub subgraphs: RestructuredSubgraphs,
-    /// Edge-partition and CSR-rebuild scratch.
+    /// Empty subgraph-generation scratch (see [`RecoupleScratch`]).
     pub recouple_scratch: RecoupleScratch,
     /// Schedule emission buffer: after
     /// [`Restructurer::restructure_with`](crate::restructure::Restructurer::restructure_with)
@@ -186,8 +194,9 @@ pub struct Workspace {
     /// whole runs hand the storage back with
     /// [`Workspace::recycle_request_log`].
     pub request_pool: Vec<Vec<MemRequest>>,
-    /// Pooled NA-buffer simulation state (set-associative buffer +
-    /// request log) for the accelerator models' `_with` entry points.
+    /// Pooled NA-buffer simulation state (set-associative buffer,
+    /// request log, fetch counts) for the accelerator models' `_with`
+    /// entry points.
     pub buffer_scratch: BufferScratch,
     /// Pooled fully-associative LRU analysis state for
     /// [`try_simulate_lru_with`](crate::locality::try_simulate_lru_with).

@@ -21,7 +21,9 @@
 //!
 //! This is what makes the allocating wrappers safe as thin adapters:
 //! any divergence between the paths is a correctness bug, not a tuning
-//! difference.
+//! difference. Since both paths run the same subgraph generation, an
+//! oracle net checks that generation itself: each subgraph must equal
+//! [`BipartiteGraph::from_pairs`] over the edges of its class.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -225,4 +227,99 @@ fn granular_into_steps_match_their_allocating_twins() {
             );
         }
     }
+}
+
+/// The three subgraphs from first principles, in `SubgraphKind::ALL`
+/// order: each edge of `g` filed by its endpoints' backbone membership
+/// (an edge with neither endpoint inside goes to `in-out`), each class
+/// built by `BipartiteGraph::from_pairs` over `g`'s vertex spaces. Also
+/// returns the number of such non-cover edges.
+fn oracle_subgraphs(
+    g: &BipartiteGraph,
+    b: &gdr_core::backbone::Backbone,
+) -> ([BipartiteGraph; 3], usize) {
+    let mut classes: [Vec<(u32, u32)>; 3] = Default::default();
+    let mut violations = 0;
+    for e in g.iter_edges() {
+        let (s, d) = (e.src.raw(), e.dst.raw());
+        let class = match (b.src_in(s as usize), b.dst_in(d as usize)) {
+            (false, true) => 0,
+            (true, true) => 1,
+            (true, false) => 2,
+            (false, false) => {
+                violations += 1;
+                2
+            }
+        };
+        classes[class].push((s, d));
+    }
+    let build = |name: &str, pairs: &[(u32, u32)]| {
+        BipartiteGraph::from_pairs(
+            format!("{}/{name}", g.name()),
+            g.src_count(),
+            g.dst_count(),
+            pairs,
+        )
+        .expect("edges of a valid graph")
+    };
+    let graphs = [
+        build("out-in", &classes[0]),
+        build("in-in", &classes[1]),
+        build("in-out", &classes[2]),
+    ];
+    (graphs, violations)
+}
+
+#[test]
+fn generated_subgraphs_equal_from_pairs_over_each_edge_class() {
+    use gdr_core::backbone::Backbone;
+    use gdr_core::matching::{fifo_matching, greedy_matching, hopcroft_karp};
+    use gdr_core::recouple::{RestructuredSubgraphs, SubgraphKind};
+
+    let (mut multi_edges, mut empty, mut stars) = (0, 0, 0);
+    for seed in 0..SEEDS {
+        let mut rng = SmallRng::seed_from_u64(3_000 + seed);
+        let mut ws = Workspace::new();
+        for step in 0..4 {
+            let g = random_graph(&mut rng, step);
+            let pairs: Vec<_> = g.out_csr().iter_pairs().collect();
+            multi_edges += pairs.windows(2).filter(|w| w[0] == w[1]).count();
+            empty += usize::from(g.is_empty());
+            stars += usize::from(g.name() == "star");
+            let m = [fifo_matching, hopcroft_karp, greedy_matching][rng.gen_range(0..3usize)](&g);
+            for strategy in [
+                BackboneStrategy::Paper,
+                BackboneStrategy::KonigExact,
+                BackboneStrategy::GreedyDegree,
+            ] {
+                let b = Backbone::select(&g, &m, strategy);
+                RestructuredSubgraphs::generate_into(
+                    &g,
+                    &b,
+                    &mut ws.subgraphs,
+                    &mut ws.recouple_scratch,
+                );
+                let (expected, violations) = oracle_subgraphs(&g, &b);
+                let ctx = format!("seed {seed} step {step} {strategy} graph {}", g.name());
+                for (kind, want) in SubgraphKind::ALL.into_iter().zip(&expected) {
+                    let got = ws.subgraphs.get(kind);
+                    assert_eq!(got.name(), want.name(), "{kind}: {ctx}");
+                    assert_eq!(
+                        (got.src_count(), got.dst_count()),
+                        (want.src_count(), want.dst_count()),
+                        "{kind} vertex spaces: {ctx}"
+                    );
+                    assert_eq!(got.out_csr(), want.out_csr(), "{kind} out CSR: {ctx}");
+                    assert_eq!(got.in_csr(), want.in_csr(), "{kind} in CSR: {ctx}");
+                    assert_eq!(got, want, "{kind}: {ctx}");
+                }
+                assert_eq!(ws.subgraphs.cover_violations(), violations, "{ctx}");
+            }
+        }
+    }
+    assert!(multi_edges > 0, "the net must cover multi-edges");
+    assert!(
+        empty > 0 && stars > 0,
+        "the net must cover empty and star graphs"
+    );
 }

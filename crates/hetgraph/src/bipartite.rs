@@ -73,41 +73,81 @@ impl BipartiteGraph {
         }
     }
 
-    /// Rebuilds this semantic graph **in place** from `(src, dst)` edge
-    /// pairs: both adjacency directions and the name buffer reuse their
-    /// existing storage, so a caller regenerating subgraphs in a loop
-    /// performs no heap allocation once the buffers (and the provided
-    /// `cursor` scratch) have grown to the largest graph seen. The result
-    /// is indistinguishable from [`BipartiteGraph::from_pairs`] with the
-    /// same arguments — provenance is cleared, neighbors end up sorted —
-    /// which the restructuring workspace's reuse-vs-fresh property tests
-    /// rely on.
+    /// Rebuilds `parts` **in place** as a partition of this graph's edges
+    /// by endpoint side: edge `(s, d)` goes to part
+    /// `route[src_side[s] as usize][dst_side[d] as usize]`, and part `k`
+    /// is named `{name}/{suffixes[k]}`. Each part keeps this graph's vertex
+    /// spaces and equals [`BipartiteGraph::from_pairs`] over its edges —
+    /// provenance cleared, neighbors ascending, multi-edges kept — while
+    /// reusing its CSR and name storage, so a caller splitting graphs in a
+    /// loop stops allocating once the parts have grown to the largest
+    /// graph seen.
     ///
-    /// # Errors
+    /// The split is one pass over each adjacency direction. A row's
+    /// neighbors are already ascending, so dealing them in order keeps
+    /// every part's rows ascending; a destination whose side routes both
+    /// source sides to one part has its row copied whole.
     ///
-    /// Returns [`crate::GraphError::VertexOutOfRange`] when an endpoint
-    /// exceeds its declared space, before any mutation.
-    pub fn rebuild_from_pairs(
-        &mut self,
-        name: std::fmt::Arguments<'_>,
-        src_count: usize,
-        dst_count: usize,
-        pairs: &[(u32, u32)],
-        cursor: &mut Vec<u32>,
-    ) -> Result<()> {
-        self.out
-            .rebuild_from_pairs(src_count, dst_count, pairs, cursor)?;
-        // The outgoing rebuild just bounds-checked every pair; skip the
-        // second O(E) validation scan on this hot path.
-        self.inc
-            .rebuild_from_pairs_transposed_prevalidated(dst_count, src_count, pairs, cursor);
-        self.name.clear();
+    /// Returns the number of edges in each `[src side][dst side]` cell,
+    /// counted during the source-major pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a side bitmap is shorter than its vertex space or a
+    /// route names a part outside `parts`.
+    pub fn split_by_side_into<const K: usize>(
+        &self,
+        src_side: &[bool],
+        dst_side: &[bool],
+        route: [[usize; 2]; 2],
+        parts: &mut [BipartiteGraph; K],
+        suffixes: [&str; K],
+    ) -> [[usize; 2]; 2] {
+        let src_side = &src_side[..self.src_count()];
+        let dst_side = &dst_side[..self.dst_count()];
+        assert!(
+            route.iter().flatten().all(|&k| k < K),
+            "route names a part outside the {K} given"
+        );
         use std::fmt::Write as _;
-        write!(self.name, "{name}").expect("writing to a String cannot fail");
-        self.relation = None;
-        self.src_ty = None;
-        self.dst_ty = None;
-        Ok(())
+        for (part, suffix) in parts.iter_mut().zip(suffixes) {
+            part.name.clear();
+            write!(part.name, "{}/{suffix}", self.name).expect("writing to a String cannot fail");
+            part.relation = None;
+            part.src_ty = None;
+            part.dst_ty = None;
+            part.out.clear_rows(self.src_count(), self.dst_count());
+            part.inc.clear_rows(self.dst_count(), self.src_count());
+        }
+        let mut cells = [[0usize; 2]; 2];
+        let (offsets, cols) = (self.out.offsets(), self.out.col_indices());
+        for (s, (&side, span)) in src_side.iter().zip(offsets.windows(2)).enumerate() {
+            let to = route[side as usize];
+            let row = &cols[span[0] as usize..span[1] as usize];
+            let mut to_in = 0;
+            for &d in row {
+                let d_side = dst_side[d as usize];
+                to_in += d_side as usize;
+                parts[to[d_side as usize]].out.push_col(d);
+            }
+            cells[side as usize][1] += to_in;
+            cells[side as usize][0] += row.len() - to_in;
+            parts.iter_mut().for_each(|p| p.out.end_row(s));
+        }
+        let (offsets, cols) = (self.inc.offsets(), self.inc.col_indices());
+        for (d, (&side, span)) in dst_side.iter().zip(offsets.windows(2)).enumerate() {
+            let to = [route[0][side as usize], route[1][side as usize]];
+            let row = &cols[span[0] as usize..span[1] as usize];
+            if to[0] == to[1] {
+                parts[to[0]].inc.extend_cols(row);
+            } else {
+                for &s in row {
+                    parts[to[src_side[s as usize] as usize]].inc.push_col(s);
+                }
+            }
+            parts.iter_mut().for_each(|p| p.inc.end_row(d));
+        }
+        cells
     }
 
     /// Attaches schema provenance (which relation and endpoint types this
@@ -285,27 +325,54 @@ mod tests {
 
     #[test]
     fn rebuild_matches_from_pairs() {
-        let mut g = toy().with_provenance(
+        let g = toy();
+        let mut parts: [BipartiteGraph; 3] = Default::default();
+        parts[1] = toy().with_provenance(
             RelationId::new(1),
             VertexTypeId::new(0),
             VertexTypeId::new(2),
         );
-        let mut cursor = Vec::new();
-        let pairs = [(0u32, 0u32), (0, 1), (1, 0)];
-        g.rebuild_from_pairs(format_args!("re/{}", "built"), 2, 2, &pairs, &mut cursor)
-            .unwrap();
-        let fresh = BipartiteGraph::from_pairs("re/built", 2, 2, &pairs).unwrap();
-        assert_eq!(g, fresh, "rebuild must be indistinguishable from fresh");
-        assert_eq!(g.relation(), None, "provenance resets like from_pairs");
-        // growing again through the same storage still matches
-        let bigger = [(0u32, 0u32), (1, 0), (1, 2), (3, 1), (3, 2)];
-        g.rebuild_from_pairs(format_args!("toy"), 4, 3, &bigger, &mut cursor)
-            .unwrap();
-        assert_eq!(g, toy());
-        // out-of-range pairs are rejected up front
-        assert!(g
-            .rebuild_from_pairs(format_args!("bad"), 2, 2, &[(5, 0)], &mut cursor)
-            .is_err());
+        // sources {1, 3} and destination {2} on side 1; cell [0][0] goes
+        // to part 0 together with [1][0], the rest one part per cell
+        let (src_side, dst_side) = ([false, true, false, true], [false, false, true]);
+        let route = [[0, 2], [0, 1]];
+        let cells = g.split_by_side_into(&src_side, &dst_side, route, &mut parts, ["a", "b", "c"]);
+        assert_eq!(cells, [[1, 0], [2, 2]]);
+        let expect = [
+            ("toy/a", &[(0, 0), (1, 0), (3, 1)][..]),
+            ("toy/b", &[(1, 2), (3, 2)][..]),
+            ("toy/c", &[][..]),
+        ];
+        for (part, (name, pairs)) in parts.iter().zip(expect) {
+            let fresh = BipartiteGraph::from_pairs(name, 4, 3, pairs).unwrap();
+            assert_eq!(part, &fresh, "split must be indistinguishable from fresh");
+        }
+        assert_eq!(
+            parts[1].relation(),
+            None,
+            "provenance resets like from_pairs"
+        );
+        // shrinking through the same storage still matches, multi-edges kept
+        let small = BipartiteGraph::from_pairs("s", 2, 2, &[(0, 1), (0, 1), (1, 0)]).unwrap();
+        let cells = small.split_by_side_into(
+            &[true, false],
+            &[false, true],
+            [[1, 1], [2, 0]],
+            &mut parts,
+            ["x", "y", "z"],
+        );
+        assert_eq!(cells, [[1, 0], [0, 2]]);
+        let expect = [
+            ("s/x", &[(0, 1), (0, 1)][..]),
+            ("s/y", &[(1, 0)][..]),
+            ("s/z", &[][..]),
+        ];
+        for (part, (name, pairs)) in parts.iter().zip(expect) {
+            assert_eq!(
+                part,
+                &BipartiteGraph::from_pairs(name, 2, 2, pairs).unwrap()
+            );
+        }
     }
 
     #[test]

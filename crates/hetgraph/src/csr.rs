@@ -91,8 +91,9 @@ impl Csr {
     ///
     /// Returns [`GraphError::MalformedCsr`] if `offsets` is not
     /// non-decreasing or does not have `rows + 1` entries ending at
-    /// `cols.len()`, and [`GraphError::VertexOutOfRange`] for column
-    /// overflow.
+    /// `cols.len()`, or if a row's columns are not in non-decreasing
+    /// order (lookups binary-search a row); and
+    /// [`GraphError::VertexOutOfRange`] for column overflow.
     pub fn from_raw(
         rows: usize,
         cols: usize,
@@ -106,6 +107,11 @@ impl Csr {
         }
         for r in 0..rows {
             if offsets[r] > offsets[r + 1] {
+                return Err(GraphError::MalformedCsr { row: r });
+            }
+        }
+        for r in 0..rows {
+            if !col_store[offsets[r] as usize..offsets[r + 1] as usize].is_sorted() {
                 return Err(GraphError::MalformedCsr { row: r });
             }
         }
@@ -179,125 +185,33 @@ impl Csr {
         self.iter_pairs().map(|(r, c)| Edge::new(r, c))
     }
 
-    /// Rebuilds this CSR in place from `(row, col)` pairs, reusing the
-    /// offset and column storage. Semantically identical to
-    /// [`Csr::from_pairs`] — same validation, same neighbor ordering —
-    /// but performs **no heap allocation** once the existing buffers
-    /// (and the caller-provided `cursor` scratch) have grown to the
-    /// working-set size. This is the restructuring workspace's path for
-    /// regenerating subgraph adjacency every graph without allocator
-    /// traffic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::VertexOutOfRange`] if any endpoint exceeds
-    /// `rows`/`cols`; the CSR is left unchanged in that case only if the
-    /// offending pair is detected during validation (it always is —
-    /// validation runs before any mutation).
-    pub fn rebuild_from_pairs(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        pairs: &[(u32, u32)],
-        cursor: &mut Vec<u32>,
-    ) -> Result<()> {
-        self.rebuild_inner(rows, cols, pairs, false, true, cursor)
-    }
-
-    /// Rebuilds this CSR in place as the **transpose** of `pairs`: each
-    /// `(row, col)` pair is read as `(col, row)`, so the result equals
-    /// `Csr::from_pairs(rows, cols, swapped).` without materializing the
-    /// swapped pair list. Used to refresh a bipartite graph's incoming
-    /// adjacency from the same pair buffer that rebuilt the outgoing one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::VertexOutOfRange`] as
-    /// [`Csr::rebuild_from_pairs`] does (against the transposed roles).
-    pub fn rebuild_from_pairs_transposed(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        pairs: &[(u32, u32)],
-        cursor: &mut Vec<u32>,
-    ) -> Result<()> {
-        self.rebuild_inner(rows, cols, pairs, true, true, cursor)
-    }
-
-    /// [`Csr::rebuild_from_pairs_transposed`] minus the bounds scan, for
-    /// crate-internal callers that just validated the same pairs in the
-    /// forward orientation (the bipartite double-rebuild hot path).
-    pub(crate) fn rebuild_from_pairs_transposed_prevalidated(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        pairs: &[(u32, u32)],
-        cursor: &mut Vec<u32>,
-    ) {
-        self.rebuild_inner(rows, cols, pairs, true, false, cursor)
-            .expect("validation skipped, no other error path exists");
-    }
-
-    fn rebuild_inner(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        pairs: &[(u32, u32)],
-        swap: bool,
-        validate: bool,
-        cursor: &mut Vec<u32>,
-    ) -> Result<()> {
-        let rc = |&(a, b): &(u32, u32)| if swap { (b, a) } else { (a, b) };
-        if validate {
-            for p in pairs {
-                let (r, c) = rc(p);
-                if r as usize >= rows {
-                    return Err(GraphError::VertexOutOfRange {
-                        what: "source",
-                        index: r as usize,
-                        len: rows,
-                    });
-                }
-                if c as usize >= cols {
-                    return Err(GraphError::VertexOutOfRange {
-                        what: "destination",
-                        index: c as usize,
-                        len: cols,
-                    });
-                }
-            }
-        } else {
-            debug_assert!(pairs
-                .iter()
-                .all(|p| (rc(p).0 as usize) < rows && (rc(p).1 as usize) < cols));
-        }
-        // Same counting sort as `from_pairs`, into reused storage.
-        self.offsets.clear();
-        self.offsets.resize(rows + 1, 0);
-        for p in pairs {
-            let (r, _) = rc(p);
-            self.offsets[r as usize + 1] += 1;
-        }
-        for i in 0..rows {
-            self.offsets[i + 1] += self.offsets[i];
-        }
-        cursor.clear();
-        cursor.extend_from_slice(&self.offsets);
-        self.cols.clear();
-        self.cols.resize(pairs.len(), 0);
-        for p in pairs {
-            let (r, c) = rc(p);
-            let at = cursor[r as usize] as usize;
-            self.cols[at] = c;
-            cursor[r as usize] += 1;
-        }
-        for r in 0..rows {
-            let (a, b) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
-            self.cols[a..b].sort_unstable();
-        }
+    /// Empties this CSR into `rows` rows over `cols` columns, keeping its
+    /// storage, for a refill in row order: each row's columns are
+    /// appended with [`Csr::push_col`] or [`Csr::extend_cols`], then
+    /// [`Csr::end_row`] closes it. The caller closes every row, keeps each
+    /// row ascending and every column below `cols`.
+    pub(crate) fn clear_rows(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols_len = cols;
-        Ok(())
+        self.offsets.clear();
+        self.offsets.resize(rows + 1, 0);
+        self.cols.clear();
+    }
+
+    /// Appends `c` to the row being refilled.
+    pub(crate) fn push_col(&mut self, c: u32) {
+        self.cols.push(c);
+    }
+
+    /// Appends a run of columns to the row being refilled.
+    pub(crate) fn extend_cols(&mut self, cols: &[u32]) {
+        self.cols.extend_from_slice(cols);
+    }
+
+    /// Closes row `r`: it holds every column appended since row `r - 1`
+    /// was closed.
+    pub(crate) fn end_row(&mut self, r: usize) {
+        self.offsets[r + 1] = self.cols.len() as u32;
     }
 
     /// Returns the transpose (column-major adjacency) of this CSR.
@@ -387,6 +301,17 @@ mod tests {
         ));
         assert!(Csr::from_raw(2, 2, vec![0, 1], vec![0, 1]).is_err());
         assert!(Csr::from_raw(2, 2, vec![0, 1, 2], vec![0, 9]).is_err());
+        // an unsorted row would break `contains`' binary search
+        assert!(matches!(
+            Csr::from_raw(1, 3, vec![0, 3], vec![2, 1, 0]),
+            Err(GraphError::MalformedCsr { row: 0 })
+        ));
+        assert!(matches!(
+            Csr::from_raw(2, 3, vec![0, 1, 3], vec![2, 1, 0]),
+            Err(GraphError::MalformedCsr { row: 1 })
+        ));
+        // repeated columns (multi-edges) are non-decreasing, so legal
+        assert!(Csr::from_raw(1, 2, vec![0, 3], vec![0, 1, 1]).is_ok());
     }
 
     #[test]
@@ -421,28 +346,36 @@ mod tests {
 
     #[test]
     fn rebuild_matches_from_pairs_and_reuses_storage() {
+        // Refill `csr` row by row from another CSR's rows.
+        fn refill(csr: &mut Csr, from: &Csr) {
+            csr.clear_rows(from.rows(), from.cols());
+            for r in 0..from.rows() {
+                for &c in from.neighbors(r) {
+                    csr.push_col(c);
+                }
+                csr.end_row(r);
+            }
+        }
         let mut csr = sample();
-        let mut cursor = Vec::new();
-        // shrink, grow, and transpose through the same storage
-        let small = [(0u32, 1u32), (1, 0)];
-        csr.rebuild_from_pairs(2, 2, &small, &mut cursor).unwrap();
-        assert_eq!(csr, Csr::from_pairs(2, 2, &small).unwrap());
-        let big = [(0u32, 1u32), (0, 0), (2, 2), (2, 1), (2, 0), (3, 1)];
-        csr.rebuild_from_pairs(4, 3, &big, &mut cursor).unwrap();
+        // shrink, grow and transpose through the same storage
+        let small = Csr::from_pairs(2, 2, &[(0, 1), (1, 0)]).unwrap();
+        refill(&mut csr, &small);
+        assert_eq!(csr, small);
+        let cap = csr.cols.capacity();
+        refill(&mut csr, &sample().transpose());
+        assert_eq!(csr, sample().transpose());
+        assert_eq!(csr.cols.capacity(), cap, "refill reuses the column storage");
+        // whole rows copy the same way
+        csr.clear_rows(4, 3);
+        for r in 0..4 {
+            csr.extend_cols(sample().neighbors(r));
+            csr.end_row(r);
+        }
         assert_eq!(csr, sample());
-        let mut t = Csr::default();
-        t.rebuild_from_pairs_transposed(3, 4, &big, &mut cursor)
-            .unwrap();
-        assert_eq!(t, sample().transpose());
-        // rebuild validates exactly like from_pairs
-        assert!(matches!(
-            csr.rebuild_from_pairs(2, 2, &[(2, 0)], &mut cursor),
-            Err(GraphError::VertexOutOfRange { what: "source", .. })
-        ));
-        assert!(matches!(
-            t.rebuild_from_pairs_transposed(2, 2, &[(0, 9)], &mut cursor),
-            Err(GraphError::VertexOutOfRange { what: "source", .. })
-        ));
+        // and a refill of empty rows is the edgeless CSR of that shape
+        csr.clear_rows(3, 5);
+        (0..3).for_each(|r| csr.end_row(r));
+        assert_eq!(csr, Csr::from_pairs(3, 5, &[]).unwrap());
     }
 
     #[test]

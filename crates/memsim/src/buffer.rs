@@ -1,12 +1,12 @@
-//! Set-associative on-chip buffer model with per-tag replacement counters.
+//! Set-associative on-chip buffer model.
 //!
 //! This is the hardware-accurate counterpart of `gdr-core`'s idealized LRU
 //! analysis: HiHGNN's NA buffer is organized set-associatively, so
-//! conflict misses add to the thrashing the paper measures in Fig. 2. The
-//! per-tag fetch counters are exactly the "replacement times of vertices'
-//! features" statistic.
-
-use std::collections::HashMap;
+//! conflict misses add to the thrashing the paper measures in Fig. 2.
+//! The model tracks residency only — which tags each set holds and which
+//! one a miss evicts. Callers that need per-tag statistics (Fig. 2's
+//! replacement times) count the misses [`SetAssocBuffer::access`]
+//! reports.
 
 /// Replacement policy of a buffer set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -78,11 +78,40 @@ pub struct SetAssocBuffer {
     sets: usize,
     ways: usize,
     policy: Replacement,
-    // ways entries per set: (tag, last_use or insert stamp)
-    lines: Vec<Vec<(u64, u64)>>,
-    clock: u64,
+    /// [`fastmod`] reciprocal of `sets` (see [`set_magic`]).
+    set_magic: u64,
+    /// `sets × ways` line tags, set-major; the first `fill[set]` ways of
+    /// a set are resident.
+    tags: Vec<u64>,
+    /// Per line: the access count at its last use (LRU) or its insertion
+    /// (FIFO). Every access stamps at most one line, so stamps are unique
+    /// and the oldest line of a set is well defined.
+    stamps: Vec<u64>,
+    /// Resident lines per set.
+    fill: Vec<u32>,
     stats: BufferStats,
-    fetch_counts: HashMap<u64, u32>,
+}
+
+/// Checks a buffer geometry and returns the [`fastmod`] reciprocal of
+/// its set count, `⌈2⁶⁴ / sets⌉` (which wraps to 0 for one set).
+///
+/// # Panics
+///
+/// Panics if `sets == 0` or `ways == 0`, or if `sets` does not fit in 32
+/// bits.
+fn set_magic(sets: usize, ways: usize) -> u64 {
+    assert!(sets > 0 && ways > 0, "degenerate buffer geometry");
+    let sets = u32::try_from(sets).expect("set count fits in 32 bits");
+    (u64::MAX / u64::from(sets)).wrapping_add(1)
+}
+
+/// `a % d` for a 32-bit numerator by one multiply-high instead of a
+/// division; exact for every `a` and every `d` in `1..2³²` given
+/// `magic = set_magic(d, _)` (Lemire, Kaser, Kurz, "Faster remainder by
+/// direct computation", 2019).
+fn fastmod(a: u32, magic: u64, d: u32) -> u32 {
+    let low = magic.wrapping_mul(u64::from(a));
+    ((u128::from(low) * u128::from(d)) >> 64) as u32
 }
 
 impl SetAssocBuffer {
@@ -90,17 +119,18 @@ impl SetAssocBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `sets == 0` or `ways == 0`.
+    /// Panics if `sets == 0` or `ways == 0`, or if `sets` does not fit
+    /// in 32 bits.
     pub fn new(sets: usize, ways: usize, policy: Replacement) -> Self {
-        assert!(sets > 0 && ways > 0, "degenerate buffer geometry");
         Self {
             sets,
             ways,
             policy,
-            lines: vec![Vec::new(); sets],
-            clock: 0,
+            set_magic: set_magic(sets, ways),
+            tags: vec![0; sets * ways],
+            stamps: vec![0; sets * ways],
+            fill: vec![0; sets],
             stats: BufferStats::default(),
-            fetch_counts: HashMap::new(),
         }
     }
 
@@ -137,100 +167,88 @@ impl SetAssocBuffer {
     }
 
     fn set_of(&self, tag: u64) -> usize {
-        // Fibonacci hashing spreads structured vertex ids across sets.
-        ((tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % self.sets as u64) as usize
+        // Fibonacci hashing spreads structured vertex ids across sets;
+        // the high half of the product is the 32-bit numerator.
+        let hash = (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32;
+        fastmod(hash, self.set_magic, self.sets as u32) as usize
     }
 
     /// Touches `tag`, fetching it on a miss.
+    #[inline]
     pub fn access(&mut self, tag: u64) -> Access {
-        self.clock += 1;
         self.stats.accesses += 1;
         let set = self.set_of(tag);
-        let lines = &mut self.lines[set];
-        if let Some(entry) = lines.iter_mut().find(|(t, _)| *t == tag) {
+        let base = set * self.ways;
+        let resident = &self.tags[base..base + self.fill[set] as usize];
+        if let Some(way) = resident.iter().position(|&t| t == tag) {
             if self.policy == Replacement::Lru {
-                entry.1 = self.clock;
+                self.stamps[base + way] = self.stats.accesses;
             }
             self.stats.hits += 1;
             return Access::Hit;
         }
+        self.fetch(set, tag)
+    }
+
+    /// The miss half of [`SetAssocBuffer::access`]: installs `tag` in
+    /// `set`, in a free way or in place of the oldest line.
+    fn fetch(&mut self, set: usize, tag: u64) -> Access {
         self.stats.misses += 1;
-        *self.fetch_counts.entry(tag).or_insert(0) += 1;
-        let evicted = if lines.len() == self.ways {
-            let (victim_idx, _) = lines
+        let base = set * self.ways;
+        let fill = self.fill[set] as usize;
+        let tags = &mut self.tags[base..base + self.ways];
+        let stamps = &mut self.stamps[base..base + self.ways];
+        let (way, evicted) = if fill == self.ways {
+            let (victim, _) = stamps
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .expect("set is full");
-            let victim = lines.swap_remove(victim_idx).0;
+                .min_by_key(|&(_, &stamp)| stamp)
+                .expect("ways > 0");
             self.stats.evictions += 1;
-            Some(victim)
+            (victim, Some(tags[victim]))
         } else {
-            None
+            self.fill[set] += 1;
+            (fill, None)
         };
-        lines.push((tag, self.clock));
+        tags[way] = tag;
+        stamps[way] = self.stats.accesses;
         Access::Miss { evicted }
     }
 
     /// Probes residency without changing state or statistics.
     pub fn contains(&self, tag: u64) -> bool {
-        self.lines[self.set_of(tag)].iter().any(|(t, _)| *t == tag)
+        let set = self.set_of(tag);
+        let base = set * self.ways;
+        self.tags[base..base + self.fill[set] as usize].contains(&tag)
     }
 
-    /// Number of times each tag was fetched. Replacement times of a tag =
-    /// `fetches - 1` (Fig. 2's statistic).
-    pub fn fetch_counts(&self) -> &HashMap<u64, u32> {
-        &self.fetch_counts
-    }
-
-    /// Replacement-times table over all tags ever seen.
-    pub fn replacement_times(&self) -> Vec<(u64, u32)> {
-        let mut v: Vec<(u64, u32)> = self
-            .fetch_counts
-            .iter()
-            .map(|(&t, &f)| (t, f.saturating_sub(1)))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Invalidates everything and clears statistics, **keeping** the
-    /// accumulated fetch counters. A flushed buffer behaves exactly like
-    /// a freshly constructed one on its next access stream (residency,
-    /// stamps, and stats all start over), which is what lets one pooled
-    /// buffer stand in for a sequence of transient ones while the fetch
-    /// counters keep aggregating across the sequence.
-    pub fn flush(&mut self) {
-        self.lines.iter_mut().for_each(|l| l.clear());
-        self.clock = 0;
+    /// Invalidates everything and clears statistics. A reset buffer
+    /// behaves exactly like a freshly constructed one on its next access
+    /// stream (residency, stamps and stats all start over), which is what
+    /// lets one pooled buffer stand in for a sequence of transient ones.
+    pub fn reset(&mut self) {
+        self.fill.iter_mut().for_each(|f| *f = 0);
         self.stats = BufferStats::default();
     }
 
-    /// Invalidates everything and clears statistics and fetch counters.
-    pub fn reset(&mut self) {
-        self.flush();
-        self.fetch_counts.clear();
-    }
-
     /// Re-geometries the buffer in place (reusing the line storage where
-    /// possible) and fully resets it, fetch counters included.
+    /// possible) and resets it.
     ///
     /// # Panics
     ///
-    /// Panics if `sets == 0` or `ways == 0`.
+    /// Panics if `sets == 0` or `ways == 0`, or if `sets` does not fit
+    /// in 32 bits.
     pub fn reshape(&mut self, sets: usize, ways: usize, policy: Replacement) {
-        assert!(sets > 0 && ways > 0, "degenerate buffer geometry");
-        self.lines.resize_with(sets, Vec::new);
+        self.set_magic = set_magic(sets, ways);
         self.sets = sets;
         self.ways = ways;
         self.policy = policy;
+        // Stale lines past a set's fill are never read, so only the fill
+        // counts need clearing.
+        self.tags.resize(sets * ways, 0);
+        self.stamps.resize(sets * ways, 0);
+        self.fill.resize(sets, 0);
         self.reset();
-    }
-
-    /// Moves the fetch counters out, leaving an empty (but
-    /// capacity-preserving) table behind.
-    pub fn take_fetch_counts(&mut self) -> HashMap<u64, u32> {
-        std::mem::take(&mut self.fetch_counts)
     }
 }
 
@@ -278,17 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn replacement_times_track_refetches() {
-        let mut b = SetAssocBuffer::new(1, 1, Replacement::Lru);
-        b.access(1);
-        b.access(2); // evicts 1
-        b.access(1); // refetch 1
-        let rt: std::collections::HashMap<u64, u32> = b.replacement_times().into_iter().collect();
-        assert_eq!(rt[&1], 1);
-        assert_eq!(rt[&2], 0);
-    }
-
-    #[test]
     fn capacity_and_reset() {
         let mut b = SetAssocBuffer::with_capacity(64, 4, Replacement::Lru);
         assert_eq!(b.capacity(), 64);
@@ -319,29 +326,21 @@ mod tests {
     }
 
     #[test]
-    fn flush_restarts_residency_but_keeps_counts() {
+    fn reset_matches_fresh_construction() {
         let mut pooled = SetAssocBuffer::new(4, 2, Replacement::Lru);
         let stream: Vec<u64> = vec![1, 2, 3, 1, 9, 2, 7, 7];
         for &t in &stream {
             pooled.access(t);
         }
-        let first_counts = pooled.fetch_counts().clone();
-        pooled.flush();
+        pooled.reset();
         assert_eq!(pooled.stats(), &BufferStats::default());
         assert!(!pooled.contains(1));
-        // The flushed buffer replays the stream exactly like a fresh one…
+        // The reset buffer replays the stream exactly like a fresh one.
         let mut fresh = SetAssocBuffer::new(4, 2, Replacement::Lru);
         for &t in &stream {
             assert_eq!(pooled.access(t), fresh.access(t));
         }
         assert_eq!(pooled.stats(), fresh.stats());
-        // …while its counters kept aggregating across the flush.
-        for (tag, count) in fresh.fetch_counts() {
-            assert_eq!(
-                pooled.fetch_counts()[tag],
-                count + first_counts.get(tag).copied().unwrap_or(0)
-            );
-        }
     }
 
     #[test]
@@ -351,12 +350,157 @@ mod tests {
         b.reshape(8, 2, Replacement::Lru);
         assert_eq!((b.sets(), b.ways(), b.policy()), (8, 2, Replacement::Lru));
         assert_eq!(b.stats(), &BufferStats::default());
-        assert!(b.fetch_counts().is_empty());
         let mut fresh = SetAssocBuffer::new(8, 2, Replacement::Lru);
         for t in [3u64, 9, 3, 11, 200, 9, 3] {
             assert_eq!(b.access(t), fresh.access(t));
         }
         assert_eq!(b.stats(), fresh.stats());
-        assert_eq!(b.fetch_counts(), fresh.fetch_counts());
+    }
+
+    /// The buffer before its flat layout: one `Vec` of `(tag, stamp)`
+    /// lines per set, `%` set indexing, and `swap_remove` + `push`
+    /// replacement. The reference the flat buffer must match access for
+    /// access.
+    struct Reference {
+        sets: usize,
+        ways: usize,
+        policy: Replacement,
+        lines: Vec<Vec<(u64, u64)>>,
+        clock: u64,
+        stats: BufferStats,
+    }
+
+    impl Reference {
+        fn new(sets: usize, ways: usize, policy: Replacement) -> Self {
+            Self {
+                sets,
+                ways,
+                policy,
+                lines: vec![Vec::new(); sets],
+                clock: 0,
+                stats: BufferStats::default(),
+            }
+        }
+
+        fn access(&mut self, tag: u64) -> Access {
+            self.clock += 1;
+            self.stats.accesses += 1;
+            let set = ((tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % self.sets as u64) as usize;
+            let lines = &mut self.lines[set];
+            if let Some(entry) = lines.iter_mut().find(|(t, _)| *t == tag) {
+                if self.policy == Replacement::Lru {
+                    entry.1 = self.clock;
+                }
+                self.stats.hits += 1;
+                return Access::Hit;
+            }
+            self.stats.misses += 1;
+            let evicted = if lines.len() == self.ways {
+                let (victim_idx, _) = lines
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, (_, stamp))| *stamp)
+                    .expect("set is full");
+                self.stats.evictions += 1;
+                Some(lines.swap_remove(victim_idx).0)
+            } else {
+                None
+            };
+            lines.push((tag, self.clock));
+            Access::Miss { evicted }
+        }
+    }
+
+    /// Geometries the models use: the HiHGNN NA buffer, the T4 L2 and the
+    /// A100 L2 (sets, ways).
+    const USED_GEOMETRIES: [(usize, usize); 3] = [(464, 8), (8_192, 16), (81_920, 16)];
+
+    /// A random tag whose Fibonacci hash lands in `set` of `sets`: a hash
+    /// `≡ set (mod sets)` with random low bits, times the inverse of the
+    /// odd multiplier mod 2⁶⁴.
+    fn tag_in_set(rng: &mut rand::rngs::SmallRng, set: usize, sets: usize) -> u64 {
+        use rand::Rng;
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        // Newton's iteration doubles the correct low bits: 3, 6, …, 96.
+        let k_inv = (0..5).fold(K, |inv, _| {
+            inv.wrapping_mul(2u64.wrapping_sub(K.wrapping_mul(inv)))
+        });
+        assert_eq!(K.wrapping_mul(k_inv), 1);
+        let (set, sets) = (set as u64, sets as u64);
+        let hash = set + sets * rng.gen_range(0..=(u64::from(u32::MAX) - set) / sets);
+        let tag = ((hash << 32) | rng.gen_range(0..=u64::from(u32::MAX))).wrapping_mul(k_inv);
+        assert_eq!((tag.wrapping_mul(K) >> 32) % sets, set);
+        tag
+    }
+
+    /// Drives the flat buffer and the reference with one random stream.
+    /// Most tags target up to 32 random sets, twice as many as those sets
+    /// hold, with a hot tenth taking half the accesses, so the stream
+    /// hits, fills and evicts even in an 81 920-set buffer; one access in
+    /// ten is a fresh random tag landing anywhere.
+    fn assert_matches_reference(sets: usize, ways: usize, policy: Replacement, seed: u64) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let targets: Vec<usize> = (0..sets.min(32)).map(|_| rng.gen_range(0..sets)).collect();
+        let universe: Vec<u64> = (0..2 * targets.len() * ways + 1)
+            .map(|_| {
+                let set = targets[rng.gen_range(0..targets.len())];
+                tag_in_set(&mut rng, set, sets)
+            })
+            .collect();
+        let hot = universe.len() / 10 + 1;
+        let mut flat = SetAssocBuffer::new(sets, ways, policy);
+        let mut reference = Reference::new(sets, ways, policy);
+        for i in 0..3 * universe.len() + 64 {
+            let tag = match rng.gen_range(0..10u32) {
+                0 => rng.gen_range(0..=u64::MAX),
+                1..=5 => universe[rng.gen_range(0..hot)],
+                _ => universe[rng.gen_range(0..universe.len())],
+            };
+            let ctx = || format!("{sets}x{ways} {policy:?} seed {seed} access {i}");
+            assert_eq!(flat.access(tag), reference.access(tag), "{}", ctx());
+        }
+        assert_eq!(
+            flat.stats(),
+            &reference.stats,
+            "{sets}x{ways} {policy:?} seed {seed}"
+        );
+        assert!(reference.stats.evictions > 0, "the stream must evict");
+        for set in &reference.lines {
+            assert!(set.iter().all(|&(t, _)| flat.contains(t)));
+        }
+    }
+
+    #[test]
+    fn flat_buffer_matches_the_per_set_vec_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xB0FF);
+        for policy in [Replacement::Lru, Replacement::Fifo] {
+            for seed in 0..24 {
+                let (sets, ways) = (rng.gen_range(1..80usize), rng.gen_range(1..17usize));
+                assert_matches_reference(sets, ways, policy, seed);
+            }
+            for (i, &(sets, ways)) in USED_GEOMETRIES.iter().enumerate() {
+                assert_matches_reference(sets, ways, policy, 100 + i as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn reciprocal_set_index_equals_remainder() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xFA57);
+        let used = USED_GEOMETRIES.iter().map(|&(sets, _)| sets as u32);
+        for d in (1..=4096u32).chain(used) {
+            let magic = set_magic(d as usize, 1);
+            let edges = [0, 1, d - 1, d, d.wrapping_add(1), u32::MAX - 1, u32::MAX];
+            let random = (0..64).map(|_| rng.gen_range(0..=u32::MAX));
+            for a in edges.into_iter().chain(random) {
+                assert_eq!(fastmod(a, magic, d), a % d, "{a} % {d}");
+            }
+        }
     }
 }

@@ -5,8 +5,9 @@
 //! * [`hbm`] — transaction-level HBM/GDDR DRAM model (the Ramulator
 //!   substitute): channels, banks, open-row tracking, DDR timing and
 //!   bandwidth accounting.
-//! * [`buffer`] — set-associative on-chip buffer with per-tag replacement
-//!   counters (Fig. 2's "replacement times" statistic).
+//! * [`buffer`] — set-associative on-chip buffer residency model; each
+//!   access reports the miss and victim that Fig. 2's "replacement
+//!   times" statistic is counted from.
 //! * [`fifo`] — bounded hardware FIFOs with stall/occupancy accounting.
 //! * [`hashtable`] — the Decoupler's set-associative hash table.
 //! * [`cacti_lite`] — analytic area / power estimation at TSMC 12 nm
