@@ -93,43 +93,37 @@ impl Backbone {
     }
 
     /// The paper's Algorithm 2, lines 1-18, plus the totality fixup.
+    ///
+    /// Only unmatched vertices can supply the "unmatched neighbor" the
+    /// algorithm asks about, so each step reads the rows of unmatched
+    /// vertices instead of scanning every row: a matched source has an
+    /// unmatched destination neighbor exactly when it is a matched
+    /// in-neighbor of some unmatched destination, and symmetrically for
+    /// destinations. This holds for any matching, maximum or not.
     fn paper_heuristic_into(g: &BipartiteGraph, m: &Matching, out: &mut Backbone) {
         out.src_in.clear();
         out.src_in.resize(g.src_count(), false);
         out.dst_in.clear();
         out.dst_in.resize(g.dst_count(), false);
         // Lines 3-9: matched sources with an unmatched destination neighbor.
-        for (s, slot) in out.src_in.iter_mut().enumerate() {
-            if !m.src_matched(s) {
-                continue;
-            }
-            let any_unmatched = g
-                .out_neighbors(s)
-                .iter()
-                .any(|&d| !m.dst_matched(d as usize));
-            if any_unmatched {
-                *slot = true;
+        for d in (0..g.dst_count()).filter(|&d| !m.dst_matched(d)) {
+            for &s in g.in_neighbors(d) {
+                out.src_in[s as usize] |= m.src_matched(s as usize);
             }
         }
         // Lines 10-16: matched destinations with an unmatched source neighbor.
-        for (d, slot) in out.dst_in.iter_mut().enumerate() {
-            if !m.dst_matched(d) {
-                continue;
-            }
-            let any_unmatched = g
-                .in_neighbors(d)
-                .iter()
-                .any(|&s| !m.src_matched(s as usize));
-            if any_unmatched {
-                *slot = true;
+        for s in (0..g.src_count()).filter(|&s| !m.src_matched(s)) {
+            for &d in g.out_neighbors(s) {
+                out.dst_in[d as usize] |= m.dst_matched(d as usize);
             }
         }
-        // Totality fixup: an edge between two matched vertices neither of
-        // which saw an unmatched neighbor is uncovered; promote its source.
+        // Totality fixup: an edge between two vertices the heuristic left
+        // out is uncovered; promote its source, which covers the rest of
+        // that source's row too.
         out.fixup_promotions = 0;
-        for e in g.iter_edges() {
-            if !out.src_in[e.src.index()] && !out.dst_in[e.dst.index()] {
-                out.src_in[e.src.index()] = true;
+        for (s, slot) in out.src_in.iter_mut().enumerate() {
+            if !*slot && g.out_neighbors(s).iter().any(|&d| !out.dst_in[d as usize]) {
+                *slot = true;
                 out.fixup_promotions += 1;
             }
         }
@@ -161,10 +155,12 @@ impl Backbone {
         for (s, z) in z_src.iter_mut().enumerate() {
             if !m.src_matched(s) {
                 *z = true;
-                queue.push_back(s as u32);
+                queue.push(s as u32);
             }
         }
-        while let Some(s) = queue.pop_front() {
+        let mut head = 0;
+        while let Some(&s) = queue.get(head) {
+            head += 1;
             for &d in g.out_neighbors(s as usize) {
                 // Travel unmatched edges src -> dst.
                 if m.match_of_src(s as usize) == Some(d) {
@@ -176,7 +172,7 @@ impl Backbone {
                     if let Some(w) = m.match_of_dst(d as usize) {
                         if !z_src[w as usize] {
                             z_src[w as usize] = true;
-                            queue.push_back(w);
+                            queue.push(w);
                         }
                     }
                 }

@@ -7,8 +7,12 @@
 //! * [`fifo_matching`] — the paper's Algorithm 1: a FIFO-driven
 //!   breadth-first augmenting search, the algorithm the Decoupler hardware
 //!   executes (inspired by the Hungarian method).
-//! * [`hopcroft_karp`] — the classic `O(E·√V)` phase algorithm, used as the
-//!   reference oracle in tests.
+//! * [`hopcroft_karp`] — the classic `O(E·√V)` phase algorithm, the
+//!   default engine of
+//!   [`Restructurer::new`](crate::restructure::Restructurer::new), so
+//!   replay and serving run it. Its first phase is a greedy pass;
+//!   [`augment`], its augmenting DFS, is shared with the Decoupler
+//!   hardware model.
 //! * [`greedy_matching`] — one-pass maximal (not maximum) matching, the
 //!   quality baseline for ablations.
 
@@ -291,12 +295,18 @@ pub struct DecouplingStats {
     pub augment_steps: usize,
 }
 
-/// Work counters of a phase-based (Hopcroft-Karp) matching run, used by
-/// the Decoupler's cycle model: the hardware searches many sources
-/// concurrently, which is exactly a bulk-synchronous BFS phase.
+/// Work counters of a Hopcroft-Karp run ([`hopcroft_karp_with_stats`]),
+/// read by tests only.
+///
+/// Phase 1 is the greedy pass: with every source free at layer 0, the
+/// first BFS would probe each edge once and the first DFS would never
+/// descend, so the pass is credited with one BFS probe per edge and one
+/// DFS step per edge it scans. Later phases count their probes and steps
+/// as they run. The final BFS, which could only prove the matching
+/// maximum, is skipped when a side is already saturated.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStats {
-    /// BFS/DFS phases executed.
+    /// BFS/DFS phases executed, the greedy pass included.
     pub phases: usize,
     /// Edge probes across all BFS sweeps.
     pub bfs_probes: usize,
@@ -304,7 +314,12 @@ pub struct PhaseStats {
     pub dfs_steps: usize,
 }
 
-/// Hopcroft-Karp maximum matching (`O(E·√V)`), the reference oracle.
+/// Layer of a source that is not on any BFS layer (or has left the
+/// current phase's DFS).
+const INF: u32 = u32::MAX;
+
+/// Hopcroft-Karp maximum matching (`O(E·√V)`), the default engine of
+/// [`Restructurer::new`](crate::restructure::Restructurer::new).
 pub fn hopcroft_karp(g: &BipartiteGraph) -> Matching {
     hopcroft_karp_with_stats(g).0
 }
@@ -318,37 +333,66 @@ pub fn hopcroft_karp_with_stats(g: &BipartiteGraph) -> (Matching, PhaseStats) {
 }
 
 /// Workspace variant of [`hopcroft_karp_with_stats`]: the matching is
-/// rebuilt in `out`, BFS layers and queues come from `scratch`. Results
-/// are identical to the allocating path.
+/// rebuilt in `out`, BFS layers, queues, the free-source list and the DFS
+/// stack come from `scratch`. Results are identical to the allocating
+/// path.
 pub fn hopcroft_karp_into(
     g: &BipartiteGraph,
     out: &mut Matching,
     scratch: &mut MatchScratch,
 ) -> PhaseStats {
     let n_src = g.src_count();
-    let n_dst = g.dst_count();
-    out.reset(n_src, n_dst);
+    out.reset(n_src, g.dst_count());
     let m = out;
-    let mut stats = PhaseStats::default();
-    const INF: u32 = u32::MAX;
-    let MatchScratch { dist, queue, .. } = scratch;
-    dist.clear();
-    dist.resize(n_src, INF);
+    let MatchScratch {
+        dist,
+        queue,
+        free,
+        stack,
+        ..
+    } = scratch;
 
-    loop {
-        // BFS phase: layer the graph from free sources.
-        stats.phases += 1;
-        queue.clear();
-        let mut found_free_dst = false;
-        for (s, slot) in dist.iter_mut().enumerate() {
-            if !m.src_matched(s) {
-                *slot = 0;
-                queue.push_back(s as u32);
-            } else {
-                *slot = INF;
+    // Phase 1, the greedy pass: each source takes its first free
+    // destination. Sources left free with edges seed the later phases.
+    let mut stats = PhaseStats {
+        phases: 1,
+        bfs_probes: g.edge_count(),
+        dfs_steps: 0,
+    };
+    free.clear();
+    for s in 0..n_src {
+        let row = g.out_neighbors(s);
+        match row.iter().position(|&d| !m.dst_matched(d as usize)) {
+            Some(i) => {
+                stats.dfs_steps += i + 1;
+                m.link(s as u32, row[i]);
+            }
+            None if row.is_empty() => {}
+            None => {
+                stats.dfs_steps += row.len();
+                free.push(s as u32);
             }
         }
-        while let Some(u) = queue.pop_front() {
+    }
+
+    // Later phases. Once no free source has an edge, or every destination
+    // with an edge is matched, no augmenting path exists.
+    let live_dst = (0..g.dst_count()).filter(|&d| g.in_degree(d) > 0).count();
+    dist.clear();
+    dist.resize(n_src, INF);
+    while !free.is_empty() && m.size() < live_dst {
+        // BFS phase: layer the graph from the free sources.
+        stats.phases += 1;
+        dist.fill(INF);
+        queue.clear();
+        for &s in free.iter() {
+            dist[s as usize] = 0;
+            queue.push(s);
+        }
+        let mut found_free_dst = false;
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
             for &v in g.out_neighbors(u as usize) {
                 stats.bfs_probes += 1;
                 match m.match_of_dst(v as usize) {
@@ -356,7 +400,7 @@ pub fn hopcroft_karp_into(
                     Some(w) => {
                         if dist[w as usize] == INF {
                             dist[w as usize] = dist[u as usize] + 1;
-                            queue.push_back(w);
+                            queue.push(w);
                         }
                     }
                 }
@@ -365,47 +409,69 @@ pub fn hopcroft_karp_into(
         if !found_free_dst {
             break;
         }
-        // DFS phase: find vertex-disjoint shortest augmenting paths.
-        fn dfs(
-            u: u32,
-            g: &BipartiteGraph,
-            m: &mut Matching,
-            dist: &mut [u32],
-            steps: &mut usize,
-        ) -> bool {
-            for i in 0..g.out_degree(u as usize) {
-                let v = g.out_neighbors(u as usize)[i];
-                *steps += 1;
-                let next = m.match_of_dst(v as usize);
-                let ok = match next {
-                    None => true,
-                    Some(w) => {
-                        dist[w as usize] == dist[u as usize] + 1 && dfs(w, g, m, dist, steps)
-                    }
-                };
-                if ok {
-                    m.link(u, v);
-                    dist[u as usize] = u32::MAX;
-                    return true;
-                }
-            }
-            dist[u as usize] = u32::MAX;
-            false
-        }
-        let mut augmented = false;
-        for s in 0..n_src as u32 {
-            if !m.src_matched(s as usize)
-                && dist[s as usize] == 0
-                && dfs(s, g, m, dist, &mut stats.dfs_steps)
-            {
-                augmented = true;
-            }
-        }
-        if !augmented {
+        // DFS phase: find vertex-disjoint augmenting paths along the layers.
+        let before = free.len();
+        free.retain(|&s| !augment(g, m, dist, stack, s, &mut stats.dfs_steps));
+        if free.len() == before {
             break;
         }
     }
     stats
+}
+
+/// One augmenting-path search of a Hopcroft-Karp phase, from the free
+/// source `root` at layer 0: a depth-first walk over matched
+/// destinations into sources one layer deeper (`dist`). On reaching a
+/// free destination it relinks the path in `m`, deepest pair first, and
+/// returns `true`. Every source it leaves gets `dist = u32::MAX`, so no
+/// later search of the phase enters it. `steps` counts the edges probed.
+///
+/// The walk is iterative: `stack` holds the parent frames (source, next
+/// column index, row end), so a path through every source of the graph
+/// needs no call stack.
+pub fn augment(
+    g: &BipartiteGraph,
+    m: &mut Matching,
+    dist: &mut [u32],
+    stack: &mut Vec<(u32, u32, u32)>,
+    root: u32,
+    steps: &mut usize,
+) -> bool {
+    let offsets = g.out_csr().offsets();
+    let cols = g.out_csr().col_indices();
+    let row = |s: u32| (s, offsets[s as usize], offsets[s as usize + 1]);
+    stack.clear();
+    let (mut u, mut i, mut end) = row(root);
+    loop {
+        if i == end {
+            dist[u as usize] = INF;
+            match stack.pop() {
+                Some(parent) => (u, i, end) = parent,
+                None => return false,
+            }
+            continue;
+        }
+        let v = cols[i as usize];
+        i += 1;
+        *steps += 1;
+        match m.match_of_dst(v as usize) {
+            Some(w) => {
+                if dist[w as usize] == dist[u as usize] + 1 {
+                    stack.push((u, i, end));
+                    (u, i, end) = row(w);
+                }
+            }
+            None => {
+                m.link(u, v);
+                dist[u as usize] = INF;
+                while let Some((p, next, _)) = stack.pop() {
+                    m.link(p, cols[next as usize - 1]);
+                    dist[p as usize] = INF;
+                }
+                return true;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ pub enum MatcherKind {
     /// The paper's FIFO-driven Algorithm 1 (what the hardware executes).
     #[default]
     Fifo,
-    /// Hopcroft-Karp reference engine.
+    /// Hopcroft-Karp, the engine of [`Restructurer::new`].
     HopcroftKarp,
     /// One-pass greedy (maximal only) — decoupling-quality ablation.
     Greedy,

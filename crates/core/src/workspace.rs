@@ -125,9 +125,9 @@ impl BufferScratch {
 }
 
 /// Scratch consumed by the matching engines and backbone selection:
-/// the decoupling FIFOs, epoch-tagged bitmaps, BFS layer arrays, and
-/// alternating-reachability marks. Every buffer is length-reset per
-/// graph but keeps its capacity.
+/// the decoupling FIFOs, epoch-tagged bitmaps, BFS layer arrays, the
+/// augmenting-DFS stack, and alternating-reachability marks. Every
+/// buffer is length-reset per graph but keeps its capacity.
 #[derive(Debug, Clone, Default)]
 pub struct MatchScratch {
     /// Per-destination BFS parent — the `Matching_FIFO` head contents
@@ -140,8 +140,16 @@ pub struct MatchScratch {
     /// Per-source BFS layer distances (Hopcroft-Karp phases, also the
     /// hardware decoupler's bulk-synchronous search).
     pub dist: Vec<u32>,
-    /// Shared BFS queue (phase layering, König alternating paths).
-    pub queue: VecDeque<u32>,
+    /// Shared BFS queue (phase layering, König alternating paths): a
+    /// `Vec` the BFS pushes to and reads through a head index, so it
+    /// visits in FIFO order without popping.
+    pub queue: Vec<u32>,
+    /// Hopcroft-Karp's free sources with at least one edge, ascending:
+    /// the BFS seeds and DFS roots of every phase after the greedy pass.
+    pub free: Vec<u32>,
+    /// Parent frames (source, next column index, row end) of the
+    /// iterative augmenting DFS ([`crate::matching::augment`]).
+    pub stack: Vec<(u32, u32, u32)>,
     /// König `Z`-set membership, source side.
     pub z_src: Vec<bool>,
     /// König `Z`-set membership, destination side.

@@ -6,11 +6,11 @@
 //! displaced FIFO state, and backbone candidates drain to the Candidate
 //! Buffer. The search itself runs greedy-then-phased (the hardware
 //! advances all free sources' searches concurrently; see DESIGN.md),
-//! producing a maximum matching of oracle size — tests verify equality
-//! with Hopcroft-Karp — plus a cycle count derived from the
-//! micro-operations performed.
+//! with the software engine's augmenting DFS, so it produces exactly
+//! Hopcroft-Karp's maximum matching — tests verify the equality — plus a
+//! cycle count derived from the micro-operations performed.
 
-use gdr_core::matching::Matching;
+use gdr_core::matching::{augment, Matching};
 use gdr_core::workspace::{MatchScratch, Workspace};
 use gdr_hetgraph::BipartiteGraph;
 use gdr_memsim::hashtable::HashTable;
@@ -169,7 +169,9 @@ impl Decoupler {
         // (this is exactly a Hopcroft-Karp phase, keeping the Decoupler
         // linear even on dense semantic graphs).
         const INF: u32 = u32::MAX;
-        let MatchScratch { dist, queue, .. } = &mut ws.match_scratch;
+        let MatchScratch {
+            dist, queue, stack, ..
+        } = &mut ws.match_scratch;
         dist.clear();
         dist.resize(n_src, INF);
         loop {
@@ -179,12 +181,14 @@ impl Decoupler {
             for (s, slot) in dist.iter_mut().enumerate() {
                 if !matching.src_matched(s) && g.out_degree(s) > 0 {
                     *slot = 0;
-                    queue.push_back(s as u32);
+                    queue.push(s as u32);
                 } else {
                     *slot = INF;
                 }
             }
-            while let Some(u) = queue.pop_front() {
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
                 for &v in g.out_neighbors(u as usize) {
                     stats.edge_probes += 1;
                     stats.fifo_pushes += 1;
@@ -197,7 +201,7 @@ impl Decoupler {
                         Some(w) => {
                             if dist[w as usize] == INF {
                                 dist[w as usize] = dist[u as usize] + 1;
-                                queue.push_back(w);
+                                queue.push(w);
                             }
                         }
                     }
@@ -208,40 +212,19 @@ impl Decoupler {
             }
             // Augment along vertex-disjoint shortest paths (the matching
             // FIFOs' parent pointers), charging one step per link walked.
-            fn dfs(
-                u: u32,
-                g: &BipartiteGraph,
-                m: &mut Matching,
-                dist: &mut [u32],
-                steps: &mut u64,
-            ) -> bool {
-                for i in 0..g.out_degree(u as usize) {
-                    let v = g.out_neighbors(u as usize)[i];
-                    *steps += 1;
-                    let ok = match m.match_of_dst(v as usize) {
-                        None => true,
-                        Some(w) => {
-                            dist[w as usize] == dist[u as usize] + 1 && dfs(w, g, m, dist, steps)
-                        }
-                    };
-                    if ok {
-                        m.link(u, v);
-                        dist[u as usize] = INF;
-                        return true;
-                    }
-                }
-                dist[u as usize] = INF;
-                false
-            }
+            // The search is the software engine's own, so the modeled
+            // datapath finds exactly `hopcroft_karp`'s matching.
             let mut augmented = false;
+            let mut steps = 0;
             for s in 0..n_src as u32 {
                 if !matching.src_matched(s as usize)
                     && dist[s as usize] == 0
-                    && dfs(s, g, matching, dist, &mut stats.augment_steps)
+                    && augment(g, matching, dist, stack, s, &mut steps)
                 {
                     augmented = true;
                 }
             }
+            stats.augment_steps += steps as u64;
             if !augmented {
                 break;
             }
@@ -303,13 +286,13 @@ mod tests {
 
     #[test]
     fn hardware_matching_size_equals_oracle() {
-        // the greedy first pass changes *which* pairs are chosen, but the
-        // augmenting phases still reach a maximum matching
+        // the greedy first pass is exactly Hopcroft-Karp's first phase
+        // (every source at layer 0, no DFS descends), and the later
+        // phases run the same search, so the pairs chosen are the same
         for seed in 0..8 {
             let g = graph(seed);
             let hw = Decoupler::new(FrontendConfig::default()).decouple(&g);
-            let sw = hopcroft_karp(&g);
-            assert_eq!(hw.matching.size(), sw.size(), "seed {seed}");
+            assert_eq!(hw.matching, hopcroft_karp(&g), "seed {seed}");
             assert!(hw.matching.is_valid(&g));
             assert!(hw.matching.is_maximal(&g));
         }

@@ -1,12 +1,14 @@
 //! Cross-crate integration tests: the full GDR-HGNN stack end to end.
 
 use gdr::core::backbone::{Backbone, BackboneStrategy};
-use gdr::core::matching::hopcroft_karp;
+use gdr::core::matching::{fifo_matching, hopcroft_karp};
 use gdr::core::restructure::Restructurer;
 use gdr::core::schedule::EdgeSchedule;
 use gdr::frontend::config::FrontendConfig;
+use gdr::frontend::decoupler::Decoupler;
 use gdr::frontend::pipeline::FrontendPipeline;
 use gdr::hetgraph::datasets::Dataset;
+use gdr::hetgraph::BipartiteGraph;
 use gdr::hgnn::model::{ModelConfig, ModelKind};
 use gdr::hgnn::reference::HgnnReference;
 use gdr::hgnn::tensor::Matrix;
@@ -59,6 +61,36 @@ fn frontend_matches_software_restructuring_semantics() {
             );
         }
     }
+}
+
+#[test]
+fn a_long_augmenting_path_does_not_overflow_the_stack() {
+    // s_i -> {d_i, d_(i+1)} for i < n and s_n -> {d_0}: greedy strands
+    // s_n, and the one augmenting path runs through every source. A
+    // recursive augmenting DFS needs one call frame per source on it.
+    const N: u32 = 200_000;
+    let worker = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let mut pairs: Vec<(u32, u32)> = (0..N).flat_map(|i| [(i, i), (i, i + 1)]).collect();
+            pairs.push((N, 0));
+            let n = N as usize + 1;
+            let g = BipartiteGraph::from_pairs("chain", n, n, &pairs).expect("valid");
+            let sizes = [
+                hopcroft_karp(&g).size(),
+                fifo_matching(&g).size(),
+                Restructurer::new().restructure(&g).matching().size(),
+                Decoupler::new(FrontendConfig::default())
+                    .decouple(&g)
+                    .matching
+                    .size(),
+            ];
+            assert_eq!(sizes, [n; 4]);
+        })
+        .expect("spawn");
+    worker
+        .join()
+        .expect("every engine finishes on a 2 MB stack");
 }
 
 #[test]
