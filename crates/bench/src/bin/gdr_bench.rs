@@ -51,17 +51,14 @@ use gdr_serve::fault::{CrashWindow, FaultSpec, Slowdown};
 use gdr_serve::replay::{replay as replay_log, AssignmentLog, ReplayDatasets, ReplayReport};
 use gdr_serve::scheduler::{AutoscaleSpec, SloSpec};
 use gdr_serve::suite::{
-    default_specs, default_suite_with_breakdown, scaled_ns, scaled_rate, scenario_label,
-    ScenarioSpec, ServeHarness, BASE_BURST_PERIOD_NS, BASE_DEADLINE_TIMEOUT_NS, BASE_THINK_NS,
-    HIGH_RATE_RPS,
+    default_suite_with_breakdown, scaled_ns, scaled_rate, scenario_label, ScenarioSpec,
+    ServeHarness, BASE_BURST_PERIOD_NS, BASE_DEADLINE_TIMEOUT_NS, BASE_THINK_NS, HIGH_RATE_RPS,
 };
 use gdr_serve::sweep::SweepSpec;
 use gdr_system::grid::{
     paper_platforms, platform_names, platform_refs, select_platforms, ExperimentConfig,
 };
-use gdr_system::report::{
-    collect_host_records_traced, compare, BenchReport, HostRecord, PaperReport,
-};
+use gdr_system::report::{compare, BenchReport, HostRecord, PaperReport};
 use gdr_system::trace_export::ChromeTrace;
 
 const USAGE: &str = "\
@@ -70,13 +67,10 @@ gdr-bench: run the GDR-HGNN evaluation grid, emit gdr-bench/v1 JSON, gate regres
 
 USAGE:
   gdr-bench [--scale test|paper|<factor>] [--seed N] [--platforms A,B,..]
-            [--no-serve] [--no-host] [--passes N]
-            [--out FILE] [--baseline FILE] [--threshold PCT]
+            [--no-serve] [--out FILE] [--baseline FILE] [--threshold PCT]
   gdr-bench --compare NEW --baseline OLD [--threshold PCT]
   gdr-bench --list-platforms
   gdr-bench paper [--scale S] [--seed N] [--out FILE] [--quiet]
-  gdr-bench host [--scale S] [--seed N] [--passes N] [--out FILE] [--quiet]
-                 [--trace-out FILE]
   gdr-bench serve [--scale S] [--seed N] [--arrival poisson|bursty|closed-loop]
                   [--rate RPS] [--burst-period NS] [--burst-duty F]
                   [--clients N] [--think NS]
@@ -101,16 +95,12 @@ OPTIONS (grid mode):
   --seed        dataset generation seed                                             [42]
   --platforms   comma-separated subset of the registered platforms                  [all]
   --no-serve    skip the canonical serving suite (grid records only)
-  --no-host     skip the host wall-clock throughput measurement
-  --passes      full frontend passes per host throughput record          [2]
   --out         write the report as pretty JSON to FILE
   --baseline    compare against a previously written report; exit 1 on regression
   --threshold   regression threshold, e.g. \"10%\"                                    [10%]
   --compare     skip simulation; gate the given report file against --baseline
   --list-platforms  print the registered platform names and exit
   --quiet       suppress the markdown summary on stdout
-  --trace-out   (host mode) also write the wall-clock session timeline as
-                Chrome trace JSON (wall clock: not byte-reproducible)
 
 OPTIONS (paper mode — Tables 2-3, Figs. 2 and 7-10, ablations A1-A3):
   --scale       as in grid mode; \"paper\" gives the published Table 2 sizes     [test]
@@ -185,7 +175,6 @@ OPTIONS (replay mode — every serve scenario flag applies, plus):
 enum Command {
     Grid,
     Paper,
-    Host,
     Serve,
     Sweep,
     Trace,
@@ -196,7 +185,6 @@ impl Command {
     fn parse(word: &str) -> Option<Self> {
         Some(match word {
             "paper" => Self::Paper,
-            "host" => Self::Host,
             "serve" => Self::Serve,
             "sweep" => Self::Sweep,
             "trace" => Self::Trace,
@@ -217,11 +205,9 @@ struct Args {
     compare_file: Option<String>,
     quiet: bool,
     no_serve: bool,
-    no_host: bool,
-    passes: usize,
     list_platforms: bool,
     trace_out: Option<String>,
-    // sweep-mode flags (`jobs` also serves host/replay modes)
+    // sweep-mode flags (`jobs` also serves replay mode)
     axes: Vec<String>,
     jobs: Option<usize>,
     slo_p99: Option<f64>,
@@ -265,8 +251,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         compare_file: None,
         quiet: false,
         no_serve: false,
-        no_host: false,
-        passes: 2,
         list_platforms: false,
         trace_out: None,
         axes: Vec::new(),
@@ -326,8 +310,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--compare" => args.compare_file = Some(value()?.to_string()),
             "--quiet" => args.quiet = true,
             "--no-serve" => args.no_serve = true,
-            "--no-host" => args.no_host = true,
-            "--passes" => args.passes = parse_count(flag, value()?)?,
             "--list-platforms" => args.list_platforms = true,
             "--suite" => args.suite = true,
             "--arrival" => args.arrival = value()?.to_string(),
@@ -432,7 +414,7 @@ fn finish(args: &Args, report: &BenchReport) -> Result<i32, String> {
 }
 
 /// Writes a Chrome-trace-event JSON file (`--out` in trace mode,
-/// `--trace-out` in host/sweep modes).
+/// `--trace-out` in sweep mode).
 fn write_trace(path: &str, trace: &ChromeTrace) -> Result<(), String> {
     write_file(path, &trace.to_json().to_pretty())?;
     eprintln!("gdr-bench: {} trace events", trace.len());
@@ -465,44 +447,6 @@ fn run_paper(args: &Args) -> Result<i32, String> {
         write_file(path, &report.to_json().to_pretty())?;
     }
     Ok(0)
-}
-
-/// `gdr-bench host`: measure host-side restructuring throughput only —
-/// the wall-clock `host` record family (`graphs_per_sec`,
-/// `ns_per_graph` per dataset × strategy). Reported, never gated: the
-/// values are machine-dependent, so there is no baseline to compare
-/// them against; CI runs this once as a smoke check. `--trace-out`
-/// additionally captures every timed session as a wall-clock span.
-fn run_host(args: &Args) -> Result<i32, String> {
-    let cfg = ExperimentConfig {
-        seed: args.seed,
-        scale: args.scale,
-    };
-    eprintln!(
-        "gdr-bench host: measuring frontend throughput ({} passes, seed {}, scale {})",
-        args.passes, cfg.seed, cfg.scale
-    );
-    let mut trace = args.trace_out.as_ref().map(|_| ChromeTrace::new());
-    let mut host = collect_host_records_traced(&cfg, args.passes, trace.as_mut());
-    host.extend(sharded_replay_records(
-        &cfg,
-        args.jobs.unwrap_or_else(default_jobs),
-    )?);
-    let report = BenchReport {
-        seed: cfg.seed,
-        scale: cfg.scale,
-        platforms: Vec::new(),
-        points: Vec::new(),
-        wall_clock_s: 0.0,
-        serve: Vec::new(),
-        host,
-        sweep: Vec::new(),
-        breakdown: Vec::new(),
-    };
-    if let (Some(path), Some(t)) = (&args.trace_out, &trace) {
-        write_trace(path, t)?;
-    }
-    finish(args, &report)
 }
 
 /// The lane counts one replay invocation measures: single-lane first
@@ -538,23 +482,6 @@ fn replay_ladder(
             Ok(report.host_record())
         })
         .collect()
-}
-
-/// Real-threads replay rows for the committed sharded suite scenario —
-/// the lane-scaling reference `gdr-bench host` reports alongside the
-/// fresh/reused/parallel session rows.
-fn sharded_replay_records(cfg: &ExperimentConfig, jobs: usize) -> Result<Vec<HostRecord>, String> {
-    let spec = default_specs(cfg)
-        .into_iter()
-        .find(|s| s.name == "sharded/warm-cache/shard-affinity-partial")
-        .ok_or("committed sharded scenario missing from the suite")?;
-    let names: Vec<&str> = spec.pool.iter().map(String::as_str).collect();
-    let harness = ServeHarness::new(cfg, &names).map_err(|e| e.to_string())?;
-    let (_record, log) = harness
-        .run_replayable(&spec, cfg.seed)
-        .map_err(|e| e.to_string())?;
-    let datasets = ReplayDatasets::build(&log.config);
-    replay_ladder(&log, &datasets, jobs)
 }
 
 /// `gdr-bench replay`: simulate one serving scenario (every `serve`
@@ -866,7 +793,6 @@ fn run(argv: &[String]) -> Result<i32, String> {
     match args.command {
         Command::Grid => run_grid(&args),
         Command::Paper => run_paper(&args),
-        Command::Host => run_host(&args),
         Command::Serve => run_serve(&args),
         Command::Sweep => run_sweep_cmd(&args),
         Command::Trace => run_trace(&args),
@@ -875,8 +801,7 @@ fn run(argv: &[String]) -> Result<i32, String> {
 }
 
 /// The default mode: gate a report file with `--compare`, or run the
-/// grid (plus the serving suite and host rows unless skipped) and emit
-/// the report.
+/// grid (plus the serving suite unless skipped) and emit the report.
 fn run_grid(args: &Args) -> Result<i32, String> {
     // Pure file-vs-file gate: no simulation.
     if let Some(current_path) = &args.compare_file {
@@ -926,14 +851,6 @@ fn run_grid(args: &Args) -> Result<i32, String> {
             report.serve.len()
         );
     }
-    if !args.no_host {
-        report.host = collect_host_records_traced(&cfg, args.passes, None);
-        eprintln!(
-            "gdr-bench: host throughput done ({} records; wall clock, not gated)",
-            report.host.len()
-        );
-    }
-
     finish(args, &report)
 }
 

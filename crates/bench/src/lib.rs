@@ -14,7 +14,7 @@ use gdr_serve::workload::ArrivalProcess;
 use gdr_system::grid::ExperimentConfig;
 
 /// The default worker-lane count everywhere `gdr-bench` takes one (the
-/// `--jobs` default of `host`, `sweep` and `replay`): the machine's
+/// `--jobs` default of `sweep` and `replay`): the machine's
 /// available parallelism, clamped to at least 1 when it cannot be
 /// determined.
 pub fn default_jobs() -> usize {
@@ -38,8 +38,9 @@ pub const TEST_SCALE: f64 = ExperimentConfig::test_scale().scale;
 ///
 /// # Errors
 ///
-/// Returns a message for non-numeric, non-keyword input or a
-/// non-positive factor.
+/// Returns a message for non-numeric, non-keyword input or a factor
+/// that is not finite and positive (`inf` and `1e400` parse as
+/// infinity, which no dataset can be built at).
 ///
 /// # Examples
 ///
@@ -48,15 +49,16 @@ pub const TEST_SCALE: f64 = ExperimentConfig::test_scale().scale;
 /// assert_eq!(gdr_bench::parse_scale("paper"), Ok(1.0));
 /// assert_eq!(gdr_bench::parse_scale("0.5"), Ok(0.5));
 /// assert!(gdr_bench::parse_scale("big").is_err());
+/// assert!(gdr_bench::parse_scale("inf").is_err());
 /// ```
 pub fn parse_scale(arg: &str) -> Result<f64, String> {
     match arg {
         "test" => Ok(TEST_SCALE),
         "paper" => Ok(1.0),
         other => match other.parse::<f64>() {
-            Ok(x) if x > 0.0 => Ok(x),
+            Ok(x) if x.is_finite() && x > 0.0 => Ok(x),
             _ => Err(format!(
-                "invalid --scale {other:?}: expected \"test\", \"paper\", or a positive factor"
+                "invalid --scale {other:?}: expected \"test\", \"paper\", or a finite positive factor"
             )),
         },
     }
@@ -86,7 +88,7 @@ pub fn parse_threshold(arg: &str) -> Result<f64, String> {
 }
 
 /// Parses a count flag (`--requests`, `--replicas`, `--batch-cap`,
-/// `--clients`, `--passes`, `--max-scenarios`, `--jobs`): a positive
+/// `--clients`, `--max-scenarios`, `--jobs`): a positive
 /// integer. Zero is an error, never silently clamped to 1, so a typo
 /// cannot run a different experiment than the one asked for.
 ///
@@ -684,6 +686,9 @@ mod tests {
         assert!(parse_scale("0").is_err());
         assert!(parse_scale("-1").is_err());
         assert!(parse_scale("fast").is_err());
+        for infinite in ["inf", "1e400", "NaN"] {
+            assert!(parse_scale(infinite).is_err(), "{infinite:?}");
+        }
     }
 
     #[test]

@@ -27,8 +27,9 @@ use gdr_system::trace_export::ChromeTrace;
 use crate::default_jobs;
 
 /// Chrome-trace process id for the sweep executor's wall-clock lane
-/// timeline (`gdr_serve::trace::TRACE_PID` is the virtual-time serving
-/// trace, [`gdr_system::report::HOST_TRACE_PID`] the host sessions).
+/// timeline, apart from the virtual-time serving trace's
+/// `gdr_serve::trace::TRACE_PID` so the two clock domains never share
+/// a track.
 pub const SWEEP_TRACE_PID: u64 = 3;
 
 /// Expands `spec` at `cfg` and runs every scenario over `jobs` worker

@@ -34,7 +34,6 @@ use crate::experiments::{
 use crate::grid::{cell_inputs, run_grid, run_platforms, ExperimentConfig};
 use crate::json::Json;
 use crate::markdown::{f2, table};
-use crate::trace_export::ChromeTrace;
 
 /// Schema identifier written into every report.
 pub const SCHEMA: &str = "gdr-bench/v1";
@@ -130,11 +129,11 @@ pub const SERVE_METRIC_KEYS: &[&str] = &[
 ];
 
 /// The canonical metric keys of a [`HostRecord`], in serialization
-/// order. Host records measure **wall-clock** restructuring throughput
-/// of the machine running the report — they are reported for
-/// observability (the `host` family of `gdr-bench/v1`) but never gated:
-/// wall clock is machine-dependent and nondeterministic, so
-/// [`compare`] ignores them entirely.
+/// order. Host records measure **wall-clock** replay throughput of the
+/// machine running the report — they are reported for observability
+/// (the `host` family of `gdr-bench/v1`) but never gated: wall clock is
+/// machine-dependent and nondeterministic, so [`compare`] ignores them
+/// entirely.
 pub const HOST_METRIC_KEYS: &[&str] = &[
     "graphs",
     "passes",
@@ -143,33 +142,31 @@ pub const HOST_METRIC_KEYS: &[&str] = &[
     "ns_per_graph",
 ];
 
-/// One host-side throughput measurement: how fast this machine's
-/// frontend software restructures a dataset's semantic graphs, for one
-/// execution strategy (fresh workspace per graph, reused workspace,
-/// parallel lanes). The `host` record family of `gdr-bench/v1`.
+/// One host-side throughput measurement: how fast this machine's worker
+/// lanes executed a recorded serving schedule (`gdr-bench replay`, one
+/// row per lane count). The `host` record family of `gdr-bench/v1`.
+/// Reports written before the single-sample session measurement was
+/// retired also carry `session/DATASET/{fresh,reused,parallel}` rows;
+/// they still parse, and nothing writes them any more.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostRecord {
-    /// Measurement label (`"session/DBLP/reused"`).
+    /// Measurement label
+    /// (`"replay/sharded/warm-cache/shard-affinity-partial/jobs4"`).
     pub name: String,
-    /// Stable-ordered numeric metrics, keyed by [`HOST_METRIC_KEYS`].
+    /// Stable-ordered numeric metrics: [`HOST_METRIC_KEYS`], then any
+    /// producer-specific extras (`jobs`, `util_mean`, …).
     pub metrics: Vec<(String, f64)>,
 }
 
 impl HostRecord {
     /// Looks up a metric by key (`"graphs_per_sec"`, `"ns_per_graph"`, …).
     pub fn metric(&self, key: &str) -> Option<f64> {
-        self.metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+        lookup(&self.metrics, key)
     }
 
     /// The host object of the `host` array in `gdr-bench/v1`.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![("name".to_string(), Json::from(self.name.as_str()))];
-        fields.extend(
-            self.metrics
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::from(*v))),
-        );
-        Json::Obj(fields)
+        row_to_json("name", &self.name, &self.metrics)
     }
 
     /// Parses one object of the `host` array.
@@ -178,19 +175,8 @@ impl HostRecord {
     ///
     /// Returns a message naming the first malformed or missing field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let mut name = None;
-        let mut metrics = Vec::new();
-        for (k, field) in v.as_obj().ok_or("host record is not an object")? {
-            match (k.as_str(), field) {
-                ("name", Json::Str(n)) => name = Some(n.clone()),
-                (_, Json::Num(x)) => metrics.push((k.clone(), *x)),
-                _ => return Err(format!("unexpected host record field {k:?}")),
-            }
-        }
-        Ok(HostRecord {
-            name: name.ok_or("host record: missing name")?,
-            metrics,
-        })
+        let (name, metrics) = row_from_json(v, "name", "host record")?;
+        Ok(HostRecord { name, metrics })
     }
 }
 
@@ -209,7 +195,7 @@ pub struct ServeRunRecord {
 impl ServeRunRecord {
     /// Looks up a metric by key (`"p99_ns"`, `"throughput_rps"`, …).
     pub fn metric(&self, key: &str) -> Option<f64> {
-        self.metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+        lookup(&self.metrics, key)
     }
 }
 
@@ -276,12 +262,11 @@ impl ServeScenarioRecord {
             ("requests", Json::from(self.requests)),
             (
                 "runs",
-                Json::arr(self.runs.iter().map(|r| {
-                    let mut fields =
-                        vec![("platform".to_string(), Json::from(r.platform.as_str()))];
-                    fields.extend(r.metrics.iter().map(|(k, v)| (k.clone(), Json::from(*v))));
-                    Json::Obj(fields)
-                })),
+                Json::arr(
+                    self.runs
+                        .iter()
+                        .map(|r| row_to_json("platform", &r.platform, &r.metrics)),
+                ),
             ),
         ])
     }
@@ -292,62 +277,32 @@ impl ServeScenarioRecord {
     ///
     /// Returns a message naming the first malformed or missing field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let string = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("serve scenario: missing string field {key:?}"))
-        };
-        let num = |key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("serve scenario: missing numeric field {key:?}"))
-        };
-        let mut runs = Vec::new();
-        for r in v
-            .get("runs")
-            .and_then(Json::as_arr)
-            .ok_or("serve scenario: missing runs")?
-        {
-            let mut platform = None;
-            let mut metrics = Vec::new();
-            for (k, field) in r.as_obj().ok_or("serve run is not an object")? {
-                match (k.as_str(), field) {
-                    ("platform", Json::Str(p)) => platform = Some(p.clone()),
-                    (_, Json::Num(x)) => metrics.push((k.clone(), *x)),
-                    _ => return Err(format!("unexpected serve run field {k:?}")),
-                }
-            }
-            runs.push(ServeRunRecord {
-                platform: platform.ok_or("serve run: missing platform")?,
-                metrics,
-            });
-        }
+        let f = Fields::new(v, "serve scenario")?;
+        let runs = f
+            .list("runs")?
+            .iter()
+            .map(|r| {
+                let (platform, metrics) = row_from_json(r, "platform", "serve run")?;
+                Ok(ServeRunRecord { platform, metrics })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(ServeScenarioRecord {
-            scenario: string("scenario")?,
-            arrival: string("arrival")?,
-            rate_rps: num("rate_rps")?,
-            batch: string("batch")?,
-            scheduler: string("scheduler")?,
-            replicas: num("replicas")? as u64,
+            scenario: f.string("scenario")?,
+            arrival: f.string("arrival")?,
+            rate_rps: f.num("rate_rps")?,
+            batch: f.string("batch")?,
+            scheduler: f.string("scheduler")?,
+            replicas: f.u64("replicas")?,
             // The scale-out fields were added within the same schema id:
             // records written before them parse as an unsharded,
             // uncached, fixed pool.
-            shards: v.get("shards").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-            cache_bytes: v.get("cache_bytes").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-            autoscale: v
-                .get("autoscale")
-                .and_then(Json::as_str)
-                .unwrap_or("off")
-                .to_string(),
+            shards: f.u64_or("shards", 0)?,
+            cache_bytes: f.u64_or("cache_bytes", 0)?,
+            autoscale: f.string_or("autoscale", "off")?,
             // Likewise: pre-fault records parse as fault-free scenarios.
-            faults: v
-                .get("faults")
-                .and_then(Json::as_str)
-                .unwrap_or("none")
-                .to_string(),
-            seed: num("seed")? as u64,
-            requests: num("requests")? as u64,
+            faults: f.string_or("faults", "none")?,
+            seed: f.u64("seed")?,
+            requests: f.u64("requests")?,
             runs,
         })
     }
@@ -379,18 +334,12 @@ pub struct SweepRowRecord {
 impl SweepRowRecord {
     /// Looks up a metric by key (`"p99_ns"`, `"replica_seconds"`, …).
     pub fn metric(&self, key: &str) -> Option<f64> {
-        self.metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+        lookup(&self.metrics, key)
     }
 
     /// The row object of a sweep's `table` array.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![("scenario".to_string(), Json::from(self.scenario.as_str()))];
-        fields.extend(
-            self.metrics
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::from(*v))),
-        );
-        Json::Obj(fields)
+        row_to_json("scenario", &self.scenario, &self.metrics)
     }
 
     /// Parses one row object of a sweep's `table` array.
@@ -399,19 +348,8 @@ impl SweepRowRecord {
     ///
     /// Returns a message naming the first malformed or missing field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let mut scenario = None;
-        let mut metrics = Vec::new();
-        for (k, field) in v.as_obj().ok_or("sweep row is not an object")? {
-            match (k.as_str(), field) {
-                ("scenario", Json::Str(s)) => scenario = Some(s.clone()),
-                (_, Json::Num(x)) => metrics.push((k.clone(), *x)),
-                _ => return Err(format!("unexpected sweep row field {k:?}")),
-            }
-        }
-        Ok(SweepRowRecord {
-            scenario: scenario.ok_or("sweep row: missing scenario")?,
-            metrics,
-        })
+        let (scenario, metrics) = row_from_json(v, "scenario", "sweep row")?;
+        Ok(SweepRowRecord { scenario, metrics })
     }
 }
 
@@ -471,10 +409,12 @@ pub struct SweepRecommendation {
 impl SweepRecommendation {
     /// Looks up a chosen-row objective by key (`"p99_ns"`, …).
     pub fn metric(&self, key: &str) -> Option<f64> {
-        self.metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+        lookup(&self.metrics, key)
     }
 
-    /// The `recommend` object of a sweep record.
+    /// The `recommend` object of a sweep record: the request and its
+    /// outcome, then the chosen row as a scenario label plus its
+    /// objectives.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("slo_p99_ns".to_string(), Json::from(self.slo_p99_ns)),
@@ -483,13 +423,10 @@ impl SweepRecommendation {
                 Json::from(self.budget_replica_seconds),
             ),
             ("feasible".to_string(), Json::from(self.feasible)),
-            ("scenario".to_string(), Json::from(self.scenario.as_str())),
         ];
-        fields.extend(
-            self.metrics
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::from(*v))),
-        );
+        if let Json::Obj(row) = row_to_json("scenario", &self.scenario, &self.metrics) {
+            fields.extend(row);
+        }
         Json::Obj(fields)
     }
 
@@ -499,35 +436,23 @@ impl SweepRecommendation {
     ///
     /// Returns a message naming the first malformed or missing field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let mut out = SweepRecommendation {
-            slo_p99_ns: v
-                .get("slo_p99_ns")
-                .and_then(Json::as_f64)
-                .ok_or("sweep recommend: missing slo_p99_ns")?,
-            budget_replica_seconds: v
-                .get("budget_replica_seconds")
-                .and_then(Json::as_f64)
-                .ok_or("sweep recommend: missing budget_replica_seconds")?,
-            feasible: v
-                .get("feasible")
-                .and_then(Json::as_bool)
-                .ok_or("sweep recommend: missing feasible")?,
-            scenario: v
-                .get("scenario")
-                .and_then(Json::as_str)
-                .ok_or("sweep recommend: missing scenario")?
-                .to_string(),
-            metrics: Vec::new(),
-        };
-        for (k, field) in v.as_obj().ok_or("sweep recommend is not an object")? {
-            if let (false, Json::Num(x)) = (
-                matches!(k.as_str(), "slo_p99_ns" | "budget_replica_seconds"),
-                field,
-            ) {
-                out.metrics.push((k.clone(), *x));
-            }
-        }
-        Ok(out)
+        // The request and its outcome precede the chosen row.
+        const HEAD: [&str; 3] = ["slo_p99_ns", "budget_replica_seconds", "feasible"];
+        let f = Fields::new(v, "sweep recommend")?;
+        let row = f
+            .pairs
+            .iter()
+            .filter(|(k, _)| !HEAD.contains(&k.as_str()))
+            .cloned()
+            .collect();
+        let (scenario, metrics) = row_from_json(&Json::Obj(row), "scenario", "sweep recommend")?;
+        Ok(SweepRecommendation {
+            slo_p99_ns: f.num("slo_p99_ns")?,
+            budget_replica_seconds: f.num("budget_replica_seconds")?,
+            feasible: f.typed("feasible", "a boolean", Json::as_bool)?,
+            scenario,
+            metrics,
+        })
     }
 }
 
@@ -632,54 +557,26 @@ impl SweepRecord {
     ///
     /// Returns a message naming the first malformed or missing field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let string = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("sweep record: missing string field {key:?}"))
-        };
-        let mut axes = Vec::new();
-        for a in v
-            .get("axes")
-            .and_then(Json::as_arr)
-            .ok_or("sweep record: missing axes")?
-        {
-            let field = |key: &str| -> Result<String, String> {
-                a.get(key)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("sweep axis: missing {key:?}"))
-            };
-            axes.push((field("axis")?, field("values")?));
-        }
-        let table = v
-            .get("table")
-            .and_then(Json::as_arr)
-            .ok_or("sweep record: missing table")?
+        let f = Fields::new(v, "sweep record")?;
+        let axes = f
+            .list("axes")?
             .iter()
-            .map(SweepRowRecord::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let frontier = v
-            .get("frontier")
-            .and_then(Json::as_arr)
-            .ok_or("sweep record: missing frontier")?
-            .iter()
-            .map(|s| {
-                s.as_str()
-                    .map(str::to_string)
-                    .ok_or("non-string frontier label")
+            .map(|a| {
+                let axis = Fields::new(a, "sweep axis")?;
+                Ok((axis.string("axis")?, axis.string("values")?))
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(SweepRecord {
-            name: string("name")?,
+            name: f.string("name")?,
             axes,
-            requests: v
-                .get("requests")
-                .and_then(Json::as_f64)
-                .ok_or("sweep record: missing requests")? as u64,
-            platform: string("platform")?,
-            table,
-            frontier,
+            requests: f.u64("requests")?,
+            platform: f.string("platform")?,
+            table: f
+                .list("table")?
+                .iter()
+                .map(SweepRowRecord::from_json)
+                .collect::<Result<Vec<_>, _>>()?,
+            frontier: f.strings("frontier")?,
             // `recommend` is present only when an SLO was requested.
             recommend: match v.get("recommend") {
                 None => None,
@@ -740,20 +637,12 @@ impl BreakdownStage {
     ///
     /// Returns a message naming the first malformed or missing field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("breakdown stage: missing numeric field {key:?}"))
-        };
+        let f = Fields::new(v, "breakdown stage")?;
         Ok(BreakdownStage {
-            stage: v
-                .get("stage")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or("breakdown stage: missing stage")?,
-            mean_ns: num("mean_ns")?,
-            p50_ns: num("p50_ns")?,
-            p99_ns: num("p99_ns")?,
+            stage: f.string("stage")?,
+            mean_ns: f.num("mean_ns")?,
+            p50_ns: f.num("p50_ns")?,
+            p99_ns: f.num("p99_ns")?,
         })
     }
 }
@@ -806,24 +695,14 @@ impl BreakdownRecord {
     ///
     /// Returns a message naming the first malformed or missing field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("breakdown record: missing numeric field {key:?}"))
-        };
+        let f = Fields::new(v, "breakdown record")?;
         Ok(BreakdownRecord {
-            scenario: v
-                .get("scenario")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or("breakdown record: missing scenario")?,
-            seed: num("seed")? as u64,
-            requests: num("requests")? as u64,
-            mean_latency_ns: num("mean_latency_ns")?,
-            stages: v
-                .get("stages")
-                .and_then(Json::as_arr)
-                .ok_or("breakdown record: missing stages")?
+            scenario: f.string("scenario")?,
+            seed: f.u64("seed")?,
+            requests: f.u64("requests")?,
+            mean_latency_ns: f.num("mean_latency_ns")?,
+            stages: f
+                .list("stages")?
                 .iter()
                 .map(BreakdownStage::from_json)
                 .collect::<Result<Vec<_>, _>>()?,
@@ -849,7 +728,37 @@ pub struct RunRecord {
 impl RunRecord {
     /// Looks up a metric by key (`"time_ns"`, `"extra.cycles"`, …).
     pub fn metric(&self, key: &str) -> Option<f64> {
-        self.metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+        lookup(&self.metrics, key)
+    }
+
+    /// Parses one object of a grid point's `runs` array. The flat
+    /// metrics and the `extra` object's (under an `extra.` prefix) land
+    /// in one list, in file order.
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let f = Fields::new(v, "grid run")?;
+        let mut metrics = Vec::new();
+        for (k, field) in f.pairs {
+            match (k.as_str(), field) {
+                ("platform" | "na_hit_rate" | "speedup_vs_baseline", _) => {}
+                ("extra", Json::Obj(pairs)) => {
+                    for (ek, ev) in pairs {
+                        let x = ev.as_f64().ok_or("non-numeric extra metric")?;
+                        metrics.push((format!("extra.{ek}"), x));
+                    }
+                }
+                (_, Json::Num(x)) => metrics.push((k.clone(), *x)),
+                _ => return Err(format!("unexpected grid run field {k:?}")),
+            }
+        }
+        Ok(RunRecord {
+            platform: f.string("platform")?,
+            metrics,
+            na_hit_rate: match f.find("na_hit_rate") {
+                None | Some(Json::Null) => None,
+                Some(_) => Some(f.num("na_hit_rate")?),
+            },
+            speedup_vs_baseline: f.num("speedup_vs_baseline")?,
+        })
     }
 }
 
@@ -890,9 +799,10 @@ pub struct BenchReport {
     pub wall_clock_s: f64,
     /// Serving-scenario records (`gdr-serve`), empty for grid-only runs.
     pub serve: Vec<ServeScenarioRecord>,
-    /// Host wall-clock throughput records ([`collect_host_records`]).
-    /// Reported, never gated; empty for serve-only reports, whose bytes
-    /// must be deterministic.
+    /// Host wall-clock throughput records: the lane rows of
+    /// `gdr-bench replay`, and the retired session rows of older
+    /// reports. Reported, never gated; every other mode writes it
+    /// empty.
     pub host: Vec<HostRecord>,
     /// Scenario-space sweep records (`gdr-bench sweep`). Reported,
     /// never gated; like serve records they carry no wall clock, so
@@ -1058,7 +968,10 @@ impl BenchReport {
     ///
     /// Returns a message naming the first malformed or missing field.
     /// Unknown numeric fields are kept (forward compatibility within the
-    /// same schema id); an unknown `schema` value is rejected.
+    /// same schema id); an unknown `schema` value is rejected. Counts and
+    /// seeds must be non-negative integers below 2^64, and a field added
+    /// within the schema id may be absent but never mistyped: nothing is
+    /// truncated, clamped or silently defaulted.
     pub fn parse(text: &str) -> Result<Self, String> {
         Self::from_json(&Json::parse(text)?)
     }
@@ -1069,129 +982,46 @@ impl BenchReport {
     ///
     /// See [`BenchReport::parse`].
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let schema = v
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing schema")?;
+        let f = Fields::new(v, "report")?;
+        let schema = f.string("schema")?;
         if schema != SCHEMA {
             return Err(format!("unsupported schema {schema:?} (want {SCHEMA:?})"));
         }
-        let config = v.get("config").ok_or("missing config")?;
-        let num = |obj: &Json, key: &str| -> Result<f64, String> {
-            obj.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        };
-        let string = |obj: &Json, key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field {key:?}"))
-        };
-        let platforms = v
-            .get("platforms")
-            .and_then(Json::as_arr)
-            .ok_or("missing platforms")?
+        let config = Fields::new(f.typed("config", "an object", Some)?, "config")?;
+        let points = f
+            .list("points")?
             .iter()
-            .map(|p| p.as_str().map(str::to_string).ok_or("non-string platform"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut points = Vec::new();
-        for p in v
-            .get("points")
-            .and_then(Json::as_arr)
-            .ok_or("missing points")?
-        {
-            let mut runs = Vec::new();
-            for r in p.get("runs").and_then(Json::as_arr).ok_or("missing runs")? {
-                let mut metrics = Vec::new();
-                for (k, field) in r.as_obj().ok_or("run is not an object")? {
-                    match (k.as_str(), field) {
-                        ("platform" | "na_hit_rate" | "speedup_vs_baseline", _) => {}
-                        ("extra", Json::Obj(pairs)) => {
-                            for (ek, ev) in pairs {
-                                let x = ev.as_f64().ok_or("non-numeric extra metric")?;
-                                metrics.push((format!("extra.{ek}"), x));
-                            }
-                        }
-                        (_, Json::Num(x)) => metrics.push((k.clone(), *x)),
-                        _ => return Err(format!("unexpected run field {k:?}")),
-                    }
-                }
-                runs.push(RunRecord {
-                    platform: string(r, "platform")?,
-                    metrics,
-                    na_hit_rate: r.get("na_hit_rate").and_then(Json::as_f64),
-                    speedup_vs_baseline: num(r, "speedup_vs_baseline")?,
-                });
-            }
-            points.push(PointRecord {
-                model: string(p, "model")?,
-                dataset: string(p, "dataset")?,
-                wall_clock_s: num(p, "wall_clock_s")?,
-                runs,
-            });
-        }
-        // `serve` was added within the same schema id: reports written
-        // before it exists parse with an empty record family.
-        let serve = match v.get("serve") {
-            None => Vec::new(),
-            Some(s) => s
-                .as_arr()
-                .ok_or("serve is not an array")?
-                .iter()
-                .map(ServeScenarioRecord::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        // `host` likewise: reports written before the host family exist
-        // parse with no host records.
-        let host = match v.get("host") {
-            None => Vec::new(),
-            Some(h) => h
-                .as_arr()
-                .ok_or("host is not an array")?
-                .iter()
-                .map(HostRecord::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        // `sweep` likewise: reports written before the sweep family
-        // exist parse with no sweep records.
-        let sweep = match v.get("sweep") {
-            None => Vec::new(),
-            Some(s) => s
-                .as_arr()
-                .ok_or("sweep is not an array")?
-                .iter()
-                .map(SweepRecord::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        // `breakdown` likewise: reports written before the breakdown
-        // family exist parse with no breakdown records.
-        let breakdown = match v.get("breakdown") {
-            None => Vec::new(),
-            Some(b) => b
-                .as_arr()
-                .ok_or("breakdown is not an array")?
-                .iter()
-                .map(BreakdownRecord::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
+            .map(|p| {
+                let point = Fields::new(p, "grid point")?;
+                Ok(PointRecord {
+                    model: point.string("model")?,
+                    dataset: point.string("dataset")?,
+                    wall_clock_s: point.num("wall_clock_s")?,
+                    runs: point
+                        .list("runs")?
+                        .iter()
+                        .map(RunRecord::from_json)
+                        .collect::<Result<_, _>>()?,
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(BenchReport {
-            seed: num(config, "seed")? as u64,
-            scale: num(config, "scale")?,
-            platforms,
+            seed: config.u64("seed")?,
+            scale: config.num("scale")?,
+            platforms: f.strings("platforms")?,
             points,
-            wall_clock_s: num(v, "wall_clock_s")?,
-            serve,
-            host,
-            sweep,
-            breakdown,
+            wall_clock_s: f.num("wall_clock_s")?,
+            serve: family(v, "serve", ServeScenarioRecord::from_json)?,
+            host: family(v, "host", HostRecord::from_json)?,
+            sweep: family(v, "sweep", SweepRecord::from_json)?,
+            breakdown: family(v, "breakdown", BreakdownRecord::from_json)?,
         })
     }
 
     /// Markdown rendering: per-cell latency and speedup table plus a
     /// DRAM traffic table with geomean rows (when the grid ran), a
     /// serving table (when serve scenarios ran), and a host throughput
-    /// table (when host records were collected).
+    /// table (when the report carries host records).
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         if !self.points.is_empty() {
@@ -1432,133 +1262,6 @@ impl BenchReport {
             table(&headers, &rows)
         )
     }
-}
-
-/// Measures host-side restructuring throughput: for every Table 2
-/// dataset, times `passes` full frontend passes over its semantic
-/// graphs under three execution strategies —
-///
-/// * `fresh` — a transient restructuring workspace per graph (the
-///   allocating baseline every pre-workspace caller paid),
-/// * `reused` — one [`Workspace`](gdr_frontend::Workspace) carried
-///   across all graphs and passes (the `Session` steady state),
-/// * `parallel` —
-///   [`Session::par_process`](gdr_frontend::session::Session::par_process)
-///   with one workspace per lane,
-///
-/// and emits one [`HostRecord`] per (dataset, strategy) with
-/// `graphs_per_sec` and `ns_per_graph`. This is **wall clock**: values
-/// differ across machines and runs, which is exactly why the records
-/// are reported but never gated ([`compare`] ignores the `host`
-/// family). `passes` is clamped to at least 1.
-pub fn collect_host_records(cfg: &ExperimentConfig, passes: usize) -> Vec<HostRecord> {
-    collect_host_records_traced(cfg, passes, None)
-}
-
-/// Trace track (`pid`) carrying host-side wall-clock sections —
-/// distinct from the serving trace's virtual-time process so the two
-/// clock domains never share a lane.
-pub const HOST_TRACE_PID: u64 = 2;
-
-/// [`collect_host_records`] plus an optional [`ChromeTrace`] hook:
-/// when a trace is given, every timed section lands on it as a
-/// duration event — one thread track per strategy (`fresh`/`reused`/
-/// `parallel`), one span per dataset, timestamped as wall-clock
-/// offsets from the collection's start. Unlike serving traces these
-/// spans are **not** byte-reproducible (they measure the host), which
-/// is why they live on their own [`HOST_TRACE_PID`] process track.
-pub fn collect_host_records_traced(
-    cfg: &ExperimentConfig,
-    passes: usize,
-    mut trace: Option<&mut ChromeTrace>,
-) -> Vec<HostRecord> {
-    use gdr_frontend::config::FrontendConfig;
-    use gdr_frontend::pipeline::FrontendPipeline;
-    use gdr_frontend::session::Session;
-    use gdr_frontend::Workspace;
-
-    const STRATEGIES: [&str; 3] = ["fresh", "reused", "parallel"];
-    if let Some(t) = trace.as_deref_mut() {
-        t.process_name(HOST_TRACE_PID, "gdr-bench host");
-        for (i, strategy) in STRATEGIES.iter().enumerate() {
-            t.thread_name(HOST_TRACE_PID, i as u64 + 1, strategy);
-        }
-    }
-    let origin = Instant::now();
-    let passes = passes.max(1);
-    let mut out = Vec::new();
-    for dataset in Dataset::ALL {
-        let graphs = dataset
-            .build_scaled(cfg.seed, cfg.scale)
-            .all_semantic_graphs();
-        let pipeline = FrontendPipeline::new(FrontendConfig::default());
-        let session = Session::with_pipeline(pipeline.clone(), &graphs);
-        let total_graphs = graphs.len() * passes;
-        let mut record = |strategy: &str, wall_s: f64| {
-            let wall_s = wall_s.max(f64::MIN_POSITIVE);
-            let value = |key: &str| -> f64 {
-                match key {
-                    "graphs" => graphs.len() as f64,
-                    "passes" => passes as f64,
-                    "wall_clock_s" => wall_s,
-                    "graphs_per_sec" => total_graphs as f64 / wall_s,
-                    "ns_per_graph" => wall_s * 1e9 / (total_graphs as f64).max(1.0),
-                    other => unreachable!("unknown host metric key {other}"),
-                }
-            };
-            out.push(HostRecord {
-                name: format!("session/{}/{}", dataset.name(), strategy),
-                metrics: HOST_METRIC_KEYS
-                    .iter()
-                    .map(|&k| (k.to_string(), value(k)))
-                    .collect(),
-            });
-        };
-        let span = |trace: &mut Option<&mut ChromeTrace>,
-                    strategy_idx: usize,
-                    started_ns: u64,
-                    elapsed: std::time::Duration| {
-            if let Some(t) = trace.as_deref_mut() {
-                t.duration(
-                    HOST_TRACE_PID,
-                    strategy_idx as u64 + 1,
-                    started_ns,
-                    (elapsed.as_nanos() as u64).max(1),
-                    &format!("session/{}", dataset.name()),
-                    "host",
-                    vec![],
-                );
-            }
-        };
-
-        let started_ns = origin.elapsed().as_nanos() as u64;
-        let t0 = Instant::now();
-        for _ in 0..passes {
-            for g in &graphs {
-                std::hint::black_box(pipeline.process(g));
-            }
-        }
-        span(&mut trace, 0, started_ns, t0.elapsed());
-        record("fresh", t0.elapsed().as_secs_f64());
-
-        let mut ws = Workspace::new();
-        let started_ns = origin.elapsed().as_nanos() as u64;
-        let t0 = Instant::now();
-        for _ in 0..passes {
-            std::hint::black_box(session.process_with(&mut ws));
-        }
-        span(&mut trace, 1, started_ns, t0.elapsed());
-        record("reused", t0.elapsed().as_secs_f64());
-
-        let started_ns = origin.elapsed().as_nanos() as u64;
-        let t0 = Instant::now();
-        for _ in 0..passes {
-            std::hint::black_box(session.par_process());
-        }
-        span(&mut trace, 2, started_ns, t0.elapsed());
-        record("parallel", t0.elapsed().as_secs_f64());
-    }
-    out
 }
 
 /// Every table and figure of the paper's evaluation, regenerated from
@@ -1940,6 +1643,141 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, threshold_pct: f64
     cmp
 }
 
+/// Encodes one label-plus-metrics row — the shape of a host record, a
+/// serve run and a sweep row: the string label under `label_key`, then
+/// every metric in order.
+fn row_to_json(label_key: &str, label: &str, metrics: &[(String, f64)]) -> Json {
+    let mut fields = vec![(label_key.to_string(), Json::from(label))];
+    fields.extend(metrics.iter().map(|(k, v)| (k.clone(), Json::from(*v))));
+    Json::Obj(fields)
+}
+
+/// Decodes a [`row_to_json`] row: the label under `label_key` is a
+/// string; every numeric field is a metric, in file order, unknown keys
+/// kept (forward compatibility within the schema id); anything else is
+/// an error naming `what`.
+fn row_from_json(
+    v: &Json,
+    label_key: &str,
+    what: &'static str,
+) -> Result<(String, Vec<(String, f64)>), String> {
+    let mut label = None;
+    let mut metrics = Vec::new();
+    for (k, field) in Fields::new(v, what)?.pairs {
+        match field {
+            Json::Str(s) if k == label_key => label = Some(s.clone()),
+            Json::Num(x) => metrics.push((k.clone(), *x)),
+            _ => return Err(format!("unexpected {what} field {k:?}")),
+        }
+    }
+    let label = label.ok_or_else(|| format!("{what}: missing {label_key}"))?;
+    Ok((label, metrics))
+}
+
+/// The value of `key` in an ordered metric list.
+fn lookup(metrics: &[(String, f64)], key: &str) -> Option<f64> {
+    metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+}
+
+/// Parses the record family `key` of a report with `parse`. Every
+/// family was added within the schema id, so a report written before
+/// one existed parses with it empty; a present family must be an array.
+fn family<T>(v: &Json, key: &str, parse: fn(&Json) -> Result<T, String>) -> Result<Vec<T>, String> {
+    match v.get(key) {
+        None => Ok(Vec::new()),
+        Some(items) => items
+            .as_arr()
+            .ok_or_else(|| format!("{key} is not an array"))?
+            .iter()
+            .map(parse)
+            .collect(),
+    }
+}
+
+/// Typed reads of one JSON object's fields. Every error names the
+/// record (`what`) and the field; nothing is truncated, clamped or
+/// defaulted past a value of the wrong type.
+struct Fields<'a> {
+    what: &'static str,
+    pairs: &'a [(String, Json)],
+}
+
+impl<'a> Fields<'a> {
+    fn new(v: &'a Json, what: &'static str) -> Result<Self, String> {
+        let pairs = v
+            .as_obj()
+            .ok_or_else(|| format!("{what} is not an object"))?;
+        Ok(Fields { what, pairs })
+    }
+
+    /// The field `key`, if present (first match, like [`Json::get`]).
+    fn find(&self, key: &str) -> Option<&'a Json> {
+        self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The field `key` read by `as_kind`; absent or unreadable is an
+    /// error saying the field must be `kind`.
+    fn typed<T>(
+        &self,
+        key: &str,
+        kind: &str,
+        as_kind: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self
+            .find(key)
+            .ok_or_else(|| format!("{}: missing field {key:?}", self.what))?;
+        as_kind(v).ok_or_else(|| format!("{}: field {key:?} must be {kind}", self.what))
+    }
+
+    fn num(&self, key: &str) -> Result<f64, String> {
+        self.typed(key, "a number", Json::as_f64)
+    }
+
+    /// A count or seed: finite, non-negative, integral and below 2^64.
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        self.typed(key, "a non-negative integer below 2^64", |v| {
+            let x = v.as_f64()?;
+            ((0.0..2f64.powi(64)).contains(&x) && x.fract() == 0.0).then_some(x as u64)
+        })
+    }
+
+    fn string(&self, key: &str) -> Result<String, String> {
+        self.typed(key, "a string", Json::as_str)
+            .map(str::to_string)
+    }
+
+    fn list(&self, key: &str) -> Result<&'a [Json], String> {
+        self.typed(key, "an array", Json::as_arr)
+    }
+
+    fn strings(&self, key: &str) -> Result<Vec<String>, String> {
+        self.typed(key, "an array of strings", |v| {
+            v.as_arr()?
+                .iter()
+                .map(|s| s.as_str().map(str::to_string))
+                .collect()
+        })
+    }
+
+    /// [`Self::u64`] for a field added within the schema id: absent
+    /// reads as `default`, present must be a count.
+    fn u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
+        match self.find(key) {
+            None => Ok(default),
+            Some(_) => self.u64(key),
+        }
+    }
+
+    /// [`Self::string`] for a field added within the schema id: absent
+    /// reads as `default`, present must be a string.
+    fn string_or(&self, key: &str, default: &str) -> Result<String, String> {
+        match self.find(key) {
+            None => Ok(default.to_string()),
+            Some(_) => self.string(key),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2160,6 +1998,36 @@ mod tests {
         };
         let md = only.to_markdown();
         assert!(md.contains("Serving") && !md.contains("GEOMEAN"));
+    }
+
+    #[test]
+    fn counts_read_exactly_and_defaulted_fields_keep_their_type() {
+        let parse_with = |key: &str, value: Option<Json>| {
+            let Json::Obj(mut pairs) = serve_scenario("s", 1.0, 1.0).to_json() else {
+                unreachable!("a scenario serializes as an object")
+            };
+            pairs.retain(|(k, _)| k != key);
+            pairs.extend(value.map(|v| (key.to_string(), v)));
+            ServeScenarioRecord::from_json(&Json::Obj(pairs))
+        };
+        // Absent fields added within the schema id read as their default.
+        assert_eq!(parse_with("shards", None).unwrap().shards, 0);
+        assert_eq!(parse_with("faults", None).unwrap().faults, "none");
+        let exact = parse_with("requests", Some(Json::from(2f64.powi(53)))).unwrap();
+        assert_eq!(exact.requests, 1 << 53);
+        // Present ones must hold their type; counts are never truncated,
+        // clamped or saturated.
+        for (key, value) in [
+            ("requests", Json::from(2f64.powi(64))),
+            ("seed", Json::from(-0.5)),
+            ("replicas", Json::from(1.5)),
+            ("cache_bytes", Json::from(f64::INFINITY)),
+            ("shards", Json::Null),
+            ("faults", Json::from(0.0)),
+        ] {
+            let err = parse_with(key, Some(value)).unwrap_err();
+            assert!(err.contains(&format!("{key:?}")), "{err}");
+        }
     }
 
     #[test]

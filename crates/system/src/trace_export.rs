@@ -11,9 +11,9 @@
 //!
 //! The builder is deliberately generic — it knows nothing about
 //! serving, replicas, or lanes. `gdr_serve::trace` folds simulation
-//! events into it; `collect_host_records` and the sweep executor feed
-//! it wall-clock sections. Serialization goes through [`Json`], so a
-//! trace built from deterministic inputs serializes byte-identically.
+//! events into it; the sweep executor feeds it wall-clock lane
+//! sections. Serialization goes through [`Json`], so a trace built
+//! from deterministic inputs serializes byte-identically.
 //!
 //! [Chrome Trace Event Format]:
 //!     https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU

@@ -174,6 +174,15 @@ fn object_key_order_survives_round_trips() {
 }
 
 #[test]
+fn committed_baseline_round_trips_byte_for_byte() {
+    // The baseline was written by an older build and carries the nine
+    // retired `session/*` host rows: reading it and writing it back must
+    // lose nothing, so old reports stay comparable and refreshable.
+    let report = BenchReport::parse(BASELINE).expect("the baseline parses");
+    assert_eq!(report.to_json().to_pretty(), BASELINE);
+}
+
+#[test]
 fn report_parser_never_panics_on_truncated_or_mutated_baselines() {
     // `gdr-bench --compare` maps a parse error to exit 2; a panic here
     // would abort the gate instead.

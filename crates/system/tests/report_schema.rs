@@ -85,9 +85,9 @@ fn test_scale_report() -> BenchReport {
     }];
     // A representative host record pins the `host` family's key paths.
     // Host metrics are wall clock (reported, never gated), so the test
-    // uses synthetic values rather than a real measurement.
+    // uses synthetic values rather than a real replay measurement.
     report.host = vec![HostRecord {
-        name: "session/DBLP/reused".into(),
+        name: "replay/sharded/warm-cache/shard-affinity-partial/jobs4".into(),
         metrics: HOST_METRIC_KEYS
             .iter()
             .enumerate()

@@ -134,9 +134,10 @@
 //! lane), and long-lived callers — serving replicas, benchmark loops —
 //! hold their own and pass it to
 //! [`Session::process_with`](prelude::Session::process_with). Results
-//! are byte-identical to the allocating paths; the `host` record family
-//! of `gdr-bench/v1` (`gdr-bench host`, or any grid report) measures
-//! the wall-clock throughput win:
+//! are byte-identical to the allocating paths; the host-speed
+//! benchmark (`benchmark/`) times
+//! [`Session::par_process`](prelude::Session::par_process) per edge as
+//! `frontend.session.ns_per_edge`, with median and spread:
 //!
 //! ```
 //! use gdr::prelude::*;
@@ -270,10 +271,9 @@ pub mod prelude {
     };
     pub use gdr_system::json::Json;
     pub use gdr_system::report::{
-        collect_host_records, collect_host_records_traced, compare, dominates, pareto_frontier,
-        recommend, BenchReport, BreakdownRecord, BreakdownStage, Comparison, HostRecord,
-        PaperReport, ServeRunRecord, ServeScenarioRecord, SweepRecommendation, SweepRecord,
-        SweepRowRecord, BREAKDOWN_STAGE_KEYS, HOST_TRACE_PID, SWEEP_OBJECTIVES,
+        compare, dominates, pareto_frontier, recommend, BenchReport, BreakdownRecord,
+        BreakdownStage, Comparison, HostRecord, PaperReport, ServeRunRecord, ServeScenarioRecord,
+        SweepRecommendation, SweepRecord, SweepRowRecord, BREAKDOWN_STAGE_KEYS, SWEEP_OBJECTIVES,
     };
     pub use gdr_system::trace_export::ChromeTrace;
 }
