@@ -64,6 +64,12 @@ use crate::recouple::{RestructuredSubgraphs, VertexPartition};
 /// never dropped. The NA-engine models drive their `_with` entry points
 /// through one of these instead of constructing transient buffers per
 /// wave.
+///
+/// The NA engine drives the buffer through
+/// [`SetAssocBuffer::access_keyed`], so the pooled buffer also keeps its
+/// residency index, grown to the largest key range seen. A reset clears
+/// only the entries of resident lines: reusing one scratch across graphs
+/// of any size costs each run the buffer's capacity, not that range.
 #[derive(Debug, Clone, Default)]
 pub struct BufferScratch {
     /// Pooled buffer; `None` until the first [`BufferScratch::prepare`].

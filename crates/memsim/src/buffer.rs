@@ -5,8 +5,20 @@
 //! conflict misses add to the thrashing the paper measures in Fig. 2.
 //! The model tracks residency only — which tags each set holds and which
 //! one a miss evicts. Callers that need per-tag statistics (Fig. 2's
-//! replacement times) count the misses [`SetAssocBuffer::access`]
-//! reports.
+//! replacement times) count the misses an access reports.
+//!
+//! A buffer has two entry points with one miss path between them:
+//!
+//! * [`SetAssocBuffer::access`] finds a tag by hashing it to its set and
+//!   scanning the set's ways. The GPU L2 model uses it: its sector and
+//!   message tags are sparse and its buffer spans graphs.
+//! * [`SetAssocBuffer::access_keyed`] also takes a dense key the caller
+//!   derives from the tag, and keeps a residency index from key to line,
+//!   so a hit is one load and only a miss hashes the tag. The NA engine
+//!   uses it, keying each tag by its (graph, side, vertex).
+//!
+//! Both report the same [`Access`] and [`BufferStats`] for the same tag
+//! stream.
 
 /// Replacement policy of a buffer set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -90,7 +102,18 @@ pub struct SetAssocBuffer {
     /// Resident lines per set.
     fill: Vec<u32>,
     stats: BufferStats,
+    /// Residency index of [`SetAssocBuffer::access_keyed`]: per key, the
+    /// line holding it, or [`NO_LINE`]. Empty until the first keyed
+    /// access; grows to the largest key seen and never shrinks.
+    index: Vec<u32>,
+    /// Per line, the key a keyed miss installed there: what an eviction
+    /// or a reset clears from `index`. Empty until the first keyed
+    /// access, then as long as `tags`.
+    line_keys: Vec<usize>,
 }
+
+/// An `index` entry naming no line.
+const NO_LINE: u32 = u32::MAX;
 
 /// Checks a buffer geometry and returns the [`fastmod`] reciprocal of
 /// its set count, `⌈2⁶⁴ / sets⌉` (which wraps to 0 for one set).
@@ -131,6 +154,8 @@ impl SetAssocBuffer {
             stamps: vec![0; sets * ways],
             fill: vec![0; sets],
             stats: BufferStats::default(),
+            index: Vec::new(),
+            line_keys: Vec::new(),
         }
     }
 
@@ -187,12 +212,71 @@ impl SetAssocBuffer {
             self.stats.hits += 1;
             return Access::Hit;
         }
-        self.fetch(set, tag)
+        self.fetch(set, tag).1
     }
 
-    /// The miss half of [`SetAssocBuffer::access`]: installs `tag` in
-    /// `set`, in a free way or in place of the oldest line.
-    fn fetch(&mut self, set: usize, tag: u64) -> Access {
+    /// Touches `tag`, fetching it on a miss, like
+    /// [`SetAssocBuffer::access`], but finds a resident tag through `key`,
+    /// a dense index the caller derives from the tag: a hit is one load
+    /// of the residency index, and only a miss hashes the tag to its set.
+    /// The index grows to the largest key seen, so keys should be small.
+    ///
+    /// The caller keeps this contract between two resets (a
+    /// [`SetAssocBuffer::reset`] or [`SetAssocBuffer::reshape`]): each key
+    /// names one tag and each tag one key, and the buffer is driven
+    /// through only one of `access` and `access_keyed`. Under it, a keyed
+    /// stream yields exactly the [`Access`]es and [`BufferStats`] that its
+    /// tags yield through `access`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use gdr_memsim::buffer::{Replacement, SetAssocBuffer};
+    /// let mut buf = SetAssocBuffer::new(4, 2, Replacement::Lru);
+    /// assert!(!buf.access_keyed(0xBEEF, 0).is_hit()); // cold miss
+    /// assert!(buf.access_keyed(0xBEEF, 0).is_hit());
+    /// assert!(buf.contains(0xBEEF));
+    /// ```
+    #[inline]
+    pub fn access_keyed(&mut self, tag: u64, key: usize) -> Access {
+        self.stats.accesses += 1;
+        match self.index.get(key) {
+            Some(&line) if line != NO_LINE => {
+                let line = line as usize;
+                debug_assert_eq!(self.tags[line], tag, "key {key} names another tag");
+                if self.policy == Replacement::Lru {
+                    self.stamps[line] = self.stats.accesses;
+                }
+                self.stats.hits += 1;
+                Access::Hit
+            }
+            _ => self.fetch_keyed(tag, key),
+        }
+    }
+
+    /// The miss half of [`SetAssocBuffer::access_keyed`]: [`Self::fetch`],
+    /// then the index drops the victim's key and points `key` at the
+    /// filled line. Out of line, so the hit path inlines small.
+    #[inline(never)]
+    fn fetch_keyed(&mut self, tag: u64, key: usize) -> Access {
+        if self.line_keys.is_empty() {
+            self.line_keys.resize(self.tags.len(), 0);
+        }
+        if key >= self.index.len() {
+            self.index.resize(key + 1, NO_LINE);
+        }
+        let (line, access) = self.fetch(self.set_of(tag), tag);
+        if let Access::Miss { evicted: Some(_) } = access {
+            self.index[self.line_keys[line]] = NO_LINE;
+        }
+        self.line_keys[line] = key;
+        self.index[key] = u32::try_from(line).expect("line index fits in 32 bits");
+        access
+    }
+
+    /// The miss half of both entry points: installs `tag` in `set`, in a
+    /// free way or in place of the oldest line, and returns that line.
+    fn fetch(&mut self, set: usize, tag: u64) -> (usize, Access) {
         self.stats.misses += 1;
         let base = set * self.ways;
         let fill = self.fill[set] as usize;
@@ -212,7 +296,7 @@ impl SetAssocBuffer {
         };
         tags[way] = tag;
         stamps[way] = self.stats.accesses;
-        Access::Miss { evicted }
+        (base + way, Access::Miss { evicted })
     }
 
     /// Probes residency without changing state or statistics.
@@ -227,6 +311,18 @@ impl SetAssocBuffer {
     /// stream (residency, stamps and stats all start over), which is what
     /// lets one pooled buffer stand in for a sequence of transient ones.
     pub fn reset(&mut self) {
+        if !self.line_keys.is_empty() {
+            // The index is cleared through the resident lines, so a reset
+            // costs the buffer's capacity, never the largest key range it
+            // has seen. Lines an `access` session filled carry stale keys,
+            // whose entries are already clear.
+            for (set, &fill) in self.fill.iter().enumerate() {
+                let base = set * self.ways;
+                for &key in &self.line_keys[base..base + fill as usize] {
+                    self.index[key] = NO_LINE;
+                }
+            }
+        }
         self.fill.iter_mut().for_each(|f| *f = 0);
         self.stats = BufferStats::default();
     }
@@ -240,6 +336,9 @@ impl SetAssocBuffer {
     /// in 32 bits.
     pub fn reshape(&mut self, sets: usize, ways: usize, policy: Replacement) {
         self.set_magic = set_magic(sets, ways);
+        // Reset under the old geometry, which locates the lines whose
+        // keys the index must drop.
+        self.reset();
         self.sets = sets;
         self.ways = ways;
         self.policy = policy;
@@ -248,7 +347,9 @@ impl SetAssocBuffer {
         self.tags.resize(sets * ways, 0);
         self.stamps.resize(sets * ways, 0);
         self.fill.resize(sets, 0);
-        self.reset();
+        if !self.line_keys.is_empty() {
+            self.line_keys.resize(sets * ways, 0);
+        }
     }
 }
 
@@ -438,9 +539,16 @@ mod tests {
     /// hold, with a hot tenth taking half the accesses, so the stream
     /// hits, fills and evicts even in an 81 920-set buffer; one access in
     /// ten is a fresh random tag landing anywhere.
+    ///
+    /// A keyed buffer takes the same stream through
+    /// [`SetAssocBuffer::access_keyed`] against a reference of its own.
+    /// It restarts three times, by a reset, a reshape to another geometry
+    /// and policy and a reshape back, and its keys restart with it,
+    /// assigned by first appearance.
     fn assert_matches_reference(sets: usize, ways: usize, policy: Replacement, seed: u64) {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
+        use std::collections::HashMap;
         let mut rng = SmallRng::seed_from_u64(seed);
         let targets: Vec<usize> = (0..sets.min(32)).map(|_| rng.gen_range(0..sets)).collect();
         let universe: Vec<u64> = (0..2 * targets.len() * ways + 1)
@@ -452,7 +560,22 @@ mod tests {
         let hot = universe.len() / 10 + 1;
         let mut flat = SetAssocBuffer::new(sets, ways, policy);
         let mut reference = Reference::new(sets, ways, policy);
-        for i in 0..3 * universe.len() + 64 {
+        let n = 3 * universe.len() + 64;
+        let other = match policy {
+            Replacement::Lru => Replacement::Fifo,
+            Replacement::Fifo => Replacement::Lru,
+        };
+        let home = (sets, ways, policy);
+        let restarts = [
+            (n / 3, home),
+            (2 * n / 3, (sets % 7 + 1, ways % 3 + 1, other)),
+            (2 * n / 3 + 32, home),
+        ];
+        let mut keyed = SetAssocBuffer::new(sets, ways, policy);
+        let mut keyed_reference = Reference::new(sets, ways, policy);
+        let mut keys: HashMap<u64, usize> = HashMap::new();
+        let mut keyed_evictions = 0;
+        for i in 0..n {
             let tag = match rng.gen_range(0..10u32) {
                 0 => rng.gen_range(0..=u64::MAX),
                 1..=5 => universe[rng.gen_range(0..hot)],
@@ -460,15 +583,34 @@ mod tests {
             };
             let ctx = || format!("{sets}x{ways} {policy:?} seed {seed} access {i}");
             assert_eq!(flat.access(tag), reference.access(tag), "{}", ctx());
+            if let Some(r) = restarts.iter().position(|&(at, _)| at == i) {
+                assert_eq!(keyed.stats(), &keyed_reference.stats, "{}", ctx());
+                keyed_evictions += keyed_reference.stats.evictions;
+                let (s, w, p) = restarts[r].1;
+                if r == 0 {
+                    keyed.reset();
+                } else {
+                    keyed.reshape(s, w, p);
+                }
+                keyed_reference = Reference::new(s, w, p);
+                keys.clear();
+            }
+            let next = keys.len();
+            let key = *keys.entry(tag).or_insert(next);
+            let want = keyed_reference.access(tag);
+            assert_eq!(keyed.access_keyed(tag, key), want, "keyed {}", ctx());
         }
-        assert_eq!(
-            flat.stats(),
-            &reference.stats,
-            "{sets}x{ways} {policy:?} seed {seed}"
-        );
+        let ctx = format!("{sets}x{ways} {policy:?} seed {seed}");
+        assert_eq!(flat.stats(), &reference.stats, "{ctx}");
+        assert_eq!(keyed.stats(), &keyed_reference.stats, "keyed {ctx}");
         assert!(reference.stats.evictions > 0, "the stream must evict");
+        keyed_evictions += keyed_reference.stats.evictions;
+        assert!(keyed_evictions > 0, "the keyed stream must evict");
         for set in &reference.lines {
             assert!(set.iter().all(|&(t, _)| flat.contains(t)));
+        }
+        for set in &keyed_reference.lines {
+            assert!(set.iter().all(|&(t, _)| keyed.contains(t)));
         }
     }
 

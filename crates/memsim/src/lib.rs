@@ -7,7 +7,10 @@
 //!   bandwidth accounting.
 //! * [`buffer`] — set-associative on-chip buffer residency model; each
 //!   access reports the miss and victim that Fig. 2's "replacement
-//!   times" statistic is counted from.
+//!   times" statistic is counted from. A tag is found by scanning its set
+//!   ([`SetAssocBuffer::access`], the GPU L2) or, when the caller names
+//!   each tag by a dense key, through a residency index
+//!   ([`SetAssocBuffer::access_keyed`], the NA engine).
 //! * [`fifo`] — bounded hardware FIFOs with stall/occupancy accounting.
 //! * [`hashtable`] — the Decoupler's set-associative hash table.
 //! * [`cacti_lite`] — analytic area / power estimation at TSMC 12 nm
