@@ -19,6 +19,7 @@ use gdr_hetgraph::GdrResult;
 use gdr_serve::suite::ServeHarness;
 use gdr_serve::sweep::SweepSpec;
 use gdr_system::grid::ExperimentConfig;
+use gdr_system::json::Json;
 use gdr_system::report::{
     pareto_frontier, recommend, ServeScenarioRecord, SweepRecord, SweepRowRecord, SWEEP_OBJECTIVES,
 };
@@ -134,7 +135,7 @@ pub fn run_sweep_traced(
                     *dur_ns,
                     &rec.scenario,
                     "sweep",
-                    vec![],
+                    Vec::<(&str, Json)>::new(),
                 );
             }
         }

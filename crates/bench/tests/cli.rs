@@ -118,3 +118,27 @@ fn deeply_nested_report_is_rejected_not_a_stack_overflow() {
     let out = gdr_bench(&["--compare", path, "--baseline", path]);
     assert_usage_error(&out, "nesting");
 }
+
+#[test]
+fn report_with_non_json_numbers_or_escapes_is_a_usage_error() {
+    let baseline = std::fs::read_to_string(BASELINE).unwrap();
+    for (i, (from, to)) in [
+        ("\"scale\": 0.08", "\"scale\": 01"),
+        ("\"scale\": 0.08", "\"scale\": -01"),
+        ("\"scale\": 0.08", "\"scale\": 1."),
+        ("\"scale\": 0.08", "\"scale\": 1.e5"),
+        ("\"scale\": 0.08", "\"scale\": -.5"),
+        ("\"gdr-bench/v1\"", "\"gdr-bench/v\\u+031\""),
+        ("\"gdr-bench/v1\"", "\"gdr-bench/v1\t\""),
+        ("\"gdr-bench/v1\"", "\"gdr-bench/v1\\ud83d\""),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        assert!(baseline.contains(from));
+        let file = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("non-json-{i}.json"));
+        std::fs::write(&file, baseline.replacen(from, to, 1)).unwrap();
+        let out = gdr_bench(&["--compare", file.to_str().unwrap(), "--baseline", BASELINE]);
+        assert_usage_error(&out, "at byte");
+    }
+}

@@ -27,6 +27,8 @@
 //! replay log
 //! ([`AssignmentLog::from_events`](crate::replay::AssignmentLog::from_events)).
 
+use std::borrow::Cow;
+
 use gdr_system::json::Json;
 use gdr_system::trace_export::ChromeTrace;
 
@@ -247,12 +249,25 @@ fn replica_tid(replica: usize) -> u64 {
     replica as u64 + 1
 }
 
+/// One event arg under a literal key, which the trace borrows.
+fn arg(key: &'static str, value: impl Into<Json>) -> (Cow<'static, str>, Json) {
+    (Cow::Borrowed(key), value.into())
+}
+
+/// The args of an event that carries none.
+const NO_ARGS: Vec<(Cow<'static, str>, Json)> = Vec::new();
+
 /// Folds a recorded event list into Chrome-trace-event JSON: replicas
 /// as named tracks, batch executions as duration events (`ph: "X"`,
 /// carrying the warm/cache/shard flags and the bind/stall split as
 /// `args`), and everything else — arrivals, seals, faults, control
 /// traffic — as instant events. The output is a pure function of the
 /// inputs, so a deterministic run exports a byte-identical trace.
+///
+/// Event names, categories and arg keys are literals, which the trace
+/// borrows; only a batch span's name (`batch b{id} x{size}`) and the
+/// track names are formatted. So an event costs its args vector, and a
+/// batch span its name too.
 ///
 /// `replica_platforms` maps each replica slot to its cost-model
 /// platform index ([`SimResult::replica_platforms`](crate::scheduler::SimResult::replica_platforms));
@@ -288,9 +303,9 @@ pub fn chrome_trace(
                 "arrival",
                 "request",
                 vec![
-                    ("request".into(), Json::from(*request)),
-                    ("client".into(), Json::from(*client)),
-                    ("cell".into(), Json::from(*cell)),
+                    arg("request", *request),
+                    arg("client", *client),
+                    arg("cell", *cell),
                 ],
             ),
             TraceEvent::BatchSealed {
@@ -305,9 +320,9 @@ pub fn chrome_trace(
                 "batch-sealed",
                 "batch",
                 vec![
-                    ("batch".into(), Json::from(*batch)),
-                    ("cell".into(), Json::from(*cell)),
-                    ("size".into(), Json::from(requests.len())),
+                    arg("batch", *batch),
+                    arg("cell", *cell),
+                    arg("size", requests.len()),
                 ],
             ),
             TraceEvent::Dispatched {
@@ -321,10 +336,7 @@ pub fn chrome_trace(
                 *time_ns,
                 "dispatch",
                 "batch",
-                vec![
-                    ("batch".into(), Json::from(*batch)),
-                    ("queued".into(), Json::from(*queued)),
-                ],
+                vec![arg("batch", *batch), arg("queued", *queued)],
             ),
             TraceEvent::Parked {
                 time_ns,
@@ -336,10 +348,7 @@ pub fn chrome_trace(
                 *time_ns,
                 "parked",
                 "fault",
-                vec![
-                    ("batch".into(), Json::from(*batch)),
-                    ("size".into(), Json::from(*size)),
-                ],
+                vec![arg("batch", *batch), arg("size", *size)],
             ),
             TraceEvent::BatchStarted {
                 time_ns,
@@ -362,19 +371,19 @@ pub fn chrome_trace(
                     replica_tid(*replica),
                     *time_ns,
                     bind_ns + service_ns,
-                    &format!("batch b{batch} x{size}"),
+                    format!("batch b{batch} x{size}"),
                     "batch",
                     vec![
-                        ("batch".into(), Json::from(*batch)),
-                        ("size".into(), Json::from(*size)),
-                        ("warm".into(), Json::from(*warm)),
-                        ("cache_hit".into(), Json::from(*cache_hit)),
-                        ("shard_miss".into(), Json::from(*shard_miss)),
-                        ("bind_ns".into(), Json::from(*bind_ns)),
-                        ("service_ns".into(), Json::from(*service_ns)),
-                        ("stall_ns".into(), Json::from(*stall_ns)),
-                        ("formed_ns".into(), Json::from(*formed_ns)),
-                        ("oldest_arrival_ns".into(), Json::from(oldest_arrival_ns)),
+                        arg("batch", *batch),
+                        arg("size", *size),
+                        arg("warm", *warm),
+                        arg("cache_hit", *cache_hit),
+                        arg("shard_miss", *shard_miss),
+                        arg("bind_ns", *bind_ns),
+                        arg("service_ns", *service_ns),
+                        arg("stall_ns", *stall_ns),
+                        arg("formed_ns", *formed_ns),
+                        arg("oldest_arrival_ns", oldest_arrival_ns),
                     ],
                 );
             }
@@ -389,10 +398,7 @@ pub fn chrome_trace(
                 *time_ns,
                 "complete",
                 "batch",
-                vec![
-                    ("batch".into(), Json::from(*batch)),
-                    ("size".into(), Json::from(*size)),
-                ],
+                vec![arg("batch", *batch), arg("size", *size)],
             ),
             TraceEvent::RequestDropped {
                 time_ns,
@@ -404,7 +410,7 @@ pub fn chrome_trace(
                 *time_ns,
                 "dropped",
                 "fault",
-                vec![("request".into(), Json::from(*request))],
+                vec![arg("request", *request)],
             ),
             TraceEvent::ColdStart {
                 time_ns,
@@ -417,7 +423,7 @@ pub fn chrome_trace(
                 *delay_ns,
                 "cold-start",
                 "autoscale",
-                vec![("delay_ns".into(), Json::from(*delay_ns))],
+                vec![arg("delay_ns", *delay_ns)],
             ),
             TraceEvent::ReplicaDrained { time_ns, replica } => trace.instant(
                 TRACE_PID,
@@ -425,7 +431,7 @@ pub fn chrome_trace(
                 *time_ns,
                 "drained",
                 "autoscale",
-                vec![],
+                NO_ARGS,
             ),
             TraceEvent::Crash { time_ns, replica } => trace.instant(
                 TRACE_PID,
@@ -433,7 +439,7 @@ pub fn chrome_trace(
                 *time_ns,
                 "crash",
                 "fault",
-                vec![],
+                NO_ARGS,
             ),
             TraceEvent::Recover { time_ns, replica } => trace.instant(
                 TRACE_PID,
@@ -441,7 +447,7 @@ pub fn chrome_trace(
                 *time_ns,
                 "recover",
                 "fault",
-                vec![],
+                NO_ARGS,
             ),
             TraceEvent::ViewChange { time_ns } => trace.instant(
                 TRACE_PID,
@@ -449,7 +455,7 @@ pub fn chrome_trace(
                 *time_ns,
                 "view-change",
                 "control",
-                vec![],
+                NO_ARGS,
             ),
             TraceEvent::BatchMigrated {
                 time_ns,
@@ -462,10 +468,7 @@ pub fn chrome_trace(
                 *time_ns,
                 "migrate",
                 "fault",
-                vec![
-                    ("batch".into(), Json::from(*batch)),
-                    ("size".into(), Json::from(*size)),
-                ],
+                vec![arg("batch", *batch), arg("size", *size)],
             ),
         }
     }

@@ -1,8 +1,8 @@
 //! Trace-subsystem guarantees: double-run byte-identity of the
-//! exported Chrome trace, the exact component-sum invariant of the
-//! latency attribution across many seeds, the
-//! zero-cost-when-disabled contract (tracing never perturbs the
-//! simulation), and a guard that the attribution join stays linear.
+//! exported Chrome trace and the pinned bytes of one export, the exact
+//! component-sum invariant of the latency attribution across many
+//! seeds, the zero-cost-when-disabled contract (tracing never perturbs
+//! the simulation), and a guard that the attribution join stays linear.
 
 use std::time::Instant;
 
@@ -81,6 +81,29 @@ fn double_run_trace_is_byte_identical() {
         .events
         .iter()
         .any(|e| matches!(e, TraceEvent::BatchMigrated { .. })));
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn exported_trace_bytes_are_pinned() {
+    // Two runs of one build agree whatever the writer prints; this pins
+    // the bytes themselves, so a change to the export or the JSON writer
+    // that every run shares still fails here.
+    let cfg = ExperimentConfig::test_scale();
+    let run = harness()
+        .run_traced(&crash_failover_spec(&cfg), 7)
+        .expect("traced run");
+    let text = run.chrome.to_json().to_pretty();
+    assert_eq!(
+        (text.len(), format!("{:016x}", fnv1a(text.as_bytes()))),
+        (79_490, "7edabe3311b46bad".to_string())
+    );
 }
 
 #[test]

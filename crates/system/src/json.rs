@@ -9,6 +9,13 @@
 //! stack. Numbers are stored as `f64`; every counter in the schema is far
 //! below 2⁵³, so the round-trip is exact.
 //!
+//! Strings and object keys are [`Cow<'static, str>`](Cow): a key or
+//! value known at compile time is borrowed, so building a tree of
+//! literal keys allocates only its vectors; the parser yields owned
+//! text. The writers allocate nothing but the output: indentation is
+//! copied from a constant run of spaces, integers are printed through a
+//! stack buffer, and each unescaped run of a string is copied whole.
+//!
 //! # Examples
 //!
 //! ```
@@ -20,6 +27,7 @@
 //! assert_eq!(Json::parse(&text).unwrap(), v);
 //! ```
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// The deepest array/object nesting [`Json::parse`] accepts. The report
@@ -37,12 +45,12 @@ pub enum Json {
     Bool(bool),
     /// A number (always carried as `f64`).
     Num(f64),
-    /// A string.
-    Str(String),
+    /// A string; a literal is borrowed, anything else owned.
+    Str(Cow<'static, str>),
     /// An array.
     Arr(Vec<Json>),
     /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Cow<'static, str>, Json)>),
 }
 
 impl From<f64> for Json {
@@ -71,13 +79,13 @@ impl From<bool> for Json {
 
 impl From<&str> for Json {
     fn from(x: &str) -> Self {
-        Json::Str(x.into())
+        Json::Str(Cow::Owned(x.to_owned()))
     }
 }
 
 impl From<String> for Json {
     fn from(x: String) -> Self {
-        Json::Str(x)
+        Json::Str(Cow::Owned(x))
     }
 }
 
@@ -88,8 +96,9 @@ impl<T: Into<Json>> From<Option<T>> for Json {
 }
 
 impl Json {
-    /// Builds an object from `(key, value)` pairs, preserving order.
-    pub fn obj<K: Into<String>, I: IntoIterator<Item = (K, Json)>>(pairs: I) -> Self {
+    /// Builds an object from `(key, value)` pairs, preserving order. A
+    /// `&'static str` key is borrowed, a `String` key moved in.
+    pub fn obj<K: Into<Cow<'static, str>>, I: IntoIterator<Item = (K, Json)>>(pairs: I) -> Self {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
@@ -139,7 +148,7 @@ impl Json {
     }
 
     /// The key/value pairs, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+    pub fn as_obj(&self) -> Option<&[(Cow<'static, str>, Json)]> {
         match self {
             Json::Obj(pairs) => Some(pairs),
             _ => None,
@@ -214,28 +223,70 @@ fn write_num(out: &mut String, x: f64) {
         // defensive null beats an unparseable document.
         out.push_str("null");
     } else if x.fract() == 0.0 && x.abs() < 9.0e15 {
-        let _ = write!(out, "{}", x as i64);
+        write_int(out, x as i64);
     } else {
         let _ = write!(out, "{x}");
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `n` in decimal, the text `format!("{n}")` gives, through a
+/// stack buffer instead of `fmt`. Twenty bytes hold any `i64`.
+fn write_int(out: &mut String, n: i64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("digits are ASCII"));
+}
+
+/// Writes `s` quoted, copying each run of characters that need no
+/// escape whole. Every escaped character is ASCII, so a run always
+/// starts and ends on a character boundary.
+fn write_str(out: &mut String, s: &str) {
     out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// The run of spaces [`push_indent`] copies from.
+const SPACES: &str = "                                ";
+
+/// Appends `n` spaces, a slice of [`SPACES`] at a time.
+fn push_indent(out: &mut String, mut n: usize) {
+    while n > SPACES.len() {
+        out.push_str(SPACES);
+        n -= SPACES.len();
+    }
+    out.push_str(&SPACES[..n]);
 }
 
 fn write_seq(
@@ -255,7 +306,7 @@ fn write_seq(
     for i in 0..n {
         if let Some(w) = indent {
             out.push('\n');
-            out.push_str(&" ".repeat(w * (depth + 1)));
+            push_indent(out, w * (depth + 1));
         }
         item(out, i);
         if i + 1 < n {
@@ -264,7 +315,7 @@ fn write_seq(
     }
     if let Some(w) = indent {
         out.push('\n');
-        out.push_str(&" ".repeat(w * depth));
+        push_indent(out, w * depth);
     }
     out.push(close);
 }
@@ -314,7 +365,7 @@ impl Parser<'_> {
             Some(b'n') => self.lit("null", Json::Null),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(Cow::Owned(self.string()?))),
             Some(b'[') => self.nested(Self::array),
             Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
@@ -374,7 +425,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            pairs.push((key, self.value()?));
+            pairs.push((Cow::Owned(key), self.value()?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -393,10 +444,13 @@ impl Parser<'_> {
         loop {
             let start = self.pos;
             while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' {
-                    break;
+                match b {
+                    b'"' | b'\\' => break,
+                    0..=0x1f => {
+                        return Err(format!("control character in string at byte {}", self.pos))
+                    }
+                    _ => self.pos += 1,
                 }
-                self.pos += 1;
             }
             out.push_str(
                 std::str::from_utf8(&self.bytes[start..self.pos])
@@ -419,17 +473,23 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-                            // Surrogate pairs are not needed by the bench
-                            // schema; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
+                            let escape = self.pos - 1;
+                            let mut code = self.hex4()?;
+                            // A character past U+FFFF arrives as a UTF-16
+                            // surrogate pair: a high escape, then a low one.
+                            if (0xD800..0xDC00).contains(&code)
+                                && self.bytes[self.pos + 1..].starts_with(b"\\u")
+                            {
+                                self.pos += 2;
+                                let low = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(format!("lone surrogate at byte {escape}"));
+                                }
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            }
+                            let c = char::from_u32(code)
+                                .ok_or_else(|| format!("lone surrogate at byte {escape}"))?;
+                            out.push(c);
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
@@ -440,22 +500,66 @@ impl Parser<'_> {
         }
     }
 
+    /// Reads the four hex digits after the `u` at `pos` and leaves `pos`
+    /// on the last of them. Only ASCII hex digits count: no sign, no
+    /// space.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let at = self.pos;
+        let code = self
+            .bytes
+            .get(at + 1..at + 5)
+            .and_then(|digits| {
+                digits
+                    .iter()
+                    .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+            })
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Parses a number of exactly the JSON grammar:
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
+        let invalid = || format!("invalid number at byte {start}");
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits(),
+            _ => return Err(invalid()),
+        }
+        if self.peek() == Some(b'.') {
             self.pos += 1;
+            if !self.peek().is_some_and(|b| b.is_ascii_digit()) {
+                return Err(invalid());
+            }
+            self.digits();
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !self.peek().is_some_and(|b| b.is_ascii_digit()) {
+                return Err(invalid());
+            }
+            self.digits();
         }
         std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
             .and_then(|s| s.parse::<f64>().ok())
             .map(Json::Num)
-            .ok_or_else(|| format!("invalid number at byte {start}"))
+            .ok_or_else(invalid)
+    }
+
+    /// Skips a run of ASCII digits.
+    fn digits(&mut self) {
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
     }
 }
 
@@ -506,9 +610,69 @@ mod tests {
     }
 
     #[test]
+    fn integers_print_as_fmt_does() {
+        for n in [0, 1, -1, 9, 10, -10, 4_294_967_296, i64::MAX, i64::MIN] {
+            let mut out = String::new();
+            write_int(&mut out, n);
+            assert_eq!(out, n.to_string());
+        }
+        let mut n = 1i64;
+        while let Some(next) = n.checked_mul(7) {
+            for m in [n - 1, n, n + 1, -n] {
+                let mut out = String::new();
+                write_int(&mut out, m);
+                assert_eq!(out, m.to_string());
+            }
+            n = next;
+        }
+    }
+
+    #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "tru",
+            "1 2",
+            "\"unterminated",
+            // `from_str_radix` reads this as `A`: it accepts a sign.
+            r#""\u+041""#,
+            "\"raw\u{1}control\"",
+            "\"raw\ttab\"",
+            "01",
+            "-01",
+            "[01]",
+            "1.",
+            "1.e5",
+            "-.5",
+            "-",
+            "1e",
+            "1e+",
+            ".5",
+            "+1",
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_fail() {
+        // What Python's `json.dump` writes for 🚀 (U+1F680).
+        let v = Json::parse(r#"["\ud83d\ude80", "a\uD83D\uDE80b"]"#).unwrap();
+        assert_eq!(v.as_arr().unwrap()[0].as_str(), Some("🚀"));
+        assert_eq!(v.as_arr().unwrap()[1].as_str(), Some("a🚀b"));
+        for (lone, at) in [
+            (r#""\ud83d""#, 1),
+            (r#""x\ud83dy""#, 2),
+            (r#""\ud83d\u0041""#, 1),
+            (r#""\ud83d\ud83d""#, 1),
+            (r#""\ude80""#, 1),
+            (r#""ab\ude80\ud83d""#, 3),
+        ] {
+            let err = Json::parse(lone).unwrap_err();
+            assert_eq!(err, format!("lone surrogate at byte {at}"), "{lone}");
         }
     }
 
@@ -530,5 +694,12 @@ mod tests {
         assert_eq!(a[0].as_str(), Some("A\t"));
         assert_eq!(a[1].as_f64(), Some(-1500.0));
         assert_eq!(a[2].as_f64(), Some(0.125));
+        // Python's exponent forms, a zero with a fraction, a negative
+        // zero and upper-case escapes are all JSON.
+        let v = Json::parse(r#"[1e-07, 1e+16, 2E3, 0.5, -0, -0.0e0, "\u00E9\u00e9"]"#).unwrap();
+        let a = v.as_arr().unwrap();
+        let nums: Vec<f64> = a[..6].iter().map(|x| x.as_f64().unwrap()).collect();
+        assert_eq!(nums, [1e-7, 1e16, 2000.0, 0.5, 0.0, 0.0]);
+        assert_eq!(a[6].as_str(), Some("éé"));
     }
 }

@@ -19,6 +19,7 @@
 //! on the simulated metrics of one table ([`GATED_METRICS`]) and ignores
 //! the wall-clock fields.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use gdr_accel::platform::Platform;
@@ -417,12 +418,12 @@ impl SweepRecommendation {
     /// objectives.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("slo_p99_ns".to_string(), Json::from(self.slo_p99_ns)),
+            ("slo_p99_ns".into(), Json::from(self.slo_p99_ns)),
             (
-                "budget_replica_seconds".to_string(),
+                "budget_replica_seconds".into(),
                 Json::from(self.budget_replica_seconds),
             ),
-            ("feasible".to_string(), Json::from(self.feasible)),
+            ("feasible".into(), Json::from(self.feasible)),
         ];
         if let Json::Obj(row) = row_to_json("scenario", &self.scenario, &self.metrics) {
             fields.extend(row);
@@ -442,7 +443,7 @@ impl SweepRecommendation {
         let row = f
             .pairs
             .iter()
-            .filter(|(k, _)| !HEAD.contains(&k.as_str()))
+            .filter(|(k, _)| !HEAD.contains(&&**k))
             .cloned()
             .collect();
         let (scenario, metrics) = row_from_json(&Json::Obj(row), "scenario", "sweep recommend")?;
@@ -524,9 +525,9 @@ impl SweepRecord {
     /// The sweep object of the `sweep` array in `gdr-bench/v1`.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("name".to_string(), Json::from(self.name.as_str())),
+            ("name".into(), Json::from(self.name.as_str())),
             (
-                "axes".to_string(),
+                "axes".into(),
                 Json::arr(self.axes.iter().map(|(axis, values)| {
                     Json::obj([
                         ("axis", Json::from(axis.as_str())),
@@ -534,19 +535,19 @@ impl SweepRecord {
                     ])
                 })),
             ),
-            ("requests".to_string(), Json::from(self.requests)),
-            ("platform".to_string(), Json::from(self.platform.as_str())),
+            ("requests".into(), Json::from(self.requests)),
+            ("platform".into(), Json::from(self.platform.as_str())),
             (
-                "table".to_string(),
+                "table".into(),
                 Json::arr(self.table.iter().map(SweepRowRecord::to_json)),
             ),
             (
-                "frontier".to_string(),
+                "frontier".into(),
                 Json::arr(self.frontier.iter().map(|s| Json::from(s.as_str()))),
             ),
         ];
         if let Some(rec) = &self.recommend {
-            fields.push(("recommend".to_string(), rec.to_json()));
+            fields.push(("recommend".into(), rec.to_json()));
         }
         Json::Obj(fields)
     }
@@ -738,7 +739,7 @@ impl RunRecord {
         let f = Fields::new(v, "grid run")?;
         let mut metrics = Vec::new();
         for (k, field) in f.pairs {
-            match (k.as_str(), field) {
+            match (&**k, field) {
                 ("platform" | "na_hit_rate" | "speedup_vs_baseline", _) => {}
                 ("extra", Json::Obj(pairs)) => {
                     for (ek, ev) in pairs {
@@ -746,7 +747,7 @@ impl RunRecord {
                         metrics.push((format!("extra.{ek}"), x));
                     }
                 }
-                (_, Json::Num(x)) => metrics.push((k.clone(), *x)),
+                (_, Json::Num(x)) => metrics.push((k.to_string(), *x)),
                 _ => return Err(format!("unexpected grid run field {k:?}")),
             }
         }
@@ -924,14 +925,14 @@ impl BenchReport {
                             "runs",
                             Json::arr(p.runs.iter().map(|r| {
                                 let mut fields =
-                                    vec![("platform".to_string(), Json::from(r.platform.as_str()))];
-                                let mut extra: Vec<(String, Json)> = Vec::new();
+                                    vec![("platform".into(), Json::from(r.platform.as_str()))];
+                                let mut extra: Vec<(Cow<'static, str>, Json)> = Vec::new();
                                 for (k, v) in &r.metrics {
                                     match k.strip_prefix("extra.") {
                                         Some(name) => {
-                                            extra.push((name.to_string(), Json::from(*v)))
+                                            extra.push((name.to_string().into(), Json::from(*v)))
                                         }
-                                        None => fields.push((k.clone(), Json::from(*v))),
+                                        None => fields.push((k.clone().into(), Json::from(*v))),
                                     }
                                 }
                                 fields.push(("na_hit_rate".into(), Json::from(r.na_hit_rate)));
@@ -1646,9 +1647,13 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, threshold_pct: f64
 /// Encodes one label-plus-metrics row — the shape of a host record, a
 /// serve run and a sweep row: the string label under `label_key`, then
 /// every metric in order.
-fn row_to_json(label_key: &str, label: &str, metrics: &[(String, f64)]) -> Json {
-    let mut fields = vec![(label_key.to_string(), Json::from(label))];
-    fields.extend(metrics.iter().map(|(k, v)| (k.clone(), Json::from(*v))));
+fn row_to_json(label_key: &'static str, label: &str, metrics: &[(String, f64)]) -> Json {
+    let mut fields = vec![(label_key.into(), Json::from(label))];
+    fields.extend(
+        metrics
+            .iter()
+            .map(|(k, v)| (k.clone().into(), Json::from(*v))),
+    );
     Json::Obj(fields)
 }
 
@@ -1665,8 +1670,8 @@ fn row_from_json(
     let mut metrics = Vec::new();
     for (k, field) in Fields::new(v, what)?.pairs {
         match field {
-            Json::Str(s) if k == label_key => label = Some(s.clone()),
-            Json::Num(x) => metrics.push((k.clone(), *x)),
+            Json::Str(s) if k == label_key => label = Some(s.to_string()),
+            Json::Num(x) => metrics.push((k.to_string(), *x)),
             _ => return Err(format!("unexpected {what} field {k:?}")),
         }
     }
@@ -1699,7 +1704,7 @@ fn family<T>(v: &Json, key: &str, parse: fn(&Json) -> Result<T, String>) -> Resu
 /// defaulted past a value of the wrong type.
 struct Fields<'a> {
     what: &'static str,
-    pairs: &'a [(String, Json)],
+    pairs: &'a [(Cow<'static, str>, Json)],
 }
 
 impl<'a> Fields<'a> {
@@ -2007,7 +2012,7 @@ mod tests {
                 unreachable!("a scenario serializes as an object")
             };
             pairs.retain(|(k, _)| k != key);
-            pairs.extend(value.map(|v| (key.to_string(), v)));
+            pairs.extend(value.map(|v| (key.to_string().into(), v)));
             ServeScenarioRecord::from_json(&Json::Obj(pairs))
         };
         // Absent fields added within the schema id read as their default.

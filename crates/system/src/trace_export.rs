@@ -15,37 +15,76 @@
 //! sections. Serialization goes through [`Json`], so a trace built
 //! from deterministic inputs serializes byte-identically.
 //!
+//! Text known at compile time is kept by reference: a category is a
+//! `&'static str`, a literal event name ([`EventName`]) and a literal
+//! arg key are borrowed, and so are every fixed key and phase of the
+//! export. An exported event then allocates only its field and args
+//! vectors, plus its name where the name was formatted.
+//!
 //! [Chrome Trace Event Format]:
 //!     https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //!
 //! ```
+//! use gdr_system::json::Json;
 //! use gdr_system::trace_export::ChromeTrace;
 //!
 //! let mut trace = ChromeTrace::new();
 //! trace.process_name(1, "pool");
 //! trace.thread_name(1, 1, "replica 0");
-//! trace.duration(1, 1, 2_000, 1_500, "batch x4", "batch", vec![]);
-//! trace.instant(1, 1, 3_500, "crash", "fault", vec![]);
+//! // A formatted name is moved in; the category and arg keys are
+//! // literals, which the trace borrows.
+//! let size = 4u64;
+//! let args = vec![("size", Json::from(size))];
+//! trace.duration(1, 1, 2_000, 1_500, format!("batch x{size}"), "batch", args);
+//! trace.instant(1, 1, 3_500, "crash", "fault", vec![("replica", Json::from(0u64))]);
 //! let json = trace.to_json();
 //! assert_eq!(json.get("traceEvents").unwrap().as_arr().unwrap().len(), 4);
 //! ```
 
+use std::borrow::Cow;
+
 use crate::json::Json;
+
+/// The name of a duration or instant event. A string literal is kept by
+/// reference for the life of the trace, a formatted `String` is moved
+/// in, and a borrowed `String` is copied once.
+pub trait EventName {
+    /// The name as the trace stores it.
+    fn into_name(self) -> Cow<'static, str>;
+}
+
+impl EventName for &'static str {
+    fn into_name(self) -> Cow<'static, str> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl EventName for String {
+    fn into_name(self) -> Cow<'static, str> {
+        Cow::Owned(self)
+    }
+}
+
+impl EventName for &String {
+    fn into_name(self) -> Cow<'static, str> {
+        Cow::Owned(self.clone())
+    }
+}
 
 /// One trace event: a metadata record, a duration span, or an instant
 /// marker. Constructed only through the [`ChromeTrace`] methods so the
 /// phase/field combinations stay valid.
 #[derive(Debug, Clone, PartialEq)]
 struct ChromeEvent {
-    name: String,
-    cat: String,
-    /// Phase: `'X'` duration, `'i'` instant, `'M'` metadata.
-    ph: char,
+    name: Cow<'static, str>,
+    cat: &'static str,
+    /// Phase: `"X"` duration, `"i"` instant, `"M"` metadata.
+    ph: &'static str,
     ts_ns: u64,
     dur_ns: Option<u64>,
     pid: u64,
     tid: u64,
-    args: Vec<(String, Json)>,
+    args: Vec<(Cow<'static, str>, Json)>,
 }
 
 /// A Chrome-trace-event document under construction.
@@ -88,67 +127,70 @@ impl ChromeTrace {
         self.metadata(pid, tid, "thread_name", name);
     }
 
-    fn metadata(&mut self, pid: u64, tid: u64, kind: &str, name: &str) {
+    fn metadata(&mut self, pid: u64, tid: u64, kind: &'static str, name: &str) {
         self.events.push(ChromeEvent {
-            name: kind.to_string(),
-            cat: "__metadata".to_string(),
-            ph: 'M',
+            name: Cow::Borrowed(kind),
+            cat: "__metadata",
+            ph: "M",
             ts_ns: 0,
             dur_ns: None,
             pid,
             tid,
-            args: vec![("name".to_string(), Json::from(name))],
+            args: vec![("name".into(), Json::from(name))],
         });
     }
 
     /// Records a complete duration event (`ph: "X"`) spanning
-    /// `[ts_ns, ts_ns + dur_ns]` on track `(pid, tid)`.
+    /// `[ts_ns, ts_ns + dur_ns]` on track `(pid, tid)`. Arg keys are
+    /// `&'static str` literals (borrowed), `String`s (moved in) or
+    /// `Cow<'static, str>`s.
     // The parameter list mirrors the trace-event field list one-to-one;
     // a builder or params struct would just rename the same eight
     // things.
     #[allow(clippy::too_many_arguments)]
-    pub fn duration(
+    pub fn duration<K: Into<Cow<'static, str>>>(
         &mut self,
         pid: u64,
         tid: u64,
         ts_ns: u64,
         dur_ns: u64,
-        name: &str,
-        cat: &str,
-        args: Vec<(String, Json)>,
+        name: impl EventName,
+        cat: &'static str,
+        args: Vec<(K, Json)>,
     ) {
         self.events.push(ChromeEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            ph: 'X',
+            name: name.into_name(),
+            cat,
+            ph: "X",
             ts_ns,
             dur_ns: Some(dur_ns),
             pid,
             tid,
-            args,
+            args: args_of(args),
         });
     }
 
     /// Records a thread-scoped instant event (`ph: "i"`, `s: "t"`) at
-    /// `ts_ns` on track `(pid, tid)`.
-    pub fn instant(
+    /// `ts_ns` on track `(pid, tid)`. Arg keys as for
+    /// [`duration`](Self::duration).
+    pub fn instant<K: Into<Cow<'static, str>>>(
         &mut self,
         pid: u64,
         tid: u64,
         ts_ns: u64,
-        name: &str,
-        cat: &str,
-        args: Vec<(String, Json)>,
+        name: impl EventName,
+        cat: &'static str,
+        args: Vec<(K, Json)>,
     ) {
         self.events.push(ChromeEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            ph: 'i',
+            name: name.into_name(),
+            cat,
+            ph: "i",
             ts_ns,
             dur_ns: None,
             pid,
             tid,
-            args,
+            args: args_of(args),
         });
     }
 
@@ -162,32 +204,39 @@ impl ChromeTrace {
     /// byte-identically.
     pub fn to_json(&self) -> Json {
         let events: Vec<Json> = self.events.iter().map(ChromeEvent::to_json).collect();
-        Json::obj(vec![
-            ("traceEvents", Json::arr(events)),
-            ("displayTimeUnit", Json::from("ms")),
+        Json::obj([
+            ("traceEvents", Json::Arr(events)),
+            ("displayTimeUnit", Json::Str("ms".into())),
         ])
     }
 }
 
+/// An args list with its keys as the event stores them. A list of
+/// `String` or `Cow` keys has the layout of the result, so collecting
+/// reuses its allocation.
+fn args_of<K: Into<Cow<'static, str>>>(args: Vec<(K, Json)>) -> Vec<(Cow<'static, str>, Json)> {
+    args.into_iter().map(|(k, v)| (k.into(), v)).collect()
+}
+
 impl ChromeEvent {
     fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("name".to_string(), Json::from(self.name.as_str())),
-            ("cat".to_string(), Json::from(self.cat.as_str())),
-            ("ph".to_string(), Json::from(self.ph.to_string())),
-            ("ts".to_string(), Json::Num(self.ts_ns as f64 / 1_000.0)),
-        ];
+        // name, cat, ph, ts, dur, pid, tid, s, args
+        let mut pairs = Vec::with_capacity(9);
+        pairs.push(("name".into(), Json::Str(self.name.clone())));
+        pairs.push(("cat".into(), Json::Str(self.cat.into())));
+        pairs.push(("ph".into(), Json::Str(self.ph.into())));
+        pairs.push(("ts".into(), Json::Num(self.ts_ns as f64 / 1_000.0)));
         if let Some(dur) = self.dur_ns {
-            pairs.push(("dur".to_string(), Json::Num(dur as f64 / 1_000.0)));
+            pairs.push(("dur".into(), Json::Num(dur as f64 / 1_000.0)));
         }
-        pairs.push(("pid".to_string(), Json::from(self.pid)));
-        pairs.push(("tid".to_string(), Json::from(self.tid)));
-        if self.ph == 'i' {
+        pairs.push(("pid".into(), Json::from(self.pid)));
+        pairs.push(("tid".into(), Json::from(self.tid)));
+        if self.ph == "i" {
             // Instant scope: thread-local, the narrowest rendering.
-            pairs.push(("s".to_string(), Json::from("t")));
+            pairs.push(("s".into(), Json::Str("t".into())));
         }
         if !self.args.is_empty() {
-            pairs.push(("args".to_string(), Json::Obj(self.args.clone())));
+            pairs.push(("args".into(), Json::Obj(self.args.clone())));
         }
         Json::Obj(pairs)
     }
@@ -210,8 +259,22 @@ mod tests {
             "batch",
             vec![("size".to_string(), Json::from(4u64))],
         );
-        t.instant(1, 1, 3_500, "crash", "fault", vec![]);
+        t.instant(1, 1, 3_500, "crash", "fault", Vec::<(&str, Json)>::new());
         t
+    }
+
+    #[test]
+    fn literal_formatted_and_borrowed_text_export_alike() {
+        let x4 = String::from("x4");
+        let n = || Json::from(4u64);
+        let mut t = ChromeTrace::new();
+        t.duration(0, 0, 0, 1, "x4", "b", vec![("k", n())]);
+        t.duration(0, 0, 0, 1, x4.clone(), "b", vec![("k".to_string(), n())]);
+        t.duration(0, 0, 0, 1, &x4, "b", vec![(Cow::from("k"), n())]);
+        let json = t.to_json();
+        let events = json.get("traceEvents").unwrap().as_arr().unwrap();
+        assert_eq!(events[0], events[1]);
+        assert_eq!(events[0], events[2]);
     }
 
     #[test]

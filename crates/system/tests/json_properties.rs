@@ -6,10 +6,13 @@
 //! every case derives an arbitrary nested [`Json`] tree — objects,
 //! arrays, escaped strings, integers, dyadic fractions — from a
 //! deterministic per-case seed, and checks that writing then parsing is
-//! the identity, for both the compact and the pretty writer. A second
-//! net feeds truncated and byte-mutated copies of the committed gate
-//! baseline to the report parser, which may reject them but never panics.
-//! Failures reproduce from the case index alone.
+//! the identity, for both the compact and the pretty writer. Both
+//! writers must also print exactly the bytes of [`reference`], the
+//! plain `fmt`-based writer they replaced, so a writer that round-trips
+//! but prints `1.0` for `1` fails. A second net feeds truncated and
+//! byte-mutated copies of the committed gate baseline to the report
+//! parser, which may reject them but never panics. Failures reproduce
+//! from the case index alone.
 
 use gdr_system::json::Json;
 use gdr_system::report::BenchReport;
@@ -93,7 +96,7 @@ fn arb_json(seed: u64, depth: u64) -> Json {
         0 => Json::Null,
         1 => Json::Bool(mix(seed, 2).is_multiple_of(2)),
         2 => Json::Num(arb_number(seed)),
-        3 => Json::Str(arb_string(seed)),
+        3 => Json::Str(arb_string(seed).into()),
         4 => {
             let n = mix(seed, 3) % 5;
             Json::arr((0..n).map(|i| arb_json(mix(seed, 10 + i), depth - 1)))
@@ -107,6 +110,193 @@ fn arb_json(seed: u64, depth: u64) -> Json {
                 )
             }))
         }
+    }
+}
+
+/// A tree `levels` deep with one small sibling subtree per level:
+/// pretty-printed, its indentation outruns the writer's run of spaces
+/// (32), yet its size stays linear in `levels`.
+fn deep_json(seed: u64, levels: u64) -> Json {
+    let mut v = arb_json(seed, 1);
+    for level in 0..levels {
+        let sibling = arb_json(mix(seed, 400 + level), 1);
+        v = if mix(seed, 500 + level).is_multiple_of(2) {
+            Json::arr([sibling, v])
+        } else {
+            Json::obj([
+                (arb_string(mix(seed, 600 + level)), v),
+                ("sibling".to_string(), sibling),
+            ])
+        };
+    }
+    v
+}
+
+/// The writer as it was before it stopped allocating: `fmt` for every
+/// integer, one `char` at a time for strings and a fresh `String` per
+/// indent. It is kept here, over the public [`Json`] variants, as the
+/// byte-for-byte reference for [`Json::to_compact`] and
+/// [`Json::to_pretty`].
+mod reference {
+    use std::fmt::Write as _;
+
+    use gdr_system::json::Json;
+
+    pub fn compact(v: &Json) -> String {
+        let mut out = String::new();
+        write(v, &mut out, None, 0);
+        out
+    }
+
+    pub fn pretty(v: &Json) -> String {
+        let mut out = String::new();
+        write(v, &mut out, Some(2), 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(v: &Json, out: &mut String, indent: Option<usize>, depth: usize) {
+        match v {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(x) => write_num(out, *x),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
+                write(&items[i], out, indent, depth + 1);
+            }),
+            Json::Obj(pairs) => write_seq(out, indent, depth, '{', '}', pairs.len(), |out, i| {
+                let (k, v) = &pairs[i];
+                write_str(out, k);
+                out.push(':');
+                if indent.is_some() {
+                    out.push(' ');
+                }
+                write(v, out, indent, depth + 1);
+            }),
+        }
+    }
+
+    fn write_num(out: &mut String, x: f64) {
+        if !x.is_finite() {
+            out.push_str("null");
+        } else if x.fract() == 0.0 && x.abs() < 9.0e15 {
+            let _ = write!(out, "{}", x as i64);
+        } else {
+            let _ = write!(out, "{x}");
+        }
+    }
+
+    fn write_str(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    fn write_seq(
+        out: &mut String,
+        indent: Option<usize>,
+        depth: usize,
+        open: char,
+        close: char,
+        n: usize,
+        mut item: impl FnMut(&mut String, usize),
+    ) {
+        out.push(open);
+        if n == 0 {
+            out.push(close);
+            return;
+        }
+        for i in 0..n {
+            if let Some(w) = indent {
+                out.push('\n');
+                out.push_str(&" ".repeat(w * (depth + 1)));
+            }
+            item(out, i);
+            if i + 1 < n {
+                out.push(',');
+            }
+        }
+        if let Some(w) = indent {
+            out.push('\n');
+            out.push_str(&" ".repeat(w * depth));
+        }
+        out.push(close);
+    }
+}
+
+/// Asserts that both writers print exactly the reference bytes for `v`.
+fn assert_reference_bytes(v: &Json, what: &str) {
+    assert_eq!(v.to_compact(), reference::compact(v), "{what}: compact");
+    assert_eq!(v.to_pretty(), reference::pretty(v), "{what}: pretty");
+}
+
+#[test]
+fn writers_print_the_reference_bytes() {
+    for case in 0..CASES {
+        assert_reference_bytes(&arb_json(case, 4), &format!("case {case}"));
+        let deep = deep_json(case, 40);
+        assert!(deep.to_pretty().contains(&format!("\n{}", " ".repeat(80))));
+        assert_reference_bytes(&deep, &format!("deep case {case}"));
+    }
+}
+
+#[test]
+fn writers_print_the_reference_bytes_for_edge_values() {
+    let two53 = 2f64.powi(53);
+    let mut values = vec![
+        -0.0,
+        0.0,
+        two53,
+        -two53,
+        two53 - 1.0,
+        9e15 - 1.0,
+        9e15,
+        -(9e15 - 1.0),
+        -9e15,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.1,
+        1e-7,
+        1e21,
+        -1e21,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        5e-324,
+    ];
+    for case in 0..4096 {
+        // Every bit pattern class: subnormals, NaN payloads, huge and
+        // tiny magnitudes; and integers across the whole integer path.
+        values.push(f64::from_bits(mix(case, 700)));
+        values.push((mix(case, 701) % 9_000_000_000_000_000) as f64);
+        values.push(-((mix(case, 702) >> (mix(case, 703) % 64)) as f64));
+    }
+    for x in values {
+        assert_reference_bytes(&Json::Num(x), &format!("{x:e}"));
+    }
+    let controls: String = (0u8..0x20).map(char::from).collect();
+    let mut strings: Vec<String> = controls
+        .chars()
+        .flat_map(|c| [c.to_string(), format!("a{c}b"), format!("é{c}中{c}")])
+        .collect();
+    strings.push(controls.clone());
+    strings.push(format!("\"{controls}\\🚀/"));
+    for s in strings {
+        let v = Json::obj([(s.clone(), Json::arr([Json::from(s.as_str())]))]);
+        assert_reference_bytes(&v, &format!("{s:?}"));
+        assert_eq!(Json::parse(&v.to_compact()).unwrap(), v, "{s:?}");
     }
 }
 
@@ -167,7 +357,11 @@ fn object_key_order_survives_round_trips() {
         let v = Json::obj((0..n).map(|i| (format!("k{}", mix(case, 51 + i) % 4), Json::from(i))));
         let back = Json::parse(&v.to_pretty()).unwrap();
         let keys = |j: &Json| -> Vec<String> {
-            j.as_obj().unwrap().iter().map(|(k, _)| k.clone()).collect()
+            j.as_obj()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.to_string())
+                .collect()
         };
         assert_eq!(keys(&back), keys(&v), "case {case}");
     }

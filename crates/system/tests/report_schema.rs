@@ -26,7 +26,7 @@ fn key_paths(v: &Json, prefix: &str, seen: &mut Vec<String>) {
         Json::Obj(pairs) => {
             for (k, val) in pairs {
                 let p = if prefix.is_empty() {
-                    k.clone()
+                    k.to_string()
                 } else {
                     format!("{prefix}.{k}")
                 };
