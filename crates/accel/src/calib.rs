@@ -3,8 +3,9 @@
 //! Every absolute-scale knob of the reproduction lives here, in one
 //! place, so it is auditable. These constants set the *absolute* time and
 //! traffic scales; the *relative* behaviour (who wins, where thrashing
-//! bites) emerges mechanically from the simulators. Paper-vs-measured
-//! deltas are recorded in EXPERIMENTS.md.
+//! bites) emerges mechanically from the simulators. `gdr-bench paper`
+//! prints every modelled figure beside the paper's; ROADMAP item 1
+//! records where the headline differs.
 
 /// Density of the raw HGB feature matrices. HGB node features are sparse
 /// bag-of-words / tf-idf vectors; the Table 2 dimensionalities (up to

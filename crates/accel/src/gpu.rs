@@ -1,6 +1,6 @@
 //! GPU baseline models: DGL 1.0.2 on NVIDIA T4 and A100.
 //!
-//! A hybrid trace + roofline model (see DESIGN.md's substitution table):
+//! A hybrid trace + roofline model, standing in for the paper's GPU runs:
 //! the NA stage's feature gathers run through a sector-accurate L2 cache
 //! simulation — reproducing the paper's measured L2 hit ratios and the
 //! dataset-dependent thrashing — while regular streaming stages use

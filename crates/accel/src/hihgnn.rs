@@ -82,7 +82,7 @@ impl HiHgnnConfig {
     /// coefficients, edge metadata) rather than resident features — a
     /// `lanes × 4` derate overall. All lanes' concurrently-executing
     /// semantic graphs contend inside this window; that contention is the
-    /// buffer thrashing of §3 (see DESIGN.md).
+    /// buffer thrashing of §3.
     pub fn na_window_features(&self) -> usize {
         (self.na_buffer_bytes / (self.lanes * 4) / FEATURE_BYTES).max(1)
     }

@@ -142,3 +142,26 @@ fn report_with_non_json_numbers_or_escapes_is_a_usage_error() {
         assert_usage_error(&out, "at byte");
     }
 }
+
+#[test]
+fn report_numbers_past_the_f64_range_are_a_usage_error() {
+    // Parsed as infinity, either would reach the gate: a "scale inf"
+    // config mismatch, or a +inf% time regression (both exit 1).
+    let baseline = std::fs::read_to_string(BASELINE).unwrap();
+    let time_ns = baseline.find("\"time_ns\": ").expect("a grid run") + "\"time_ns\": ".len();
+    let digits = baseline[time_ns..].find([',', '\n']).unwrap();
+    let (head, tail) = (&baseline[..time_ns], &baseline[time_ns + digits..]);
+    for (i, edited) in [
+        baseline.replacen("\"scale\": 0.08", "\"scale\": 1e400", 1),
+        format!("{head}1e400{tail}"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        assert_ne!(edited, baseline);
+        let file = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("out-of-range-{i}.json"));
+        std::fs::write(&file, edited).unwrap();
+        let out = gdr_bench(&["--compare", file.to_str().unwrap(), "--baseline", BASELINE]);
+        assert_usage_error(&out, "number out of range at byte");
+    }
+}

@@ -18,7 +18,8 @@ pub enum BackboneStrategy {
     /// The paper's Algorithm 2: matched vertices that have at least one
     /// unmatched neighbor enter the backbone, plus a totality fixup for
     /// edges both of whose endpoints the heuristic left out (possible when
-    /// a component admits a perfect matching; see DESIGN.md).
+    /// a component admits a perfect matching: no vertex then has an
+    /// unmatched neighbor, so Algorithm 2 as printed selects nothing).
     #[default]
     Paper,
     /// Exact minimum vertex cover via König's construction
@@ -46,13 +47,16 @@ impl std::fmt::Display for BackboneStrategy {
 ///
 /// ```
 /// use gdr_hetgraph::BipartiteGraph;
-/// use gdr_core::matching::hopcroft_karp;
 /// use gdr_core::backbone::{Backbone, BackboneStrategy};
+/// use gdr_core::matching::hopcroft_karp_into;
+/// use gdr_core::workspace::Workspace;
 /// let g = BipartiteGraph::from_pairs("g", 2, 2, &[(0, 0), (1, 0)])?;
-/// let m = hopcroft_karp(&g);
-/// let b = Backbone::select(&g, &m, BackboneStrategy::KonigExact);
-/// assert!(b.covers_all_edges(&g));
-/// assert_eq!(b.len(), m.size()); // König: |cover| == |matching|
+/// let mut ws = Workspace::new();
+/// hopcroft_karp_into(&g, &mut ws.matching, &mut ws.match_scratch);
+/// let strategy = BackboneStrategy::KonigExact;
+/// Backbone::select_into(&g, &ws.matching, strategy, &mut ws.backbone, &mut ws.match_scratch);
+/// assert!(ws.backbone.covers_all_edges(&g));
+/// assert_eq!(ws.backbone.len(), ws.matching.size()); // König: |cover| == |matching|
 /// # Ok::<(), gdr_hetgraph::GraphError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -64,20 +68,12 @@ pub struct Backbone {
 }
 
 impl Backbone {
-    /// Selects the backbone from a decoupling result.
-    pub fn select(g: &BipartiteGraph, m: &Matching, strategy: BackboneStrategy) -> Self {
-        let mut out = Backbone::default();
-        let mut scratch = MatchScratch::default();
-        Self::select_into(g, m, strategy, &mut out, &mut scratch);
-        out
-    }
-
-    /// Workspace variant of [`Backbone::select`]: the membership bitmaps
-    /// are rebuilt in place in `out` and BFS state comes from `scratch`,
-    /// so the paper heuristic and König construction allocate nothing at
-    /// steady state. The greedy-degree baseline keeps its allocating
-    /// construction — it is the islandization ablation, not a hot path.
-    /// Results are identical to [`Backbone::select`].
+    /// Selects the backbone from a decoupling result. The membership
+    /// bitmaps are rebuilt in place in `out` and BFS state comes from
+    /// `scratch`, so the paper heuristic and König construction allocate
+    /// nothing at steady state. The greedy-degree baseline keeps its
+    /// allocating construction — it is the islandization ablation, not a
+    /// hot path.
     pub fn select_into(
         g: &BipartiteGraph,
         m: &Matching,
@@ -317,8 +313,20 @@ impl Backbone {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::{fifo_matching, hopcroft_karp};
+    use crate::matching::{fifo_matching_into, hopcroft_karp_into};
     use gdr_hetgraph::gen::PowerLawConfig;
+
+    fn max_matching(g: &BipartiteGraph) -> Matching {
+        let mut m = Matching::default();
+        hopcroft_karp_into(g, &mut m, &mut MatchScratch::default());
+        m
+    }
+
+    fn backbone_of(g: &BipartiteGraph, m: &Matching, strategy: BackboneStrategy) -> Backbone {
+        let mut b = Backbone::default();
+        Backbone::select_into(g, m, strategy, &mut b, &mut MatchScratch::default());
+        b
+    }
 
     #[test]
     fn konig_cover_size_equals_matching() {
@@ -326,8 +334,8 @@ mod tests {
             let g = PowerLawConfig::new(60, 50, 240)
                 .dst_alpha(0.7)
                 .generate("k", seed);
-            let m = hopcroft_karp(&g);
-            let b = Backbone::select(&g, &m, BackboneStrategy::KonigExact);
+            let m = max_matching(&g);
+            let b = backbone_of(&g, &m, BackboneStrategy::KonigExact);
             assert!(b.covers_all_edges(&g), "seed {seed}");
             assert_eq!(b.len(), m.size(), "König failed at seed {seed}");
         }
@@ -337,8 +345,9 @@ mod tests {
     fn paper_heuristic_covers_with_fixup() {
         for seed in 0..20 {
             let g = PowerLawConfig::new(60, 60, 200).generate("p", seed);
-            let m = fifo_matching(&g);
-            let b = Backbone::select(&g, &m, BackboneStrategy::Paper);
+            let mut m = Matching::default();
+            fifo_matching_into(&g, &mut m, &mut MatchScratch::default());
+            let b = backbone_of(&g, &m, BackboneStrategy::Paper);
             assert!(b.covers_all_edges(&g), "seed {seed}");
         }
     }
@@ -348,9 +357,9 @@ mod tests {
         // K2,2 has a perfect matching; no vertex has an unmatched neighbor,
         // so Algorithm 2 as printed selects nothing — the fixup must act.
         let g = BipartiteGraph::from_pairs("k22", 2, 2, &[(0, 0), (0, 1), (1, 0), (1, 1)]).unwrap();
-        let m = hopcroft_karp(&g);
+        let m = max_matching(&g);
         assert_eq!(m.size(), 2);
-        let b = Backbone::select(&g, &m, BackboneStrategy::Paper);
+        let b = backbone_of(&g, &m, BackboneStrategy::Paper);
         assert!(b.fixup_promotions() > 0);
         assert!(b.covers_all_edges(&g));
     }
@@ -361,11 +370,11 @@ mod tests {
             let g = PowerLawConfig::new(50, 50, 300)
                 .dst_alpha(1.0)
                 .generate("g", seed);
-            let m = hopcroft_karp(&g);
-            let b = Backbone::select(&g, &m, BackboneStrategy::GreedyDegree);
+            let m = max_matching(&g);
+            let b = backbone_of(&g, &m, BackboneStrategy::GreedyDegree);
             assert!(b.covers_all_edges(&g), "seed {seed}");
             // Greedy is a valid cover but can exceed the optimum.
-            let exact = Backbone::select(&g, &m, BackboneStrategy::KonigExact);
+            let exact = backbone_of(&g, &m, BackboneStrategy::KonigExact);
             assert!(b.len() >= exact.len());
         }
     }
@@ -375,12 +384,12 @@ mod tests {
         // one destination hub covering everything
         let g = BipartiteGraph::from_pairs("star", 5, 1, &[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)])
             .unwrap();
-        let m = hopcroft_karp(&g);
+        let m = max_matching(&g);
         assert_eq!(m.size(), 1);
-        let b = Backbone::select(&g, &m, BackboneStrategy::KonigExact);
+        let b = backbone_of(&g, &m, BackboneStrategy::KonigExact);
         assert_eq!(b.len(), 1);
         assert!(b.dst_in(0));
-        let bg = Backbone::select(&g, &m, BackboneStrategy::GreedyDegree);
+        let bg = backbone_of(&g, &m, BackboneStrategy::GreedyDegree);
         assert_eq!(bg.len(), 1);
         assert!(bg.dst_in(0));
     }
@@ -388,13 +397,13 @@ mod tests {
     #[test]
     fn empty_graph_has_empty_backbone() {
         let g = BipartiteGraph::from_pairs("e", 4, 4, &[]).unwrap();
-        let m = hopcroft_karp(&g);
+        let m = max_matching(&g);
         for strat in [
             BackboneStrategy::Paper,
             BackboneStrategy::KonigExact,
             BackboneStrategy::GreedyDegree,
         ] {
-            let b = Backbone::select(&g, &m, strat);
+            let b = backbone_of(&g, &m, strat);
             assert!(b.is_empty(), "{strat}");
             assert!(b.covers_all_edges(&g));
         }

@@ -16,9 +16,11 @@
 //!   thrashing per schedule;
 //! * [`restructure`] — the end-to-end [`restructure::Restructurer`]
 //!   driver, including the paper's recursive sub-subgraph extension;
-//! * [`workspace`] — the reusable [`workspace::Workspace`] scratch arena
-//!   behind the zero-allocation `_into`/`_with` variants of all of the
-//!   above.
+//! * [`workspace`] — the reusable [`workspace::Workspace`] scratch arena.
+//!   Each stage above has one entry point, and it takes the workspace
+//!   (or the workspace slots it rebuilds); the one-shot
+//!   [`restructure::Restructurer::restructure`] is the allocating
+//!   convenience.
 //!
 //! # Examples
 //!
@@ -35,9 +37,10 @@
 //! let restructured = Restructurer::new().restructure(&g);
 //!
 //! let cap = 128; // on-chip buffer capacity in feature vectors
-//! let before = simulate_lru(&g, &EdgeSchedule::dst_major(&g), cap);
-//! let after = simulate_lru(&g, restructured.schedule(), cap);
+//! let before = simulate_lru(&EdgeSchedule::dst_major(&g), cap)?;
+//! let after = simulate_lru(restructured.schedule(), cap)?;
 //! assert!(after.misses() <= before.misses());
+//! # Ok::<(), gdr_hetgraph::GdrError>(())
 //! ```
 
 #![warn(missing_docs)]

@@ -2,19 +2,22 @@
 //!
 //! Graph decoupling "separates the original semantic graph into a set of
 //! edges that do not share common vertices" — a maximum matching. Three
-//! engines are provided:
+//! engines are provided, each rebuilding a caller-held [`Matching`] from
+//! caller-held [`MatchScratch`] (for one-shot use,
+//! [`Restructurer::restructure`](crate::restructure::Restructurer::restructure)
+//! runs any of them on a transient workspace):
 //!
-//! * [`fifo_matching`] — the paper's Algorithm 1: a FIFO-driven
+//! * [`fifo_matching_into`] — the paper's Algorithm 1: a FIFO-driven
 //!   breadth-first augmenting search, the algorithm the Decoupler hardware
 //!   executes (inspired by the Hungarian method).
-//! * [`hopcroft_karp`] — the classic `O(E·√V)` phase algorithm, the
+//! * [`hopcroft_karp_into`] — the classic `O(E·√V)` phase algorithm, the
 //!   default engine of
 //!   [`Restructurer::new`](crate::restructure::Restructurer::new), so
 //!   replay and serving run it. Its first phase is a greedy pass;
 //!   [`augment`], its augmenting DFS, is shared with the Decoupler
 //!   hardware model.
-//! * [`greedy_matching`] — one-pass maximal (not maximum) matching, the
-//!   quality baseline for ablations.
+//! * [`greedy_matching_into`] — one-pass maximal (not maximum) matching,
+//!   the quality baseline for ablations.
 
 use gdr_hetgraph::BipartiteGraph;
 
@@ -28,9 +31,11 @@ use crate::workspace::MatchScratch;
 ///
 /// ```
 /// use gdr_hetgraph::BipartiteGraph;
-/// use gdr_core::matching::hopcroft_karp;
+/// use gdr_core::matching::{hopcroft_karp_into, Matching};
+/// use gdr_core::workspace::MatchScratch;
 /// let g = BipartiteGraph::from_pairs("g", 2, 2, &[(0, 0), (0, 1), (1, 0)])?;
-/// let m = hopcroft_karp(&g);
+/// let mut m = Matching::default();
+/// hopcroft_karp_into(&g, &mut m, &mut MatchScratch::default());
 /// assert_eq!(m.size(), 2);
 /// assert!(m.is_valid(&g));
 /// # Ok::<(), gdr_hetgraph::GraphError>(())
@@ -161,15 +166,8 @@ impl Matching {
 
 /// One-pass greedy maximal matching: scan edges source-major and link the
 /// first free pair seen. Maximal but in general only a 1/2-approximation
-/// of maximum. Baseline for the decoupling-quality ablation.
-pub fn greedy_matching(g: &BipartiteGraph) -> Matching {
-    let mut m = Matching::default();
-    greedy_matching_into(g, &mut m);
-    m
-}
-
-/// Workspace variant of [`greedy_matching`]: the matching is rebuilt in
-/// `out`, reusing its assignment-table storage.
+/// of maximum. Baseline for the decoupling-quality ablation. The matching
+/// is rebuilt in `out`, reusing its assignment-table storage.
 pub fn greedy_matching_into(g: &BipartiteGraph, out: &mut Matching) {
     out.reset(g.src_count(), g.dst_count());
     for s in 0..g.src_count() {
@@ -193,22 +191,12 @@ pub fn greedy_matching_into(g: &BipartiteGraph, out: &mut Matching) {
 /// realizes these as per-destination `Matching_FIFO`s, see
 /// `gdr-frontend`). Every augmentation grows the matching by one, and BFS
 /// finds an augmenting path whenever one exists, so the result is a
-/// **maximum** matching (property-tested against [`hopcroft_karp`]).
+/// **maximum** matching (property-tested against [`hopcroft_karp_into`]).
 ///
-/// Returns the matching together with the number of vertex-expansion steps
-/// performed (the work measure the Decoupler's cycle model consumes).
-pub fn fifo_matching_with_stats(g: &BipartiteGraph) -> (Matching, DecouplingStats) {
-    let mut m = Matching::default();
-    let mut scratch = MatchScratch::default();
-    let stats = fifo_matching_into(g, &mut m, &mut scratch);
-    (m, stats)
-}
-
-/// Workspace variant of [`fifo_matching_with_stats`]: the matching is
-/// rebuilt in `out` and every FIFO/bitmap comes from `scratch`, so a
-/// caller looping over graphs performs no heap allocation once the
-/// buffers have grown to the largest graph seen. Results are identical
-/// to the allocating path.
+/// The matching is rebuilt in `out` and every FIFO/bitmap comes from
+/// `scratch`, so a caller looping over graphs performs no heap allocation
+/// once the buffers have grown to the largest graph seen. Returns the
+/// search's work counters ([`DecouplingStats`]).
 pub fn fifo_matching_into(
     g: &BipartiteGraph,
     out: &mut Matching,
@@ -276,13 +264,9 @@ pub fn fifo_matching_into(
     stats
 }
 
-/// Convenience wrapper over [`fifo_matching_with_stats`] discarding stats.
-pub fn fifo_matching(g: &BipartiteGraph) -> Matching {
-    fifo_matching_with_stats(g).0
-}
-
-/// Work counters of one decoupling run, consumed by the Decoupler cycle
-/// model and by EXPERIMENTS.md's complexity validation.
+/// Work counters of one [`fifo_matching_into`] run, surfaced by
+/// [`Restructurer::restructure_with`](crate::restructure::Restructurer::restructure_with)
+/// (zero for the other engines).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecouplingStats {
     /// Augmenting searches started (one per initially-unmatched source).
@@ -295,8 +279,8 @@ pub struct DecouplingStats {
     pub augment_steps: usize,
 }
 
-/// Work counters of a Hopcroft-Karp run ([`hopcroft_karp_with_stats`]),
-/// read by tests only.
+/// Work counters of a Hopcroft-Karp run ([`hopcroft_karp_into`]), read
+/// by tests only.
 ///
 /// Phase 1 is the greedy pass: with every source free at layer 0, the
 /// first BFS would probe each edge once and the first DFS would never
@@ -319,23 +303,10 @@ pub struct PhaseStats {
 const INF: u32 = u32::MAX;
 
 /// Hopcroft-Karp maximum matching (`O(E·√V)`), the default engine of
-/// [`Restructurer::new`](crate::restructure::Restructurer::new).
-pub fn hopcroft_karp(g: &BipartiteGraph) -> Matching {
-    hopcroft_karp_with_stats(g).0
-}
-
-/// [`hopcroft_karp`] with work counters (see [`PhaseStats`]).
-pub fn hopcroft_karp_with_stats(g: &BipartiteGraph) -> (Matching, PhaseStats) {
-    let mut m = Matching::default();
-    let mut scratch = MatchScratch::default();
-    let stats = hopcroft_karp_into(g, &mut m, &mut scratch);
-    (m, stats)
-}
-
-/// Workspace variant of [`hopcroft_karp_with_stats`]: the matching is
-/// rebuilt in `out`, BFS layers, queues, the free-source list and the DFS
-/// stack come from `scratch`. Results are identical to the allocating
-/// path.
+/// [`Restructurer::new`](crate::restructure::Restructurer::new). The
+/// matching is rebuilt in `out`; BFS layers, queues, the free-source list
+/// and the DFS stack come from `scratch`. Returns the work counters (see
+/// [`PhaseStats`]).
 pub fn hopcroft_karp_into(
     g: &BipartiteGraph,
     out: &mut Matching,
@@ -479,6 +450,24 @@ mod tests {
     use super::*;
     use gdr_hetgraph::gen::PowerLawConfig;
 
+    fn hk(g: &BipartiteGraph) -> Matching {
+        let mut m = Matching::default();
+        hopcroft_karp_into(g, &mut m, &mut MatchScratch::default());
+        m
+    }
+
+    fn fifo(g: &BipartiteGraph) -> (Matching, DecouplingStats) {
+        let mut m = Matching::default();
+        let stats = fifo_matching_into(g, &mut m, &mut MatchScratch::default());
+        (m, stats)
+    }
+
+    fn greedy(g: &BipartiteGraph) -> Matching {
+        let mut m = Matching::default();
+        greedy_matching_into(g, &mut m);
+        m
+    }
+
     fn toy() -> BipartiteGraph {
         // Classic augmenting-path example: greedy can lock 0-0 and strand 1.
         BipartiteGraph::from_pairs("t", 2, 2, &[(0, 0), (0, 1), (1, 0)]).unwrap()
@@ -486,7 +475,7 @@ mod tests {
 
     #[test]
     fn hopcroft_karp_finds_maximum() {
-        let m = hopcroft_karp(&toy());
+        let m = hk(&toy());
         assert_eq!(m.size(), 2);
         assert!(m.is_valid(&toy()));
         assert!(m.is_maximal(&toy()));
@@ -494,7 +483,7 @@ mod tests {
 
     #[test]
     fn fifo_matching_matches_oracle_on_toy() {
-        let m = fifo_matching(&toy());
+        let m = fifo(&toy()).0;
         assert_eq!(m.size(), 2);
         assert!(m.is_valid(&toy()));
     }
@@ -504,10 +493,10 @@ mod tests {
         // Build a graph where greedy strands a source:
         // s0: {d0, d1}, s1: {d0} -> greedy in source order picks (0,0), strands 1.
         let g = BipartiteGraph::from_pairs("g", 2, 2, &[(0, 0), (0, 1), (1, 0)]).unwrap();
-        let gm = greedy_matching(&g);
+        let gm = greedy(&g);
         assert!(gm.is_valid(&g));
         assert!(gm.is_maximal(&g));
-        assert!(gm.size() <= hopcroft_karp(&g).size());
+        assert!(gm.size() <= hk(&g).size());
     }
 
     #[test]
@@ -516,25 +505,25 @@ mod tests {
             let g = PowerLawConfig::new(80, 60, 300)
                 .dst_alpha(0.8)
                 .generate("r", seed);
-            let hk = hopcroft_karp(&g);
-            let (ff, stats) = fifo_matching_with_stats(&g);
-            assert!(hk.is_valid(&g), "hk invalid at seed {seed}");
+            let oracle = hk(&g);
+            let (ff, stats) = fifo(&g);
+            assert!(oracle.is_valid(&g), "hk invalid at seed {seed}");
             assert!(ff.is_valid(&g), "fifo invalid at seed {seed}");
-            assert_eq!(ff.size(), hk.size(), "sizes differ at seed {seed}");
+            assert_eq!(ff.size(), oracle.size(), "sizes differ at seed {seed}");
             assert!(ff.is_maximal(&g));
             assert!(stats.edge_probes >= g.edge_count().min(stats.expansions));
-            let gm = greedy_matching(&g);
-            assert!(gm.size() <= hk.size());
-            assert!(2 * gm.size() >= hk.size(), "greedy below 1/2-approx");
+            let gm = greedy(&g);
+            assert!(gm.size() <= oracle.size());
+            assert!(2 * gm.size() >= oracle.size(), "greedy below 1/2-approx");
         }
     }
 
     #[test]
     fn empty_graph() {
         let g = BipartiteGraph::from_pairs("e", 3, 3, &[]).unwrap();
-        assert_eq!(hopcroft_karp(&g).size(), 0);
-        assert_eq!(fifo_matching(&g).size(), 0);
-        assert_eq!(greedy_matching(&g).size(), 0);
+        assert_eq!(hk(&g).size(), 0);
+        assert_eq!(fifo(&g).0.size(), 0);
+        assert_eq!(greedy(&g).size(), 0);
     }
 
     #[test]
@@ -547,8 +536,8 @@ mod tests {
             }
         }
         let g = BipartiteGraph::from_pairs("k33", 3, 3, &pairs).unwrap();
-        assert_eq!(hopcroft_karp(&g).size(), 3);
-        assert_eq!(fifo_matching(&g).size(), 3);
+        assert_eq!(hk(&g).size(), 3);
+        assert_eq!(fifo(&g).0.size(), 3);
     }
 
     #[test]
@@ -571,7 +560,7 @@ mod tests {
     #[test]
     fn stats_scale_with_graph() {
         let g = PowerLawConfig::new(200, 200, 1000).generate("s", 3);
-        let (_, st) = fifo_matching_with_stats(&g);
+        let (_, st) = fifo(&g);
         assert!(st.searches > 0);
         assert!(st.expansions >= st.searches);
         assert!(st.augment_steps > 0);

@@ -31,20 +31,12 @@ pub struct VertexPartition {
 }
 
 impl VertexPartition {
-    /// Classifies every vertex of `g` against the backbone.
+    /// Classifies every vertex of `g` against the backbone, refilling the
+    /// four class FIFOs of `out` in place (their storage is reused).
     ///
     /// Isolated vertices (degree 0) are excluded from the partition
     /// entirely — the paper's "eliminating irrelevant vertices from each
     /// subgraph".
-    pub fn from_backbone(g: &BipartiteGraph, b: &Backbone) -> Self {
-        let mut p = VertexPartition::default();
-        Self::from_backbone_into(g, b, &mut p);
-        p
-    }
-
-    /// Workspace variant of [`VertexPartition::from_backbone`]: the four
-    /// class FIFOs are refilled in place, reusing their storage. Results
-    /// are identical to the allocating path.
     pub fn from_backbone_into(g: &BipartiteGraph, b: &Backbone, out: &mut VertexPartition) {
         out.src_in.clear();
         out.src_out.clear();
@@ -157,7 +149,10 @@ pub struct RestructuredSubgraphs {
 }
 
 impl RestructuredSubgraphs {
-    /// Partitions the edges of `g` into the three subgraphs.
+    /// Partitions the edges of `g` into the three subgraphs, rebuilt **in
+    /// place** in `out`, reusing their CSR and name storage, so
+    /// regenerating subgraphs in a loop performs no heap allocation at
+    /// steady state.
     ///
     /// A backbone that is not a vertex cover of `g` trips a debug
     /// assertion; in release builds the offending edges are filed into
@@ -165,24 +160,6 @@ impl RestructuredSubgraphs {
     /// into [`RestructuredSubgraphs::cover_violations`] so callers can
     /// detect the breach instead of silently consuming a wrong
     /// restructuring.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug assertion) if an edge has neither endpoint in the
-    /// backbone, i.e. if `b` is not a vertex cover of `g`.
-    pub fn generate(g: &BipartiteGraph, b: &Backbone) -> Self {
-        let mut out = RestructuredSubgraphs::default();
-        let mut scratch = RecoupleScratch;
-        Self::generate_into(g, b, &mut out, &mut scratch);
-        out
-    }
-
-    /// Workspace variant of [`RestructuredSubgraphs::generate`]: the
-    /// three subgraphs are rebuilt **in place**, reusing their CSR and
-    /// name storage, so regenerating subgraphs in a loop performs no heap
-    /// allocation at steady state. Results are identical to the
-    /// allocating path, including the release-mode cover-violation
-    /// accounting.
     ///
     /// [`BipartiteGraph::split_by_side_into`] deals `g`'s edges by
     /// backbone membership in one pass over
@@ -195,6 +172,11 @@ impl RestructuredSubgraphs {
     /// stays in the signature so callers that pass
     /// [`Workspace::recouple_scratch`](crate::workspace::Workspace::recouple_scratch)
     /// keep compiling.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug assertion) if an edge has neither endpoint in the
+    /// backbone, i.e. if `b` is not a vertex cover of `g`.
     pub fn generate_into(
         g: &BipartiteGraph,
         b: &Backbone,
@@ -254,22 +236,36 @@ impl RestructuredSubgraphs {
 mod tests {
     use super::*;
     use crate::backbone::BackboneStrategy;
-    use crate::matching::hopcroft_karp;
+    use crate::restructure::Restructurer;
     use gdr_hetgraph::gen::PowerLawConfig;
 
     fn setup(seed: u64) -> (BipartiteGraph, Backbone) {
         let g = PowerLawConfig::new(40, 40, 160)
             .dst_alpha(0.9)
             .generate("t", seed);
-        let m = hopcroft_karp(&g);
-        let b = Backbone::select(&g, &m, BackboneStrategy::KonigExact);
+        let r = Restructurer::new()
+            .backbone_strategy(BackboneStrategy::KonigExact)
+            .restructure(&g);
+        let b = r.backbone().clone();
         (g, b)
+    }
+
+    fn partition_of(g: &BipartiteGraph, b: &Backbone) -> VertexPartition {
+        let mut p = VertexPartition::default();
+        VertexPartition::from_backbone_into(g, b, &mut p);
+        p
+    }
+
+    fn subgraphs_of(g: &BipartiteGraph, b: &Backbone) -> RestructuredSubgraphs {
+        let mut r = RestructuredSubgraphs::default();
+        RestructuredSubgraphs::generate_into(g, b, &mut r, &mut RecoupleScratch);
+        r
     }
 
     #[test]
     fn partition_is_exhaustive_and_disjoint() {
         let (g, b) = setup(1);
-        let p = VertexPartition::from_backbone(&g, &b);
+        let p = partition_of(&g, &b);
         let touched_src = (0..g.src_count()).filter(|&s| g.out_degree(s) > 0).count();
         let touched_dst = (0..g.dst_count()).filter(|&d| g.in_degree(d) > 0).count();
         assert_eq!(p.src_in().len() + p.src_out().len(), touched_src);
@@ -282,7 +278,7 @@ mod tests {
     #[test]
     fn classify_matches_membership() {
         let (g, b) = setup(2);
-        let p = VertexPartition::from_backbone(&g, &b);
+        let p = partition_of(&g, &b);
         for s in 0..g.src_count() as u32 {
             match p.classify_src(s) {
                 Some(VertexClass::SrcIn) => assert!(b.src_in(s as usize)),
@@ -305,7 +301,7 @@ mod tests {
     fn subgraphs_partition_the_edge_set() {
         for seed in 0..10 {
             let (g, b) = setup(seed);
-            let r = RestructuredSubgraphs::generate(&g, &b);
+            let r = subgraphs_of(&g, &b);
             assert_eq!(r.total_edges(), g.edge_count(), "seed {seed}");
             // every original edge appears in exactly one subgraph
             let mut all: Vec<(u32, u32)> = r
@@ -323,7 +319,7 @@ mod tests {
     #[test]
     fn subgraph_classes_respect_backbone() {
         let (g, b) = setup(3);
-        let r = RestructuredSubgraphs::generate(&g, &b);
+        let r = subgraphs_of(&g, &b);
         for e in r.get(SubgraphKind::InOut).iter_edges() {
             assert!(b.src_in(e.src.index()) && !b.dst_in(e.dst.index()));
         }
@@ -339,7 +335,7 @@ mod tests {
     fn valid_backbones_report_zero_cover_violations() {
         for seed in 0..5 {
             let (g, b) = setup(seed);
-            let r = RestructuredSubgraphs::generate(&g, &b);
+            let r = subgraphs_of(&g, &b);
             assert_eq!(r.cover_violations(), 0, "seed {seed}");
         }
     }
@@ -352,14 +348,17 @@ mod tests {
     #[test]
     fn non_cover_backbone_is_counted_not_silent() {
         use crate::matching::Matching;
+        use crate::workspace::MatchScratch;
         // An all-out backbone selected for an edgeless graph…
         let empty = BipartiteGraph::from_pairs("e", 2, 2, &[]).unwrap();
         let m = Matching::empty(2, 2);
-        let b = Backbone::select(&empty, &m, BackboneStrategy::Paper);
+        let mut b = Backbone::default();
+        let mut scratch = MatchScratch::default();
+        Backbone::select_into(&empty, &m, BackboneStrategy::Paper, &mut b, &mut scratch);
         assert!(b.is_empty());
         // …misses every edge of a non-empty graph of the same shape.
         let g = BipartiteGraph::from_pairs("g", 2, 2, &[(0, 0), (1, 1)]).unwrap();
-        let r = RestructuredSubgraphs::generate(&g, &b);
+        let r = subgraphs_of(&g, &b);
         assert_eq!(r.cover_violations(), 2);
         assert_eq!(r.total_edges(), g.edge_count(), "partition stays total");
         assert_eq!(r.get(SubgraphKind::InOut).edge_count(), 2);
@@ -391,7 +390,7 @@ mod tests {
             classes[slot].push((s, d));
         }
         assert!(violations > 0, "test premise: the backbone misses edges");
-        let r = RestructuredSubgraphs::generate(&g, &b);
+        let r = subgraphs_of(&g, &b);
         assert_eq!(r.cover_violations(), violations);
         for (kind, name, pairs) in [
             (SubgraphKind::InOut, "in-out", &classes[0]),

@@ -140,46 +140,24 @@ impl EdgeSchedule {
         Self::new("islandized", edges)
     }
 
-    /// The GDR-HGNN restructured order: subgraphs in pipeline order, each
-    /// walked so that the **backbone side stays resident** and the
-    /// non-backbone side streams:
+    /// The GDR-HGNN restructured order, emitted into a reusable buffer
+    /// (cleared first): subgraphs in pipeline order, each walked so that
+    /// the **backbone side stays resident** and the non-backbone side
+    /// streams:
     ///
     /// * `Src_out × Dst_in` — source-major (each streamed source loads once,
     ///   backbone destinations' partial sums stay on-chip),
     /// * `Src_in × Dst_in` — destination-major (backbone-internal),
     /// * `Src_in × Dst_out` — destination-major (each streamed destination
     ///   finishes in one burst, backbone sources stay on-chip).
-    pub fn restructured(r: &RestructuredSubgraphs) -> Self {
-        let mut edges = Vec::with_capacity(r.total_edges());
-        Self::restructured_into(r, &mut edges);
-        Self::new("restructured", edges)
-    }
-
-    /// Workspace variant of [`EdgeSchedule::restructured`]: emits the
-    /// restructured order into a reusable buffer (cleared first) instead
-    /// of allocating a schedule, for callers that re-emit schedules in a
-    /// loop. The buffer contents equal
-    /// `EdgeSchedule::restructured(r).edges()`.
+    ///
+    /// A caller that keeps the schedule wraps the buffer with
+    /// [`EdgeSchedule::new`], as the Recoupler model does.
     pub fn restructured_into(r: &RestructuredSubgraphs, out: &mut Vec<Edge>) {
         out.clear();
         out.reserve(r.total_edges());
         for (kind, sg) in r.iter() {
-            match kind {
-                SubgraphKind::OutIn => {
-                    for s in 0..sg.src_count() {
-                        for &d in sg.out_neighbors(s) {
-                            out.push(Edge::new(s as u32, d));
-                        }
-                    }
-                }
-                SubgraphKind::InIn | SubgraphKind::InOut => {
-                    for d in 0..sg.dst_count() {
-                        for &s in sg.in_neighbors(d) {
-                            out.push(Edge::new(s, d as u32));
-                        }
-                    }
-                }
-            }
+            push_subgraph(kind, sg, out);
         }
     }
 
@@ -250,6 +228,30 @@ impl EdgeSchedule {
     }
 }
 
+/// Appends one subgraph's edges to `out` in the walk order for its kind
+/// (see [`EdgeSchedule::restructured_into`] for the rationale). The
+/// restructured order and the leaves of the recursive refinement
+/// ([`Restructurer::recursion_depth`](crate::restructure::Restructurer::recursion_depth))
+/// both walk subgraphs through here.
+pub(crate) fn push_subgraph(kind: SubgraphKind, sg: &BipartiteGraph, out: &mut Vec<Edge>) {
+    match kind {
+        SubgraphKind::OutIn => {
+            for s in 0..sg.src_count() {
+                for &d in sg.out_neighbors(s) {
+                    out.push(Edge::new(s as u32, d));
+                }
+            }
+        }
+        SubgraphKind::InIn | SubgraphKind::InOut => {
+            for d in 0..sg.dst_count() {
+                for &s in sg.in_neighbors(d) {
+                    out.push(Edge::new(s, d as u32));
+                }
+            }
+        }
+    }
+}
+
 impl AsRef<EdgeSchedule> for EdgeSchedule {
     fn as_ref(&self) -> &EdgeSchedule {
         self
@@ -259,8 +261,8 @@ impl AsRef<EdgeSchedule> for EdgeSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backbone::{Backbone, BackboneStrategy};
-    use crate::matching::hopcroft_karp;
+    use crate::backbone::BackboneStrategy;
+    use crate::restructure::{Restructured, Restructurer};
     use gdr_hetgraph::gen::PowerLawConfig;
 
     fn graph(seed: u64) -> BipartiteGraph {
@@ -269,19 +271,22 @@ mod tests {
             .generate("g", seed)
     }
 
+    fn konig(g: &BipartiteGraph) -> Restructured {
+        Restructurer::new()
+            .backbone_strategy(BackboneStrategy::KonigExact)
+            .restructure(g)
+    }
+
     #[test]
     fn all_schedules_are_permutations() {
         let g = graph(1);
-        let m = hopcroft_karp(&g);
-        let b = Backbone::select(&g, &m, BackboneStrategy::KonigExact);
-        let r = RestructuredSubgraphs::generate(&g, &b);
         for sched in [
             EdgeSchedule::dst_major(&g),
             EdgeSchedule::src_major(&g),
             EdgeSchedule::random(&g, 7),
             EdgeSchedule::degree_sorted(&g),
             EdgeSchedule::islandized(&g),
-            EdgeSchedule::restructured(&r),
+            konig(&g).schedule().clone(),
         ] {
             assert!(
                 sched.is_permutation_of(&g),
@@ -328,12 +333,14 @@ mod tests {
     #[test]
     fn restructured_emits_subgraphs_in_pipeline_order() {
         let g = graph(5);
-        let m = hopcroft_karp(&g);
-        let b = Backbone::select(&g, &m, BackboneStrategy::KonigExact);
-        let r = RestructuredSubgraphs::generate(&g, &b);
-        let s = EdgeSchedule::restructured(&r);
+        let r = konig(&g);
+        let b = r.backbone();
+        let mut edges = Vec::new();
+        EdgeSchedule::restructured_into(r.subgraphs(), &mut edges);
+        let s = EdgeSchedule::new("restructured", edges);
+        assert_eq!(&s, r.schedule());
         // first edges must come from the OutIn subgraph (if non-empty)
-        let out_in = r.get(SubgraphKind::OutIn);
+        let out_in = r.subgraphs().get(SubgraphKind::OutIn);
         if !out_in.is_empty() {
             let e = s.edges()[0];
             assert!(!b.src_in(e.src.index()) && b.dst_in(e.dst.index()));

@@ -4,13 +4,14 @@
 //! one per accelerator execution, one per serving request batch — and
 //! the naive implementation pays allocator traffic for every one of
 //! them: fresh matching tables, BFS queues, partition FIFOs, and six
-//! CSR arrays per graph. A [`Workspace`] owns all of that state once
-//! and the `_into`/`_with` variants of the restructuring steps
+//! CSR arrays per graph. A [`Workspace`] owns all of that state once,
+//! and each restructuring step has exactly one entry point, which
+//! reuses it
 //! ([`crate::matching::fifo_matching_into`],
 //! [`crate::backbone::Backbone::select_into`],
 //! [`crate::recouple::RestructuredSubgraphs::generate_into`],
 //! [`crate::schedule::EdgeSchedule::restructured_into`],
-//! [`crate::restructure::Restructurer::restructure_with`]) reuse it:
+//! [`crate::restructure::Restructurer::restructure_with`]):
 //! buffers are `clear()`ed, never dropped, and subgraph
 //! [`BipartiteGraph`](gdr_hetgraph::BipartiteGraph)s are refilled in
 //! place, row by row, by one pass over each of the parent graph's CSRs
@@ -21,14 +22,17 @@
 //! logs draw from [`Workspace::take_request_log`] and return through
 //! [`Workspace::recycle_request_log`], so replay-heavy callers (the
 //! serving cost model re-measures every cell per harness) recycle the
-//! log storage instead of reallocating it per replay; only an owned
-//! schedule still allocates.
+//! log storage instead of reallocating it per replay. The hardware
+//! frontend model in `gdr-frontend` still allocates per graph: its owned
+//! schedule, its modeled hash table and its four class FIFOs.
 //!
-//! Results are byte-identical to the allocating paths, which remain
-//! available as thin wrappers constructing a transient workspace; a
-//! 48-seed property net (`crates/core/tests/workspace_properties.rs`)
-//! pins the equivalence over long reuse sequences with interleaved
-//! graph sizes.
+//! The one allocating convenience is the one-shot
+//! [`Restructurer::restructure`](crate::restructure::Restructurer::restructure),
+//! which runs the workspace path on a transient workspace and moves the
+//! results out. A 48-seed property net
+//! (`crates/core/tests/workspace_properties.rs`) pins that a reused
+//! workspace gives byte-identical results to a fresh one over long
+//! reuse sequences with interleaved graph sizes.
 //!
 //! # Examples
 //!
@@ -54,7 +58,6 @@ use gdr_memsim::buffer::{Replacement, SetAssocBuffer};
 use gdr_memsim::hbm::MemRequest;
 
 use crate::backbone::Backbone;
-use crate::locality::LruScratch;
 use crate::matching::Matching;
 use crate::recouple::{RestructuredSubgraphs, VertexPartition};
 
@@ -212,9 +215,6 @@ pub struct Workspace {
     /// request log, fetch counts) for the accelerator models' `_with`
     /// entry points.
     pub buffer_scratch: BufferScratch,
-    /// Pooled fully-associative LRU analysis state for
-    /// [`try_simulate_lru_with`](crate::locality::try_simulate_lru_with).
-    pub lru_scratch: LruScratch,
 }
 
 impl Workspace {

@@ -3,7 +3,7 @@
 //! [`hopcroft_karp_into`] opens with a greedy pass, keeps a list of the
 //! free sources, skips the final BFS once a side is saturated and runs an
 //! iterative augmenting DFS; the paper heuristic of
-//! [`Backbone::select`] reads only the rows of unmatched vertices. Both
+//! [`Backbone::select_into`] reads only the rows of unmatched vertices. Both
 //! must produce exactly what the plain constructions below produce:
 //!
 //! * [`reference_hopcroft_karp`] — every phase a full BFS seeded from all
@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 
 use gdr_core::backbone::{Backbone, BackboneStrategy};
 use gdr_core::matching::{
-    fifo_matching, greedy_matching, hopcroft_karp_into, Matching, PhaseStats,
+    fifo_matching_into, greedy_matching_into, hopcroft_karp_into, Matching, PhaseStats,
 };
 use gdr_core::workspace::MatchScratch;
 use gdr_hetgraph::datasets::Dataset;
@@ -201,9 +201,9 @@ fn corpus() -> Vec<BipartiteGraph> {
 
 /// Greedy's pairs at even positions in source order: a matching that is
 /// neither maximum nor maximal.
-fn half_of_greedy(g: &BipartiteGraph) -> Matching {
+fn half_of_greedy(g: &BipartiteGraph, greedy: &Matching) -> Matching {
     let mut m = Matching::empty(g.src_count(), g.dst_count());
-    for (s, d) in greedy_matching(g).pairs().into_iter().step_by(2) {
+    for (s, d) in greedy.pairs().into_iter().step_by(2) {
         m.link(s, d);
     }
     m
@@ -240,20 +240,23 @@ fn hopcroft_karp_equals_the_recursive_reference() {
 #[test]
 fn paper_backbone_equals_the_three_pass_reference() {
     let mut scratch = MatchScratch::default();
-    let mut hk = Matching::default();
+    let (mut hk, mut fifo, mut greedy) = Default::default();
+    let mut b = Backbone::default();
     let mut promoted = 0;
     for g in corpus() {
         hopcroft_karp_into(&g, &mut hk, &mut scratch);
+        fifo_matching_into(&g, &mut fifo, &mut scratch);
+        greedy_matching_into(&g, &mut greedy);
         let matchings = [
-            ("hopcroft-karp", hk.clone()),
-            ("fifo", fifo_matching(&g)),
-            ("greedy", greedy_matching(&g)),
-            ("empty", Matching::empty(g.src_count(), g.dst_count())),
-            ("half-greedy", half_of_greedy(&g)),
+            ("hopcroft-karp", &hk),
+            ("fifo", &fifo),
+            ("greedy", &greedy),
+            ("empty", &Matching::empty(g.src_count(), g.dst_count())),
+            ("half-greedy", &half_of_greedy(&g, &greedy)),
         ];
-        for (name, m) in &matchings {
+        for (name, m) in matchings {
             let ctx = format!("{} ({} edges) under {name}", g.name(), g.edge_count());
-            let b = Backbone::select(&g, m, BackboneStrategy::Paper);
+            Backbone::select_into(&g, m, BackboneStrategy::Paper, &mut b, &mut scratch);
             let (src_in, dst_in, promotions) = reference_paper_backbone(&g, m);
             assert_eq!(b.src_bitmap(), src_in.as_slice(), "sources: {ctx}");
             assert_eq!(b.dst_bitmap(), dst_in.as_slice(), "destinations: {ctx}");

@@ -5,8 +5,8 @@
 //! seeded `rand` shim and drives **one long-lived [`Workspace`]**
 //! through a sequence of graphs of wildly different sizes (tiny ↔ large
 //! interleaved, plus empty and star-shaped degenerates), asserting after
-//! every step that the workspace contents are byte-identical to the
-//! fresh-allocation path on the same graph:
+//! every step that the workspace contents are byte-identical to a
+//! restructuring on a fresh workspace of the same graph:
 //!
 //! * **matching** — same assignment tables and size;
 //! * **backbone** — same membership bitmaps, strategy, fixups;
@@ -14,41 +14,54 @@
 //! * **subgraphs** — same three edge lists, names, and
 //!   `cover_violations`;
 //! * **schedule** — same emitted edge order;
-//! * **stats** — same decoupling work counters;
-//! * **locality** — the pooled LRU scratch produces the same
-//!   [`LocalityReport`](gdr_core::locality::LocalityReport) as a fresh
-//!   simulation at any capacity.
+//! * **stats** — same decoupling work counters.
 //!
-//! This is what makes the allocating wrappers safe as thin adapters:
-//! any divergence between the paths is a correctness bug, not a tuning
-//! difference. Since both paths run the same subgraph generation, an
-//! oracle net checks that generation itself: each subgraph must equal
-//! [`BipartiteGraph::from_pairs`] over the edges of its class.
+//! Any divergence between a reused and a fresh workspace is a
+//! correctness bug, not a tuning difference. The one-shot
+//! [`Restructurer::restructure`] runs the same code as
+//! [`Restructurer::restructure_with`], so three more nets check the
+//! code itself against constructions of their own:
+//!
+//! * the granular `_into` steps, called one by one, must reproduce
+//!   `restructure_with`;
+//! * the recursive schedule must equal a reference recursion with its
+//!   own matcher dispatch and its own per-kind walk order;
+//! * each generated subgraph must equal
+//!   [`BipartiteGraph::from_pairs`] over the edges of its class.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use gdr_core::backbone::BackboneStrategy;
+use gdr_core::backbone::{Backbone, BackboneStrategy};
+use gdr_core::matching::{
+    fifo_matching_into, greedy_matching_into, hopcroft_karp_into, DecouplingStats,
+};
+use gdr_core::recouple::{RestructuredSubgraphs, SubgraphKind, VertexPartition};
 use gdr_core::restructure::{MatcherKind, Restructurer};
+use gdr_core::schedule::EdgeSchedule;
 use gdr_core::workspace::Workspace;
 use gdr_hetgraph::gen::PowerLawConfig;
-use gdr_hetgraph::BipartiteGraph;
+use gdr_hetgraph::{BipartiteGraph, Edge};
 
 /// Seeds per property — matches the serve property net's count; cheap
 /// because everything runs on generated graphs.
 const SEEDS: u64 = 48;
 
+const MATCHERS: [MatcherKind; 3] = [
+    MatcherKind::Fifo,
+    MatcherKind::HopcroftKarp,
+    MatcherKind::Greedy,
+];
+
+const STRATEGIES: [BackboneStrategy; 3] = [
+    BackboneStrategy::Paper,
+    BackboneStrategy::KonigExact,
+    BackboneStrategy::GreedyDegree,
+];
+
 fn random_restructurer(rng: &mut SmallRng) -> Restructurer {
-    let matcher = [
-        MatcherKind::Fifo,
-        MatcherKind::HopcroftKarp,
-        MatcherKind::Greedy,
-    ][rng.gen_range(0..3usize)];
-    let strategy = [
-        BackboneStrategy::Paper,
-        BackboneStrategy::KonigExact,
-        BackboneStrategy::GreedyDegree,
-    ][rng.gen_range(0..3usize)];
+    let matcher = MATCHERS[rng.gen_range(0..3usize)];
+    let strategy = STRATEGIES[rng.gen_range(0..3usize)];
     // Recursion reuses the workspace at the top level only, but its
     // schedule must still match the fresh path exactly.
     let depth = rng.gen_range(0..2usize);
@@ -128,105 +141,163 @@ fn reused_workspace_is_byte_identical_to_fresh_restructuring() {
     }
 }
 
-#[test]
-fn pooled_lru_scratch_is_byte_identical_to_fresh_simulation() {
-    use gdr_core::locality::{try_simulate_lru, try_simulate_lru_with};
-    use gdr_core::schedule::EdgeSchedule;
-
-    for seed in 0..SEEDS {
-        let mut rng = SmallRng::seed_from_u64(2_000 + seed);
-        let mut ws = Workspace::new();
-        for step in 0..6 {
-            let g = random_graph(&mut rng, step);
-            // Alternate natural and restructured orders so the pooled
-            // scratch sees both hit-heavy and miss-heavy access streams.
-            let schedule = if rng.gen_bool(0.5) {
-                EdgeSchedule::dst_major(&g)
-            } else {
-                random_restructurer(&mut rng)
-                    .restructure(&g)
-                    .schedule()
-                    .clone()
-            };
-            let capacity = rng.gen_range(1..96usize);
-            let pooled =
-                try_simulate_lru_with(&mut ws.lru_scratch, &g, &schedule, capacity).unwrap();
-            let fresh = try_simulate_lru(&g, &schedule, capacity).unwrap();
-            assert_eq!(pooled, fresh, "seed {seed} step {step} cap {capacity}");
+/// Runs `matcher` into `ws.matching` and returns the FIFO engine's work
+/// counters (zero for the other engines).
+fn match_into(ws: &mut Workspace, matcher: MatcherKind, g: &BipartiteGraph) -> DecouplingStats {
+    match matcher {
+        MatcherKind::Fifo => fifo_matching_into(g, &mut ws.matching, &mut ws.match_scratch),
+        MatcherKind::HopcroftKarp => {
+            hopcroft_karp_into(g, &mut ws.matching, &mut ws.match_scratch);
+            DecouplingStats::default()
+        }
+        MatcherKind::Greedy => {
+            greedy_matching_into(g, &mut ws.matching);
+            DecouplingStats::default()
         }
     }
 }
 
 #[test]
-fn granular_into_steps_match_their_allocating_twins() {
-    use gdr_core::backbone::Backbone;
-    use gdr_core::matching::{
-        fifo_matching_into, fifo_matching_with_stats, greedy_matching, greedy_matching_into,
-        hopcroft_karp_into, hopcroft_karp_with_stats,
-    };
-    use gdr_core::recouple::{RestructuredSubgraphs, VertexPartition};
-    use gdr_core::schedule::EdgeSchedule;
-
+fn granular_into_steps_match_restructure_with() {
     for seed in 0..SEEDS {
         let mut rng = SmallRng::seed_from_u64(1_000 + seed);
         let mut ws = Workspace::new();
+        let mut whole = Workspace::new();
         for step in 0..3 {
             let g = random_graph(&mut rng, step);
-            let ctx = format!("seed {seed} step {step}");
+            for matcher in MATCHERS {
+                for strategy in STRATEGIES {
+                    let ctx = format!("seed {seed} step {step} {matcher} {strategy}");
+                    let stats = match_into(&mut ws, matcher, &g);
+                    Backbone::select_into(
+                        &g,
+                        &ws.matching,
+                        strategy,
+                        &mut ws.backbone,
+                        &mut ws.match_scratch,
+                    );
+                    VertexPartition::from_backbone_into(&g, &ws.backbone, &mut ws.partition);
+                    RestructuredSubgraphs::generate_into(
+                        &g,
+                        &ws.backbone,
+                        &mut ws.subgraphs,
+                        &mut ws.recouple_scratch,
+                    );
+                    EdgeSchedule::restructured_into(&ws.subgraphs, &mut ws.edges);
 
-            let stats = fifo_matching_into(&g, &mut ws.matching, &mut ws.match_scratch);
-            let (m_fresh, stats_fresh) = fifo_matching_with_stats(&g);
-            assert_eq!(ws.matching, m_fresh, "fifo: {ctx}");
-            assert_eq!(stats, stats_fresh, "fifo stats: {ctx}");
-
-            let hk_stats = hopcroft_karp_into(&g, &mut ws.matching, &mut ws.match_scratch);
-            let (hk_fresh, hk_stats_fresh) = hopcroft_karp_with_stats(&g);
-            assert_eq!(ws.matching, hk_fresh, "hk: {ctx}");
-            assert_eq!(hk_stats, hk_stats_fresh, "hk stats: {ctx}");
-
-            greedy_matching_into(&g, &mut ws.matching);
-            assert_eq!(ws.matching, greedy_matching(&g), "greedy: {ctx}");
-
-            for strategy in [
-                BackboneStrategy::Paper,
-                BackboneStrategy::KonigExact,
-                BackboneStrategy::GreedyDegree,
-            ] {
-                Backbone::select_into(
-                    &g,
-                    &ws.matching,
-                    strategy,
-                    &mut ws.backbone,
-                    &mut ws.match_scratch,
-                );
-                let fresh = Backbone::select(&g, &ws.matching, strategy);
-                assert_eq!(ws.backbone, fresh, "{strategy}: {ctx}");
+                    let want = Restructurer::new()
+                        .matcher(matcher)
+                        .backbone_strategy(strategy)
+                        .restructure_with(&mut whole, &g);
+                    assert_eq!(stats, want, "stats: {ctx}");
+                    assert_eq!(ws.matching, whole.matching, "matching: {ctx}");
+                    assert_eq!(ws.backbone, whole.backbone, "backbone: {ctx}");
+                    assert_eq!(ws.partition, whole.partition, "partition: {ctx}");
+                    assert_eq!(ws.subgraphs, whole.subgraphs, "subgraphs: {ctx}");
+                    assert_eq!(ws.edges, whole.edges, "schedule: {ctx}");
+                }
             }
-
-            VertexPartition::from_backbone_into(&g, &ws.backbone, &mut ws.partition);
-            assert_eq!(
-                ws.partition,
-                VertexPartition::from_backbone(&g, &ws.backbone),
-                "partition: {ctx}"
-            );
-
-            RestructuredSubgraphs::generate_into(
-                &g,
-                &ws.backbone,
-                &mut ws.subgraphs,
-                &mut ws.recouple_scratch,
-            );
-            let fresh = RestructuredSubgraphs::generate(&g, &ws.backbone);
-            assert_eq!(ws.subgraphs, fresh, "subgraphs: {ctx}");
-
-            EdgeSchedule::restructured_into(&ws.subgraphs, &mut ws.edges);
-            assert_eq!(
-                ws.edges.as_slice(),
-                EdgeSchedule::restructured(&ws.subgraphs).edges(),
-                "schedule: {ctx}"
-            );
         }
     }
+}
+
+/// Matching, backbone and subgraphs of `g` on a fresh workspace, through
+/// this file's own matcher dispatch.
+fn reference_split(
+    g: &BipartiteGraph,
+    matcher: MatcherKind,
+    strategy: BackboneStrategy,
+) -> Workspace {
+    let mut ws = Workspace::new();
+    match_into(&mut ws, matcher, g);
+    Backbone::select_into(
+        g,
+        &ws.matching,
+        strategy,
+        &mut ws.backbone,
+        &mut ws.match_scratch,
+    );
+    RestructuredSubgraphs::generate_into(
+        g,
+        &ws.backbone,
+        &mut ws.subgraphs,
+        &mut ws.recouple_scratch,
+    );
+    ws
+}
+
+/// The recursive refinement as first written: a subgraph below
+/// `min_edges` edges, or at depth 0, is walked source-major if it is
+/// `Src_out × Dst_in` and destination-major otherwise; any other
+/// subgraph is split again and its three parts recursed into one level
+/// shallower.
+fn reference_recurse(
+    kind: SubgraphKind,
+    sg: &BipartiteGraph,
+    depth: usize,
+    cfg: (MatcherKind, BackboneStrategy, usize),
+    out: &mut Vec<Edge>,
+) {
+    let (matcher, strategy, min_edges) = cfg;
+    if depth == 0 || sg.edge_count() < min_edges {
+        if kind == SubgraphKind::OutIn {
+            out.extend(sg.iter_edges()); // source-major
+        } else {
+            for d in 0..sg.dst_count() {
+                out.extend(sg.in_neighbors(d).iter().map(|&s| Edge::new(s, d as u32)));
+            }
+        }
+        return;
+    }
+    let ws = reference_split(sg, matcher, strategy);
+    for kind in [SubgraphKind::OutIn, SubgraphKind::InIn, SubgraphKind::InOut] {
+        reference_recurse(kind, ws.subgraphs.get(kind), depth - 1, cfg, out);
+    }
+}
+
+#[test]
+fn recursive_schedule_equals_the_reference_recursion() {
+    const MIN_EDGES: usize = 32;
+    let mut recursed = 0;
+    for seed in 0..SEEDS {
+        let mut rng = SmallRng::seed_from_u64(4_000 + seed);
+        let mut ws = Workspace::new();
+        for step in 0..4 {
+            let g = random_graph(&mut rng, step);
+            recursed += usize::from(g.edge_count() >= MIN_EDGES);
+            for matcher in MATCHERS {
+                for strategy in STRATEGIES {
+                    // Greedy-degree rescans every vertex per pick, and a
+                    // subgraph keeps its parent's vertex spaces: on the
+                    // large class it alone would take ~20 s of a debug
+                    // run. The other three classes cover it.
+                    if step % 4 == 0 && strategy == BackboneStrategy::GreedyDegree {
+                        continue;
+                    }
+                    let top = reference_split(&g, matcher, strategy);
+                    for depth in [1, 2] {
+                        let mut want = Vec::new();
+                        for (kind, sg) in top.subgraphs.iter() {
+                            let cfg = (matcher, strategy, MIN_EDGES);
+                            reference_recurse(kind, sg, depth, cfg, &mut want);
+                        }
+                        Restructurer::new()
+                            .matcher(matcher)
+                            .backbone_strategy(strategy)
+                            .recursion_depth(depth)
+                            .min_recurse_edges(MIN_EDGES)
+                            .restructure_with(&mut ws, &g);
+                        let ctx = format!(
+                            "seed {seed} step {step} {matcher} {strategy} depth {depth} graph {}",
+                            g.name()
+                        );
+                        assert_eq!(ws.edges, want, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(recursed > 0, "the net must recurse somewhere");
 }
 
 /// The three subgraphs from first principles, in `SubgraphKind::ALL`
@@ -234,10 +305,7 @@ fn granular_into_steps_match_their_allocating_twins() {
 /// (an edge with neither endpoint inside goes to `in-out`), each class
 /// built by `BipartiteGraph::from_pairs` over `g`'s vertex spaces. Also
 /// returns the number of such non-cover edges.
-fn oracle_subgraphs(
-    g: &BipartiteGraph,
-    b: &gdr_core::backbone::Backbone,
-) -> ([BipartiteGraph; 3], usize) {
+fn oracle_subgraphs(g: &BipartiteGraph, b: &Backbone) -> ([BipartiteGraph; 3], usize) {
     let mut classes: [Vec<(u32, u32)>; 3] = Default::default();
     let mut violations = 0;
     for e in g.iter_edges() {
@@ -272,10 +340,6 @@ fn oracle_subgraphs(
 
 #[test]
 fn generated_subgraphs_equal_from_pairs_over_each_edge_class() {
-    use gdr_core::backbone::Backbone;
-    use gdr_core::matching::{fifo_matching, greedy_matching, hopcroft_karp};
-    use gdr_core::recouple::{RestructuredSubgraphs, SubgraphKind};
-
     let (mut multi_edges, mut empty, mut stars) = (0, 0, 0);
     for seed in 0..SEEDS {
         let mut rng = SmallRng::seed_from_u64(3_000 + seed);
@@ -286,13 +350,10 @@ fn generated_subgraphs_equal_from_pairs_over_each_edge_class() {
             multi_edges += pairs.windows(2).filter(|w| w[0] == w[1]).count();
             empty += usize::from(g.is_empty());
             stars += usize::from(g.name() == "star");
-            let m = [fifo_matching, hopcroft_karp, greedy_matching][rng.gen_range(0..3usize)](&g);
-            for strategy in [
-                BackboneStrategy::Paper,
-                BackboneStrategy::KonigExact,
-                BackboneStrategy::GreedyDegree,
-            ] {
-                let b = Backbone::select(&g, &m, strategy);
+            match_into(&mut ws, MATCHERS[rng.gen_range(0..3usize)], &g);
+            for strategy in STRATEGIES {
+                let mut b = Backbone::default();
+                Backbone::select_into(&g, &ws.matching, strategy, &mut b, &mut ws.match_scratch);
                 RestructuredSubgraphs::generate_into(
                     &g,
                     &b,

@@ -4,13 +4,14 @@
 //! table allocates matching-FIFO slots for destination vertices,
 //! visited/matching bitmaps gate the search, the Matching Buffer absorbs
 //! displaced FIFO state, and backbone candidates drain to the Candidate
-//! Buffer. The search itself runs greedy-then-phased (the hardware
-//! advances all free sources' searches concurrently; see DESIGN.md),
-//! with the software engine's augmenting DFS, so it produces exactly
+//! Buffer. The search itself runs greedy-then-phased: the hardware
+//! advances all free sources' searches concurrently, one sweep of them
+//! per bulk-synchronous phase, which is exactly a Hopcroft-Karp phase.
+//! With the software engine's augmenting DFS it produces exactly
 //! Hopcroft-Karp's maximum matching — tests verify the equality — plus a
 //! cycle count derived from the micro-operations performed.
 
-use gdr_core::matching::{augment, Matching};
+use gdr_core::matching::augment;
 use gdr_core::workspace::{MatchScratch, Workspace};
 use gdr_hetgraph::BipartiteGraph;
 use gdr_memsim::hashtable::HashTable;
@@ -39,32 +40,19 @@ pub struct DecouplerStats {
     pub candidate_spills: u64,
 }
 
-/// Result of decoupling one semantic graph in hardware.
-#[derive(Debug, Clone)]
-pub struct DecouplerRun {
-    /// The maximum matching (backbone candidates).
-    pub matching: Matching,
-    /// Cycle count of the run.
-    pub cycles: u64,
-    /// Micro-operation counters.
-    pub stats: DecouplerStats,
-    /// DRAM traffic issued by the Decoupler (topology streaming,
-    /// candidate spills).
-    pub requests: Vec<MemRequest>,
-}
-
-/// Outcome of a workspace decoupling run
-/// ([`Decoupler::decouple_with`]): everything but the matching, which
-/// lands in the workspace's `matching` slot so its tables can be reused
-/// by the next graph.
+/// Outcome of decoupling one semantic graph in hardware
+/// ([`Decoupler::decouple_with`]): everything but the maximum matching
+/// (the backbone candidates), which lands in the workspace's `matching`
+/// slot so its tables can be reused by the next graph.
 #[derive(Debug, Clone)]
 pub struct DecoupleOutcome {
     /// Cycle count of the run.
     pub cycles: u64,
     /// Micro-operation counters.
     pub stats: DecouplerStats,
-    /// DRAM traffic issued by the Decoupler. The log is owned — callers
-    /// retain it across graphs — but its storage is drawn from the
+    /// DRAM traffic issued by the Decoupler (topology streaming,
+    /// candidate spills). The log is owned — callers retain it across
+    /// graphs — but its storage is drawn from the
     /// workspace's request pool, so retiring runs through
     /// [`Workspace::recycle_request_log`] makes replays allocation-free
     /// at steady state.
@@ -79,9 +67,11 @@ pub struct DecoupleOutcome {
 /// use gdr_hetgraph::BipartiteGraph;
 /// use gdr_frontend::config::FrontendConfig;
 /// use gdr_frontend::decoupler::Decoupler;
+/// use gdr_frontend::Workspace;
 /// let g = BipartiteGraph::from_pairs("g", 2, 2, &[(0, 0), (0, 1), (1, 0)])?;
-/// let run = Decoupler::new(FrontendConfig::default()).decouple(&g);
-/// assert_eq!(run.matching.size(), 2); // maximum matching
+/// let mut ws = Workspace::new();
+/// let run = Decoupler::new(FrontendConfig::default()).decouple_with(&mut ws, &g);
+/// assert_eq!(ws.matching.size(), 2); // maximum matching
 /// assert!(run.cycles > 0);
 /// # Ok::<(), gdr_hetgraph::GraphError>(())
 /// ```
@@ -106,28 +96,11 @@ impl Decoupler {
         &self.cfg
     }
 
-    /// Runs graph decoupling on one semantic graph.
-    ///
-    /// Thin wrapper over [`Decoupler::decouple_with`] with a transient
-    /// workspace; callers decoupling many graphs should hold a
-    /// [`Workspace`] and use the `_with` path.
-    pub fn decouple(&self, g: &BipartiteGraph) -> DecouplerRun {
-        let mut ws = Workspace::new();
-        let out = self.decouple_with(&mut ws, g);
-        DecouplerRun {
-            matching: ws.matching,
-            cycles: out.cycles,
-            stats: out.stats,
-            requests: out.requests,
-        }
-    }
-
-    /// Runs graph decoupling through a reusable [`Workspace`]: the
-    /// matching is rebuilt in `ws.matching` and the bulk-synchronous
-    /// search reuses `ws.match_scratch`'s BFS arrays, so the modeled
-    /// datapath allocates only its per-run outputs (the DRAM request
-    /// log) at steady state. Results are identical to
-    /// [`Decoupler::decouple`].
+    /// Runs graph decoupling on one semantic graph through a reusable
+    /// [`Workspace`]: the matching is rebuilt in `ws.matching` and the
+    /// bulk-synchronous search reuses `ws.match_scratch`'s BFS arrays.
+    /// The DRAM request log draws its storage from the workspace's
+    /// request pool. The modeled hash table is built per run.
     pub fn decouple_with(&self, ws: &mut Workspace, g: &BipartiteGraph) -> DecoupleOutcome {
         let n_src = g.src_count();
         let n_dst = g.dst_count();
@@ -213,7 +186,7 @@ impl Decoupler {
             // Augment along vertex-disjoint shortest paths (the matching
             // FIFOs' parent pointers), charging one step per link walked.
             // The search is the software engine's own, so the modeled
-            // datapath finds exactly `hopcroft_karp`'s matching.
+            // datapath finds exactly `hopcroft_karp_into`'s matching.
             let mut augmented = false;
             let mut steps = 0;
             for s in 0..n_src as u32 {
@@ -264,7 +237,8 @@ impl Decoupler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdr_core::matching::hopcroft_karp;
+    use gdr_core::matching::Matching;
+    use gdr_core::restructure::Restructurer;
     use gdr_hetgraph::gen::PowerLawConfig;
 
     fn graph(seed: u64) -> BipartiteGraph {
@@ -273,14 +247,27 @@ mod tests {
             .generate("g", seed)
     }
 
+    /// Decouples `g` on a fresh workspace: the matching and the outcome.
+    fn decouple(cfg: FrontendConfig, g: &BipartiteGraph) -> (Matching, DecoupleOutcome) {
+        let mut ws = Workspace::new();
+        let run = Decoupler::new(cfg).decouple_with(&mut ws, g);
+        (ws.matching, run)
+    }
+
+    /// Hopcroft-Karp's matching, the default engine of the software
+    /// restructurer.
+    fn software_matching(g: &BipartiteGraph) -> Matching {
+        Restructurer::new().restructure(g).matching().clone()
+    }
+
     #[test]
     fn hardware_matching_is_maximum() {
         for seed in 0..8 {
             let g = graph(seed);
-            let run = Decoupler::new(FrontendConfig::default()).decouple(&g);
-            let oracle = hopcroft_karp(&g);
-            assert!(run.matching.is_valid(&g), "seed {seed}");
-            assert_eq!(run.matching.size(), oracle.size(), "seed {seed}");
+            let (matching, _) = decouple(FrontendConfig::default(), &g);
+            let oracle = software_matching(&g);
+            assert!(matching.is_valid(&g), "seed {seed}");
+            assert_eq!(matching.size(), oracle.size(), "seed {seed}");
         }
     }
 
@@ -291,20 +278,20 @@ mod tests {
         // phases run the same search, so the pairs chosen are the same
         for seed in 0..8 {
             let g = graph(seed);
-            let hw = Decoupler::new(FrontendConfig::default()).decouple(&g);
-            assert_eq!(hw.matching, hopcroft_karp(&g), "seed {seed}");
-            assert!(hw.matching.is_valid(&g));
-            assert!(hw.matching.is_maximal(&g));
+            let (hw, _) = decouple(FrontendConfig::default(), &g);
+            assert_eq!(hw, software_matching(&g), "seed {seed}");
+            assert!(hw.is_valid(&g));
+            assert!(hw.is_maximal(&g));
         }
     }
 
     #[test]
     fn cycles_scale_with_work() {
-        let small = Decoupler::new(FrontendConfig::default()).decouple(&graph(1));
+        let (_, small) = decouple(FrontendConfig::default(), &graph(1));
         let big_graph = PowerLawConfig::new(2000, 1800, 9000)
             .dst_alpha(0.9)
             .generate("b", 1);
-        let big = Decoupler::new(FrontendConfig::default()).decouple(&big_graph);
+        let (_, big) = decouple(FrontendConfig::default(), &big_graph);
         assert!(big.cycles > small.cycles);
         assert!(big.stats.edge_probes >= big_graph.edge_count() as u64 / 4);
     }
@@ -312,24 +299,24 @@ mod tests {
     #[test]
     fn wider_dispatch_is_faster() {
         let g = graph(3);
-        let narrow = Decoupler::new(FrontendConfig {
+        let narrow_cfg = FrontendConfig {
             dispatch_width: 1,
             ..FrontendConfig::default()
-        })
-        .decouple(&g);
-        let wide = Decoupler::new(FrontendConfig {
+        };
+        let wide_cfg = FrontendConfig {
             dispatch_width: 16,
             ..FrontendConfig::default()
-        })
-        .decouple(&g);
+        };
+        let (narrow_m, narrow) = decouple(narrow_cfg, &g);
+        let (wide_m, wide) = decouple(wide_cfg, &g);
         assert!(wide.cycles < narrow.cycles);
-        assert_eq!(wide.matching.size(), narrow.matching.size());
+        assert_eq!(wide_m.size(), narrow_m.size());
     }
 
     #[test]
     fn topology_streamed_from_dram() {
         let g = graph(4);
-        let run = Decoupler::new(FrontendConfig::default()).decouple(&g);
+        let (_, run) = decouple(FrontendConfig::default(), &g);
         let read_bytes: u64 = run
             .requests
             .iter()
@@ -343,11 +330,11 @@ mod tests {
     fn candidate_overflow_spills() {
         // tiny candidate buffer forces spills
         let g = PowerLawConfig::new(400, 400, 2000).generate("s", 5);
-        let run = Decoupler::new(FrontendConfig {
+        let cfg = FrontendConfig {
             candidate_buffer_bytes: 64, // 8 pairs
             ..FrontendConfig::default()
-        })
-        .decouple(&g);
+        };
+        let (_, run) = decouple(cfg, &g);
         assert!(run.stats.candidate_spills > 0);
         assert!(run.requests.iter().any(|r| r.write));
     }
@@ -355,8 +342,8 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = BipartiteGraph::from_pairs("e", 4, 4, &[]).unwrap();
-        let run = Decoupler::new(FrontendConfig::default()).decouple(&g);
-        assert_eq!(run.matching.size(), 0);
+        let (matching, run) = decouple(FrontendConfig::default(), &g);
+        assert_eq!(matching.size(), 0);
         assert_eq!(run.stats.edge_probes, 0);
     }
 }

@@ -16,6 +16,13 @@
 //! * [`area_power`] — Fig. 10's component-level area/power estimate;
 //! * [`config`] — Table 3 hardware parameters.
 //!
+//! Each stage model has one entry point, and it takes the restructuring
+//! [`Workspace`]: [`Decoupler::decouple_with`],
+//! [`Recoupler::recouple_with`] and [`FrontendPipeline::process_with`].
+//! [`Session`] drives them over a set of semantic graphs, and its
+//! one-shot forms ([`Session::process`], [`Session::iter`],
+//! [`Session::par_process`]) hold the workspaces themselves.
+//!
 //! # Examples
 //!
 //! ```
@@ -43,9 +50,9 @@ pub mod session;
 
 pub use area_power::FrontendAreaPower;
 pub use config::FrontendConfig;
-pub use decoupler::{DecoupleOutcome, Decoupler, DecouplerRun};
+pub use decoupler::{DecoupleOutcome, Decoupler};
 pub use pipeline::{FrontendPipeline, FrontendRun, GraphResult};
-pub use recoupler::{RecoupleOutcome, Recoupler, RecouplerRun};
+pub use recoupler::{RecoupleOutcome, Recoupler};
 pub use session::Session;
 // The reusable restructuring arena, re-exported so downstream layers
 // (serving, benches) can hold one without a direct gdr-core dependency.

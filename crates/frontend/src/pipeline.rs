@@ -144,7 +144,8 @@ impl FrontendRun {
     }
 }
 
-/// Decoupler + Recoupler pipeline.
+/// Decoupler + Recoupler pipeline. [`crate::session::Session`] drives it
+/// over a set of semantic graphs.
 ///
 /// # Examples
 ///
@@ -152,11 +153,15 @@ impl FrontendRun {
 /// use gdr_hetgraph::datasets::Dataset;
 /// use gdr_frontend::pipeline::FrontendPipeline;
 /// use gdr_frontend::config::FrontendConfig;
+/// use gdr_frontend::Workspace;
 ///
 /// let het = Dataset::Acm.build_scaled(1, 0.03);
-/// let graphs = het.all_semantic_graphs();
-/// let run = FrontendPipeline::new(FrontendConfig::default()).process_all(&graphs);
-/// assert_eq!(run.per_graph().len(), graphs.len());
+/// let pipeline = FrontendPipeline::new(FrontendConfig::default());
+/// let mut ws = Workspace::new();
+/// for g in het.all_semantic_graphs() {
+///     let r = pipeline.process_with(&mut ws, &g);
+///     assert!(r.schedule.is_permutation_of(&g));
+/// }
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrontendPipeline {
@@ -173,24 +178,14 @@ impl FrontendPipeline {
         }
     }
 
-    /// Restructures one semantic graph.
-    ///
-    /// Thin wrapper over [`FrontendPipeline::process_with`] constructing
-    /// a transient [`Workspace`]; callers restructuring many graphs
-    /// should hold one workspace and use the `_with` path (the
-    /// [`crate::session::Session`] API does this automatically).
-    pub fn process(&self, g: &BipartiteGraph) -> GraphResult {
-        self.process_with(&mut Workspace::new(), g)
-    }
-
     /// Restructures one semantic graph through a reusable [`Workspace`]:
     /// Decoupler and Recoupler intermediates (matching tables, BFS
     /// arrays, partition FIFOs, subgraph CSRs) are rebuilt in place, and
     /// the DRAM request log draws its storage from the workspace's
     /// request pool (retire whole runs back into it with
-    /// [`FrontendRun::recycle_into`]), so at steady state only the
-    /// retained schedule allocates. Results are identical to
-    /// [`FrontendPipeline::process`].
+    /// [`FrontendRun::recycle_into`]). At steady state a graph still
+    /// allocates its retained schedule, the Decoupler's modeled hash
+    /// table and the Recoupler's four modeled class FIFOs.
     pub fn process_with(&self, ws: &mut Workspace, g: &BipartiteGraph) -> GraphResult {
         let dec = self.decoupler.decouple_with(ws, g);
         let matching_size = ws.matching.size();
@@ -215,34 +210,18 @@ impl FrontendPipeline {
             recoupler_stats: rec.stats,
         }
     }
-
-    /// Restructures every semantic graph of a dataset, eagerly, through
-    /// one reused workspace.
-    ///
-    /// This is the batch adapter over the streaming API: equivalent to
-    /// `Session::with_pipeline(self.clone(), graphs).process()`. Prefer
-    /// [`crate::session::Session`] when results should stream per graph
-    /// or fan out across cores.
-    pub fn process_all(&self, graphs: &[BipartiteGraph]) -> FrontendRun {
-        let mut ws = Workspace::new();
-        FrontendRun::from_results(
-            graphs
-                .iter()
-                .map(|g| self.process_with(&mut ws, g))
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
     use gdr_hetgraph::datasets::Dataset;
 
     fn run() -> (Vec<BipartiteGraph>, FrontendRun) {
         let het = Dataset::Imdb.build_scaled(1, 0.05);
         let graphs = het.all_semantic_graphs();
-        let run = FrontendPipeline::new(FrontendConfig::default()).process_all(&graphs);
+        let run = Session::new(FrontendConfig::default(), &graphs).process();
         (graphs, run)
     }
 
@@ -298,7 +277,7 @@ mod tests {
         let mut ws = Workspace::new();
         for g in &graphs {
             let reused = pipeline.process_with(&mut ws, g);
-            let fresh = pipeline.process(g);
+            let fresh = pipeline.process_with(&mut Workspace::new(), g);
             assert_eq!(reused.schedule, fresh.schedule, "{}", g.name());
             assert_eq!(reused.cycles, fresh.cycles, "{}", g.name());
             assert_eq!(reused.matching_size, fresh.matching_size);

@@ -7,10 +7,9 @@
 //! Generator drains those FIFOs into the three restructured subgraphs.
 
 use gdr_core::backbone::{Backbone, BackboneStrategy};
-use gdr_core::matching::Matching;
 use gdr_core::recouple::{RestructuredSubgraphs, VertexPartition};
 use gdr_core::schedule::EdgeSchedule;
-use gdr_core::workspace::{MatchScratch, RecoupleScratch, Workspace};
+use gdr_core::workspace::Workspace;
 use gdr_hetgraph::BipartiteGraph;
 use gdr_memsim::fifo::HwFifo;
 use gdr_memsim::hbm::MemRequest;
@@ -34,32 +33,14 @@ pub struct RecouplerStats {
     pub adj_spill_fetches: u64,
 }
 
-/// Outcome of a workspace recoupling run
+/// Outcome of recoupling one semantic graph in hardware
 /// ([`Recoupler::recouple_with`]): the owned products — the schedule
 /// handed to the accelerator, cycles, counters, DRAM requests — while
-/// the backbone, partition, and subgraphs land in the workspace slots
-/// for in-place reuse by the next graph.
+/// the selected backbone, the four-way vertex partition (the class
+/// FIFOs' final contents) and the three generated subgraphs land in the
+/// workspace slots for in-place reuse by the next graph.
 #[derive(Debug, Clone)]
 pub struct RecoupleOutcome {
-    /// The restructured edge schedule handed to the accelerator.
-    pub schedule: EdgeSchedule,
-    /// Cycle count of the run.
-    pub cycles: u64,
-    /// Micro-operation counters.
-    pub stats: RecouplerStats,
-    /// DRAM traffic (adjacency overflow fetches, subgraph write-out).
-    pub requests: Vec<MemRequest>,
-}
-
-/// Result of recoupling one semantic graph in hardware.
-#[derive(Debug, Clone)]
-pub struct RecouplerRun {
-    /// The selected backbone.
-    pub backbone: Backbone,
-    /// Four-way vertex partition (the class FIFOs' final contents).
-    pub partition: VertexPartition,
-    /// The three generated subgraphs.
-    pub subgraphs: RestructuredSubgraphs,
     /// The restructured edge schedule handed to the accelerator.
     pub schedule: EdgeSchedule,
     /// Cycle count of the run.
@@ -79,11 +60,13 @@ pub struct RecouplerRun {
 /// use gdr_frontend::config::FrontendConfig;
 /// use gdr_frontend::decoupler::Decoupler;
 /// use gdr_frontend::recoupler::Recoupler;
+/// use gdr_frontend::Workspace;
 /// let g = BipartiteGraph::from_pairs("g", 3, 3, &[(0, 0), (1, 0), (2, 2)])?;
 /// let cfg = FrontendConfig::default();
-/// let dec = Decoupler::new(cfg.clone()).decouple(&g);
-/// let rec = Recoupler::new(cfg).recouple(&g, &dec.matching);
-/// assert!(rec.backbone.covers_all_edges(&g));
+/// let mut ws = Workspace::new();
+/// Decoupler::new(cfg.clone()).decouple_with(&mut ws, &g);
+/// let rec = Recoupler::new(cfg).recouple_with(&mut ws, &g);
+/// assert!(ws.backbone.covers_all_edges(&g));
 /// assert!(rec.schedule.is_permutation_of(&g));
 /// # Ok::<(), gdr_hetgraph::GraphError>(())
 /// ```
@@ -106,43 +89,16 @@ impl Recoupler {
         &self.cfg
     }
 
-    /// Runs graph recoupling from the Decoupler's matching, producing the
-    /// restructured subgraphs and their execution schedule.
-    ///
-    /// Thin wrapper over the workspace path with a transient
-    /// [`Workspace`]; callers recoupling many graphs should hold one and
-    /// use [`Recoupler::recouple_with`].
-    pub fn recouple(&self, g: &BipartiteGraph, matching: &Matching) -> RecouplerRun {
-        let mut ws = Workspace::new();
-        let out = self.recouple_parts(
-            g,
-            matching,
-            &mut ws.backbone,
-            &mut ws.partition,
-            &mut ws.subgraphs,
-            &mut ws.match_scratch,
-            &mut ws.recouple_scratch,
-            Vec::new(),
-        );
-        RecouplerRun {
-            backbone: ws.backbone,
-            partition: ws.partition,
-            subgraphs: ws.subgraphs,
-            schedule: out.schedule,
-            cycles: out.cycles,
-            stats: out.stats,
-            requests: out.requests,
-        }
-    }
-
     /// Runs graph recoupling through a reusable [`Workspace`]: consumes
     /// the matching left in `ws.matching` by
     /// [`Decoupler::decouple_with`](crate::decoupler::Decoupler::decouple_with),
     /// rebuilds `ws.backbone` / `ws.partition` / `ws.subgraphs` in
-    /// place, and returns only the owned products. Results are identical
-    /// to [`Recoupler::recouple`] on the same matching.
+    /// place, and returns the owned products: the restructured
+    /// subgraphs' execution schedule, cycles, counters and DRAM
+    /// requests. The request log draws its storage from the workspace's
+    /// request pool. The four modeled class FIFOs are built per run.
     pub fn recouple_with(&self, ws: &mut Workspace, g: &BipartiteGraph) -> RecoupleOutcome {
-        let log = ws.take_request_log();
+        let mut requests = ws.take_request_log();
         let Workspace {
             matching,
             match_scratch,
@@ -152,32 +108,7 @@ impl Recoupler {
             recouple_scratch,
             ..
         } = ws;
-        self.recouple_parts(
-            g,
-            matching,
-            backbone,
-            partition,
-            subgraphs,
-            match_scratch,
-            recouple_scratch,
-            log,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn recouple_parts(
-        &self,
-        g: &BipartiteGraph,
-        matching: &Matching,
-        backbone_out: &mut Backbone,
-        partition_out: &mut VertexPartition,
-        subgraphs_out: &mut RestructuredSubgraphs,
-        match_scratch: &mut MatchScratch,
-        recouple_scratch: &mut RecoupleScratch,
-        log: Vec<MemRequest>,
-    ) -> RecoupleOutcome {
         let mut stats = RecouplerStats::default();
-        let mut requests = log;
         debug_assert!(requests.is_empty(), "pooled logs arrive cleared");
 
         // ---- Backbone Searcher (Algorithm 2 through the datapath) ----
@@ -187,10 +118,9 @@ impl Recoupler {
             g,
             matching,
             BackboneStrategy::Paper,
-            backbone_out,
+            backbone,
             match_scratch,
         );
-        let backbone = &*backbone_out;
         for s in 0..g.src_count() {
             if matching.src_matched(s) {
                 stats.candidates_examined += 1;
@@ -218,8 +148,7 @@ impl Recoupler {
         }
 
         // ---- Class FIFOs ----
-        VertexPartition::from_backbone_into(g, backbone, partition_out);
-        let partition = &*partition_out;
+        VertexPartition::from_backbone_into(g, backbone, partition);
         let entries = self.cfg.class_fifo_entries();
         let mut fifos = [
             HwFifo::<u32>::new("src_in", entries),
@@ -249,8 +178,10 @@ impl Recoupler {
         }
 
         // ---- Graph Generator ----
-        RestructuredSubgraphs::generate_into(g, backbone, subgraphs_out, recouple_scratch);
-        let schedule = EdgeSchedule::restructured(&*subgraphs_out);
+        RestructuredSubgraphs::generate_into(g, backbone, subgraphs, recouple_scratch);
+        let mut edges = Vec::with_capacity(subgraphs.total_edges());
+        EdgeSchedule::restructured_into(subgraphs, &mut edges);
+        let schedule = EdgeSchedule::new("restructured", edges);
         stats.edges_emitted = schedule.len() as u64;
         // restructured topology streams back to HBM for the accelerator
         let out_bytes = stats.edges_emitted * 8;
@@ -285,29 +216,33 @@ mod tests {
     use crate::decoupler::Decoupler;
     use gdr_hetgraph::gen::PowerLawConfig;
 
-    fn pipeline(seed: u64, cfg: FrontendConfig) -> (BipartiteGraph, RecouplerRun) {
+    /// Decouples and recouples a generated graph on a fresh workspace:
+    /// the graph, the workspace holding the backbone and subgraphs, and
+    /// the Recoupler's outcome.
+    fn pipeline(seed: u64, cfg: FrontendConfig) -> (BipartiteGraph, Workspace, RecoupleOutcome) {
         let g = PowerLawConfig::new(300, 280, 1400)
             .dst_alpha(0.9)
             .generate("g", seed);
-        let dec = Decoupler::new(cfg.clone()).decouple(&g);
-        let rec = Recoupler::new(cfg).recouple(&g, &dec.matching);
-        (g, rec)
+        let mut ws = Workspace::new();
+        Decoupler::new(cfg.clone()).decouple_with(&mut ws, &g);
+        let rec = Recoupler::new(cfg).recouple_with(&mut ws, &g);
+        (g, ws, rec)
     }
 
     #[test]
     fn produces_valid_restructuring() {
         for seed in 0..6 {
-            let (g, rec) = pipeline(seed, FrontendConfig::default());
-            assert!(rec.backbone.covers_all_edges(&g), "seed {seed}");
+            let (g, ws, rec) = pipeline(seed, FrontendConfig::default());
+            assert!(ws.backbone.covers_all_edges(&g), "seed {seed}");
             assert!(rec.schedule.is_permutation_of(&g), "seed {seed}");
-            assert_eq!(rec.subgraphs.total_edges(), g.edge_count());
+            assert_eq!(ws.subgraphs.total_edges(), g.edge_count());
             assert_eq!(rec.stats.edges_emitted as usize, g.edge_count());
         }
     }
 
     #[test]
     fn cycles_and_checks_scale_with_edges() {
-        let (g, rec) = pipeline(1, FrontendConfig::default());
+        let (g, _, rec) = pipeline(1, FrontendConfig::default());
         assert!(rec.stats.neighbor_checks >= g.edge_count() as u64 / 2);
         assert!(rec.cycles > 0);
     }
@@ -318,7 +253,7 @@ mod tests {
             fifo_bytes: 64, // 4 entries per class FIFO
             ..FrontendConfig::default()
         };
-        let (g, rec) = pipeline(2, cfg);
+        let (g, _, rec) = pipeline(2, cfg);
         assert!(rec.stats.fifo_stalls > 0);
         assert!(rec.schedule.is_permutation_of(&g));
     }
@@ -329,14 +264,14 @@ mod tests {
             adj_buffer_bytes: 1024, // 256 edges
             ..FrontendConfig::default()
         };
-        let (_, rec) = pipeline(3, cfg);
+        let (_, _, rec) = pipeline(3, cfg);
         assert!(rec.stats.adj_spill_fetches > 0);
         assert!(rec.requests.iter().any(|r| !r.write));
     }
 
     #[test]
     fn restructured_topology_written_back() {
-        let (g, rec) = pipeline(4, FrontendConfig::default());
+        let (g, _, rec) = pipeline(4, FrontendConfig::default());
         let written: u64 = rec
             .requests
             .iter()

@@ -1,13 +1,11 @@
 //! The streaming frontend session: lazy, per-graph restructuring.
 //!
-//! [`FrontendPipeline::process_all`] is an eager batch API: it
-//! restructures every semantic graph before the caller sees the first
-//! result. A [`Session`] is the lazy counterpart — it borrows the
-//! semantic graphs, restructures on demand ([`Session::iter`] streams
-//! one [`GraphResult`] per graph, in input order), and can fan the
-//! independent per-graph work out across cores
-//! ([`Session::par_process`]) with no extra cloning. Batch totals remain
-//! available by collecting the stream back into a [`FrontendRun`].
+//! A [`Session`] drives the [`FrontendPipeline`] over a borrowed set of
+//! semantic graphs. It restructures on demand ([`Session::iter`]
+//! streams one [`GraphResult`] per graph, in input order), eagerly
+//! ([`Session::process`] collects the batch totals into a
+//! [`FrontendRun`]), or fanned out across cores
+//! ([`Session::par_process`]) with no extra cloning.
 //!
 //! Parallelism uses `std::thread::scope` with an atomic work queue
 //! rather than an external thread pool, so the crate stays
@@ -70,11 +68,6 @@ impl<'g> Session<'g> {
         }
     }
 
-    /// Opens a session reusing an existing pipeline.
-    pub fn with_pipeline(pipeline: FrontendPipeline, graphs: &'g [BipartiteGraph]) -> Self {
-        Self { pipeline, graphs }
-    }
-
     /// Re-binds the session's configured pipeline to a different set of
     /// semantic graphs. This is the serving hook: an online server keeps
     /// one warm pipeline per replica and points it at each incoming
@@ -109,8 +102,8 @@ impl<'g> Session<'g> {
     /// accelerator graph-by-graph, as the §4.3 overlap pipeline does)
     /// never pays for the tail. The iterator owns one restructuring
     /// [`Workspace`] and reuses it across every graph it yields, so the
-    /// stream's intermediates stop allocating once the buffers reach the
-    /// largest graph's size.
+    /// workspace's buffers stop growing once they reach the largest
+    /// graph's size.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = GraphResult> + '_ {
         let mut ws = Workspace::new();
         self.graphs
@@ -118,9 +111,8 @@ impl<'g> Session<'g> {
             .map(move |g| self.pipeline.process_with(&mut ws, g))
     }
 
-    /// Restructures every graph sequentially and aggregates the results
-    /// — the streaming equivalent of the old
-    /// [`FrontendPipeline::process_all`].
+    /// Restructures every graph sequentially, through one transient
+    /// [`Workspace`], and aggregates the results in input order.
     pub fn process(&self) -> FrontendRun {
         self.process_with(&mut Workspace::new())
     }
@@ -211,8 +203,8 @@ mod tests {
     fn streaming_matches_batch_graph_for_graph() {
         let graphs = graphs();
         let cfg = FrontendConfig::default();
-        let batch = FrontendPipeline::new(cfg.clone()).process_all(&graphs);
         let session = Session::new(cfg, &graphs);
+        let batch = session.process();
         let mut streamed = 0;
         for (b, s) in batch.per_graph().iter().zip(session.iter()) {
             assert_eq!(b.schedule, s.schedule);

@@ -4,8 +4,8 @@
 //! module synthesizes graphs with **exactly** the per-type vertex counts,
 //! feature dimensions and relation sets of Table 2, and edge counts that
 //! match the published HGB statistics, using seeded power-law generators
-//! (see DESIGN.md's substitution table: buffer-thrashing behaviour depends
-//! on these aggregate statistics, not on exact edge identity).
+//! (buffer-thrashing behaviour depends on these aggregate statistics, not
+//! on exact edge identity).
 
 use crate::error::Result;
 use crate::gen::{fixed_out_degree, PowerLawConfig};

@@ -1,9 +1,8 @@
 //! Seeded random bipartite graph generators.
 //!
 //! Real HGB datasets are replaced by synthetic graphs with matching size
-//! statistics (see DESIGN.md, substitution table). The generators here are
-//! deterministic in their seed, so every experiment in the workspace is
-//! reproducible bit-for-bit.
+//! statistics. The generators here are deterministic in their seed, so
+//! every experiment in the workspace is reproducible bit-for-bit.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

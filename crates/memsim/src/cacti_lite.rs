@@ -5,7 +5,7 @@
 //! per-byte / per-gate model whose 12 nm constants are calibrated so the
 //! component-level totals land near the published figures (0.50 mm² and
 //! 55.6 mW for GDR-HGNN; Fig. 10's breakdown structure). Constants are
-//! documented below and recorded in EXPERIMENTS.md.
+//! documented below.
 
 /// Technology node with scaling relative to the 12 nm calibration point.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -5,7 +5,7 @@
 //! request to the currently open row is a row hit), and DDR-style timing
 //! parameters. The evaluation consumes exactly three observables —
 //! latency, access counts and achieved bandwidth — which this abstraction
-//! level captures (see DESIGN.md's substitution table).
+//! level captures.
 
 /// A single memory transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

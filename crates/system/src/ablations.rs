@@ -1,4 +1,4 @@
-//! Design-choice ablations (not in the paper; called out in DESIGN.md).
+//! Design-choice ablations (not in the paper).
 //!
 //! * backbone strategy: paper heuristic vs exact König vs greedy-degree
 //!   (the I-GCN-like baseline) vs no restructuring;

@@ -236,8 +236,10 @@ mod tests {
         let combined =
             CombinedSystem::new(accel_cfg, FrontendConfig::default()).execute(&w, &graphs);
         // At reduced test scale the frontend's fixed per-graph costs are
-        // proportionally large; the full-scale runs (EXPERIMENTS.md) show
-        // net wins. Here: traffic must drop and time must stay close.
+        // proportionally large. The full-scale grid shows no net win
+        // either: 1.00x of HiHGNN (paper 1.78x) at 96.3% of its DRAM bytes
+        // (paper 57.1%), see ROADMAP item 1. Here: traffic must drop and
+        // time must stay close.
         assert!(
             combined.report().dram_bytes < plain.report.dram_bytes,
             "combined {} vs plain {} bytes",

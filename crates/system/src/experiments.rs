@@ -2,7 +2,7 @@
 //!
 //! Each driver consumes a [`crate::grid::GridPoint`] slice (or runs its
 //! own pass) and returns both structured data and a markdown rendering.
-//! EXPERIMENTS.md records their full-scale output against the paper.
+//! `gdr-bench paper --scale paper` renders their full-scale output.
 
 use gdr_accel::report::geomean;
 use gdr_frontend::area_power::FrontendAreaPower;
@@ -572,7 +572,8 @@ mod tests {
         let (a100, hihgnn, gdr) = f.geomean;
         assert!(a100 > 1.0, "A100 beats T4: {a100}");
         assert!(hihgnn > a100, "HiHGNN beats A100: {hihgnn} vs {a100}");
-        // at test scale the frontend's fixed costs bite; full scale wins
+        // GDR does not win at either scale in this model: at full scale
+        // it reads 1.00x of HiHGNN (paper 1.78x); see ROADMAP item 1
         assert!(gdr >= hihgnn * 0.75, "GDR competitive: {gdr} vs {hihgnn}");
         let md = f.to_markdown();
         assert!(md.contains("GEOMEAN"));
@@ -584,7 +585,7 @@ mod tests {
         let f = fig8(&g);
         let (a100, hihgnn, gdr) = f.geomean;
         // at test scale both GPU L2s hold the working sets, so their
-        // traffic ties; at full scale A100 < T4 (see EXPERIMENTS.md)
+        // traffic ties; at full scale A100 moves 98.4% of T4's bytes
         assert!(a100 <= 100.5, "A100 moves no more data than T4: {a100}");
         assert!(hihgnn < a100, "HiHGNN moves less than the GPUs");
         assert!(gdr <= hihgnn * 1.1, "GDR keeps HiHGNN traffic in check");

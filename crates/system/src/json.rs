@@ -548,11 +548,17 @@ impl Parser<'_> {
             }
             self.digits();
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        let x = std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
             .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(invalid)
+            .ok_or_else(invalid)?;
+        // A literal past the f64 range parses as ±∞, which the writer
+        // prints as `null`: reject it so a parsed report writes back as
+        // it was read.
+        if x.is_infinite() {
+            return Err(format!("number out of range at byte {start}"));
+        }
+        Ok(Json::Num(x))
     }
 
     /// Skips a run of ASCII digits.
@@ -701,5 +707,22 @@ mod tests {
         let nums: Vec<f64> = a[..6].iter().map(|x| x.as_f64().unwrap()).collect();
         assert_eq!(nums, [1e-7, 1e16, 2000.0, 0.5, 0.0, 0.0]);
         assert_eq!(a[6].as_str(), Some("éé"));
+    }
+
+    #[test]
+    fn numbers_past_the_f64_range_are_rejected() {
+        for (text, at) in [("1e400", 0), ("-1e400", 0), (r#"{"scale": 1e400}"#, 10)] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err, format!("number out of range at byte {at}"), "{text}");
+        }
+        let v = Json::parse("[1e308, -1e308, 1e-400]").unwrap();
+        let nums: Vec<f64> = v
+            .as_arr()
+            .unwrap()
+            .iter()
+            .filter_map(Json::as_f64)
+            .collect();
+        assert_eq!(nums, [1e308, -1e308, 0.0]);
+        assert_eq!(Json::parse(&v.to_compact()).unwrap(), v);
     }
 }

@@ -124,18 +124,25 @@
 //!
 //! # Reusing a workspace
 //!
-//! The restructuring hot path — decouple → recouple → schedule — runs
-//! **allocation-free at steady state** when a [`prelude::Workspace`] is
-//! threaded through it: matching tables, BFS arrays, partition FIFOs,
+//! Each stage of the restructuring path — decouple → recouple →
+//! schedule — has one entry point, and it takes a
+//! [`prelude::Workspace`]: matching tables, BFS arrays, partition FIFOs,
 //! and subgraph CSR storage are rebuilt in place instead of reallocated
-//! per graph. [`prelude::Session`] does this automatically (one
-//! workspace per [`Session::iter`](prelude::Session::iter) stream, one
-//! per [`Session::par_process`](prelude::Session::par_process) worker
+//! per graph. The software pass
+//! ([`Restructurer::restructure_with`](prelude::Restructurer::restructure_with))
+//! then runs **allocation-free at steady state**; the hardware frontend
+//! model still allocates each graph's retained schedule and its modeled
+//! hash table and class FIFOs. [`prelude::Session`] threads workspaces
+//! automatically (one per [`Session::iter`](prelude::Session::iter)
+//! stream, one per
+//! [`Session::par_process`](prelude::Session::par_process) worker
 //! lane), and long-lived callers — serving replicas, benchmark loops —
 //! hold their own and pass it to
-//! [`Session::process_with`](prelude::Session::process_with). Results
-//! are byte-identical to the allocating paths; the host-speed
-//! benchmark (`benchmark/`) times
+//! [`Session::process_with`](prelude::Session::process_with). The
+//! one-shot forms ([`Session::process`](prelude::Session::process),
+//! [`Restructurer::restructure`](prelude::Restructurer::restructure))
+//! run the same code on a transient workspace, so results are
+//! byte-identical; the host-speed benchmark (`benchmark/`) times
 //! [`Session::par_process`](prelude::Session::par_process) per edge as
 //! `frontend.session.ns_per_edge`, with median and spread:
 //!
@@ -149,7 +156,7 @@
 //! let mut ws = Workspace::new();
 //! let reused = session.process_with(&mut ws);
 //!
-//! // Identical to the allocating path, graph for graph.
+//! // Identical to the one-shot form, graph for graph.
 //! let fresh = session.process();
 //! for (a, b) in reused.per_graph().iter().zip(fresh.per_graph()) {
 //!     assert_eq!(a.schedule, b.schedule);
@@ -183,9 +190,10 @@
 //!     .max_by_key(|g| g.edge_count()).unwrap();
 //! let restructured = Restructurer::new().restructure(&sg);
 //! let cap = 256;
-//! let before = simulate_lru(&sg, &EdgeSchedule::dst_major(&sg), cap);
-//! let after = simulate_lru(&sg, restructured.schedule(), cap);
+//! let before = simulate_lru(&EdgeSchedule::dst_major(&sg), cap)?;
+//! let after = simulate_lru(restructured.schedule(), cap)?;
 //! assert!(after.misses() <= before.misses());
+//! # Ok::<(), gdr::hetgraph::GdrError>(())
 //! ```
 
 #![warn(missing_docs)]

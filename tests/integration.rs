@@ -1,12 +1,12 @@
 //! Cross-crate integration tests: the full GDR-HGNN stack end to end.
 
-use gdr::core::backbone::{Backbone, BackboneStrategy};
-use gdr::core::matching::{fifo_matching, hopcroft_karp};
-use gdr::core::restructure::Restructurer;
+use gdr::core::backbone::BackboneStrategy;
+use gdr::core::restructure::{MatcherKind, Restructurer};
 use gdr::core::schedule::EdgeSchedule;
 use gdr::frontend::config::FrontendConfig;
 use gdr::frontend::decoupler::Decoupler;
-use gdr::frontend::pipeline::FrontendPipeline;
+use gdr::frontend::session::Session;
+use gdr::frontend::Workspace;
 use gdr::hetgraph::datasets::Dataset;
 use gdr::hetgraph::BipartiteGraph;
 use gdr::hgnn::model::{ModelConfig, ModelKind};
@@ -45,9 +45,10 @@ fn frontend_matches_software_restructuring_semantics() {
     for dataset in Dataset::ALL {
         let het = dataset.build_scaled(5, SCALE);
         let graphs = het.all_semantic_graphs();
-        let fe = FrontendPipeline::new(FrontendConfig::default()).process_all(&graphs);
+        let fe = Session::new(FrontendConfig::default(), &graphs).process();
         for (g, fr) in graphs.iter().zip(fe.per_graph()) {
-            let oracle = hopcroft_karp(g);
+            let oracle = Restructurer::new().restructure(g);
+            let oracle = oracle.matching();
             assert_eq!(
                 fr.matching_size,
                 oracle.size(),
@@ -76,16 +77,18 @@ fn a_long_augmenting_path_does_not_overflow_the_stack() {
             pairs.push((N, 0));
             let n = N as usize + 1;
             let g = BipartiteGraph::from_pairs("chain", n, n, &pairs).expect("valid");
+            let mut ws = Workspace::new();
+            Decoupler::new(FrontendConfig::default()).decouple_with(&mut ws, &g);
             let sizes = [
-                hopcroft_karp(&g).size(),
-                fifo_matching(&g).size(),
                 Restructurer::new().restructure(&g).matching().size(),
-                Decoupler::new(FrontendConfig::default())
-                    .decouple(&g)
-                    .matching
+                Restructurer::new()
+                    .matcher(MatcherKind::Fifo)
+                    .restructure(&g)
+                    .matching()
                     .size(),
+                ws.matching.size(),
             ];
-            assert_eq!(sizes, [n; 4]);
+            assert_eq!(sizes, [n; 3]);
         })
         .expect("spawn");
     worker
@@ -126,15 +129,14 @@ fn backbone_strategies_all_cover_all_datasets() {
     for dataset in Dataset::ALL {
         let het = dataset.build_scaled(7, SCALE);
         for g in het.all_semantic_graphs() {
-            let m = hopcroft_karp(&g);
             for strat in [
                 BackboneStrategy::Paper,
                 BackboneStrategy::KonigExact,
                 BackboneStrategy::GreedyDegree,
             ] {
-                let b = Backbone::select(&g, &m, strat);
+                let r = Restructurer::new().backbone_strategy(strat).restructure(&g);
                 assert!(
-                    b.covers_all_edges(&g),
+                    r.backbone().covers_all_edges(&g),
                     "{dataset}/{} with {strat}",
                     g.name()
                 );

@@ -7,15 +7,13 @@
 //! breadth of inputs (empty graphs, duplicates, skewed degrees) with
 //! reproducible failures — the panic message names the failing case.
 
-use gdr::core::backbone::{Backbone, BackboneStrategy};
+use gdr::core::backbone::BackboneStrategy;
 use gdr::core::locality::{compulsory_misses, simulate_lru};
-use gdr::core::matching::{fifo_matching, greedy_matching, hopcroft_karp};
-use gdr::core::recouple::RestructuredSubgraphs;
-use gdr::core::restructure::{MatcherKind, Restructurer};
+use gdr::core::restructure::{MatcherKind, Restructured, Restructurer};
 use gdr::core::schedule::EdgeSchedule;
 use gdr::hetgraph::gen::PowerLawConfig;
 use gdr::hetgraph::BipartiteGraph;
-use gdr::prelude::{FrontendConfig, FrontendPipeline, Session};
+use gdr::prelude::{FrontendConfig, Session};
 
 const CASES: u64 = 64;
 
@@ -43,12 +41,21 @@ fn arb_graph(case: u64) -> BipartiteGraph {
         .generate("prop", seed)
 }
 
+/// Restructures `g` with the given matcher and backbone strategy.
+fn restructure(g: &BipartiteGraph, matcher: MatcherKind, strat: BackboneStrategy) -> Restructured {
+    Restructurer::new()
+        .matcher(matcher)
+        .backbone_strategy(strat)
+        .restructure(g)
+}
+
 #[test]
 fn fifo_matching_is_maximum() {
     for case in 0..CASES {
         let g = arb_graph(case);
-        let oracle = hopcroft_karp(&g);
-        let fifo = fifo_matching(&g);
+        let oracle = restructure(&g, MatcherKind::HopcroftKarp, BackboneStrategy::Paper);
+        let fifo = restructure(&g, MatcherKind::Fifo, BackboneStrategy::Paper);
+        let (oracle, fifo) = (oracle.matching(), fifo.matching());
         assert!(oracle.is_valid(&g), "case {case}");
         assert!(fifo.is_valid(&g), "case {case}");
         assert_eq!(fifo.size(), oracle.size(), "case {case}");
@@ -59,8 +66,9 @@ fn fifo_matching_is_maximum() {
 fn greedy_matching_is_half_approximate() {
     for case in 0..CASES {
         let g = arb_graph(case);
-        let oracle = hopcroft_karp(&g);
-        let greedy = greedy_matching(&g);
+        let oracle = restructure(&g, MatcherKind::HopcroftKarp, BackboneStrategy::Paper);
+        let greedy = restructure(&g, MatcherKind::Greedy, BackboneStrategy::Paper);
+        let (oracle, greedy) = (oracle.matching(), greedy.matching());
         assert!(greedy.is_valid(&g), "case {case}");
         assert!(greedy.is_maximal(&g), "case {case}");
         assert!(2 * greedy.size() >= oracle.size(), "case {case}");
@@ -71,10 +79,9 @@ fn greedy_matching_is_half_approximate() {
 fn konig_cover_size_equals_maximum_matching() {
     for case in 0..CASES {
         let g = arb_graph(case);
-        let m = hopcroft_karp(&g);
-        let b = Backbone::select(&g, &m, BackboneStrategy::KonigExact);
-        assert!(b.covers_all_edges(&g), "case {case}");
-        assert_eq!(b.len(), m.size(), "case {case}");
+        let r = restructure(&g, MatcherKind::HopcroftKarp, BackboneStrategy::KonigExact);
+        assert!(r.backbone().covers_all_edges(&g), "case {case}");
+        assert_eq!(r.backbone().len(), r.matching().size(), "case {case}");
     }
 }
 
@@ -82,13 +89,13 @@ fn konig_cover_size_equals_maximum_matching() {
 fn every_backbone_strategy_is_a_vertex_cover() {
     for case in 0..CASES {
         let g = arb_graph(case);
-        let m = hopcroft_karp(&g);
         for strat in [
             BackboneStrategy::Paper,
             BackboneStrategy::KonigExact,
             BackboneStrategy::GreedyDegree,
         ] {
-            let b = Backbone::select(&g, &m, strat);
+            let b = restructure(&g, MatcherKind::HopcroftKarp, strat);
+            let b = b.backbone();
             assert!(b.covers_all_edges(&g), "case {case}, strategy {strat}");
         }
     }
@@ -98,9 +105,8 @@ fn every_backbone_strategy_is_a_vertex_cover() {
 fn subgraphs_partition_the_edge_multiset() {
     for case in 0..CASES {
         let g = arb_graph(case);
-        let m = hopcroft_karp(&g);
-        let b = Backbone::select(&g, &m, BackboneStrategy::Paper);
-        let r = RestructuredSubgraphs::generate(&g, &b);
+        let r = restructure(&g, MatcherKind::HopcroftKarp, BackboneStrategy::Paper);
+        let r = r.subgraphs();
         assert_eq!(r.total_edges(), g.edge_count(), "case {case}");
         let mut got: Vec<(u32, u32)> = r
             .iter()
@@ -139,8 +145,8 @@ fn lru_misses_bounded_and_monotone() {
         let g = arb_graph(case);
         let cap = 1 + (mix(case, 7) % 63) as usize;
         let sched = EdgeSchedule::dst_major(&g);
-        let small = simulate_lru(&g, &sched, cap);
-        let big = simulate_lru(&g, &sched, cap * 2);
+        let small = simulate_lru(&sched, cap).unwrap();
+        let big = simulate_lru(&sched, cap * 2).unwrap();
         // stack property of LRU
         assert!(big.misses() <= small.misses(), "case {case}");
         // bounds: compulsory <= misses <= accesses
@@ -168,15 +174,14 @@ fn all_matchers_produce_covering_restructurings() {
 #[test]
 fn session_streaming_equals_batch_graph_for_graph() {
     // The streaming Session API must be a pure re-packaging of the batch
-    // pipeline: same results, same order, on arbitrary graph sets —
+    // run: same results, same order, on arbitrary graph sets —
     // sequential or parallel.
     for case in 0..CASES / 4 {
         let graphs: Vec<BipartiteGraph> = (0..(mix(case, 10) % 5))
             .map(|i| arb_graph(mix(case, 11 + i)))
             .collect();
-        let cfg = FrontendConfig::default();
-        let batch = FrontendPipeline::new(cfg.clone()).process_all(&graphs);
-        let session = Session::new(cfg, &graphs);
+        let session = Session::new(FrontendConfig::default(), &graphs);
+        let batch = session.process();
 
         let streamed: Vec<_> = session.iter().collect();
         let parallel = session.par_process_with(4);
