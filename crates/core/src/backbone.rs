@@ -6,6 +6,9 @@
 //! its small size is exactly what lets an accelerator pin backbone-side
 //! features on-chip while streaming the rest.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use gdr_hetgraph::BipartiteGraph;
 
 use crate::matching::Matching;
@@ -71,9 +74,9 @@ impl Backbone {
     /// Selects the backbone from a decoupling result. The membership
     /// bitmaps are rebuilt in place in `out` and BFS state comes from
     /// `scratch`, so the paper heuristic and König construction allocate
-    /// nothing at steady state. The greedy-degree baseline keeps its
-    /// allocating construction — it is the islandization ablation, not a
-    /// hot path.
+    /// nothing at steady state. The greedy-degree baseline allocates its
+    /// degree tables and heap per call — it is the islandization
+    /// ablation, not a hot path.
     pub fn select_into(
         g: &BipartiteGraph,
         m: &Matching,
@@ -84,7 +87,7 @@ impl Backbone {
         match strategy {
             BackboneStrategy::Paper => Self::paper_heuristic_into(g, m, out),
             BackboneStrategy::KonigExact => Self::konig_into(g, m, out, scratch),
-            BackboneStrategy::GreedyDegree => *out = Self::greedy_degree(g),
+            BackboneStrategy::GreedyDegree => Self::greedy_degree_into(g, out),
         }
     }
 
@@ -184,70 +187,65 @@ impl Backbone {
     }
 
     /// Greedy max-degree cover: repeatedly take the vertex covering the
-    /// most uncovered edges. Ignores the matching entirely.
-    fn greedy_degree(g: &BipartiteGraph) -> Self {
-        let n_src = g.src_count();
-        let n_dst = g.dst_count();
-        let mut src_in = vec![false; n_src];
-        let mut dst_in = vec![false; n_dst];
-        let mut src_deg: Vec<usize> = (0..n_src).map(|s| g.out_degree(s)).collect();
-        let mut dst_deg: Vec<usize> = (0..n_dst).map(|d| g.in_degree(d)).collect();
-        let mut covered = vec![false; g.edge_count()];
-        // Edge index lookup: edges in source-major order.
-        let mut edge_ids_by_src: Vec<Vec<usize>> = vec![Vec::new(); n_src];
-        let mut edge_ids_by_dst: Vec<Vec<usize>> = vec![Vec::new(); n_dst];
-        for (i, e) in g.iter_edges().enumerate() {
-            edge_ids_by_src[e.src.index()].push(i);
-            edge_ids_by_dst[e.dst.index()].push(i);
-        }
-        let edges: Vec<_> = g.iter_edges().collect();
+    /// most uncovered edges, ties to the source side and then to the
+    /// lowest id. Ignores the matching entirely.
+    ///
+    /// A lazy max-heap keyed on (uncovered degree, source side first,
+    /// lowest id) yields each pick. A degree only falls, and each fall
+    /// pushes the vertex again, so an entry whose degree is no longer
+    /// current is stale and skipped on pop: `O(E log V)` in all.
+    fn greedy_degree_into(g: &BipartiteGraph, out: &mut Backbone) {
+        out.src_in.clear();
+        out.src_in.resize(g.src_count(), false);
+        out.dst_in.clear();
+        out.dst_in.resize(g.dst_count(), false);
+        let mut src_deg: Vec<usize> = (0..g.src_count()).map(|s| g.out_degree(s)).collect();
+        let mut dst_deg: Vec<usize> = (0..g.dst_count()).map(|d| g.in_degree(d)).collect();
+        let mut heap: BinaryHeap<(usize, bool, Reverse<u32>)> = (src_deg.iter().enumerate())
+            .map(|(s, &deg)| (deg, true, Reverse(s as u32)))
+            .chain((dst_deg.iter().enumerate()).map(|(d, &deg)| (deg, false, Reverse(d as u32))))
+            .filter(|&(deg, ..)| deg > 0)
+            .collect();
         let mut remaining = g.edge_count();
         while remaining > 0 {
-            // Pick the globally highest-degree vertex (ties: src side, low id).
-            let (best_is_src, best_id, best_deg) = {
-                let (si, sd) = src_deg
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(i, &d)| (d, std::cmp::Reverse(i)))
-                    .map(|(i, &d)| (i, d))
-                    .unwrap_or((0, 0));
-                let (di, dd) = dst_deg
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(i, &d)| (d, std::cmp::Reverse(i)))
-                    .map(|(i, &d)| (i, d))
-                    .unwrap_or((0, 0));
-                if sd >= dd {
-                    (true, si, sd)
-                } else {
-                    (false, di, dd)
-                }
-            };
-            debug_assert!(best_deg > 0, "uncovered edges imply a positive degree");
-            let ids = if best_is_src {
-                src_in[best_id] = true;
-                std::mem::take(&mut edge_ids_by_src[best_id])
-            } else {
-                dst_in[best_id] = true;
-                std::mem::take(&mut edge_ids_by_dst[best_id])
-            };
-            for i in ids {
-                if covered[i] {
+            let (deg, is_src, Reverse(v)) =
+                heap.pop().expect("uncovered edges imply a positive degree");
+            let v = v as usize;
+            // Covering `v` covers its uncovered edges, each of which
+            // leaves one uncovered edge fewer at its other endpoint.
+            if is_src {
+                if src_deg[v] != deg {
                     continue;
                 }
-                covered[i] = true;
-                remaining -= 1;
-                let e = edges[i];
-                src_deg[e.src.index()] -= 1;
-                dst_deg[e.dst.index()] -= 1;
+                src_deg[v] = 0;
+                out.src_in[v] = true;
+                for &d in g.out_neighbors(v) {
+                    if !out.dst_in[d as usize] {
+                        dst_deg[d as usize] -= 1;
+                        if dst_deg[d as usize] > 0 {
+                            heap.push((dst_deg[d as usize], false, Reverse(d)));
+                        }
+                    }
+                }
+            } else {
+                if dst_deg[v] != deg {
+                    continue;
+                }
+                dst_deg[v] = 0;
+                out.dst_in[v] = true;
+                for &s in g.in_neighbors(v) {
+                    if !out.src_in[s as usize] {
+                        src_deg[s as usize] -= 1;
+                        if src_deg[s as usize] > 0 {
+                            heap.push((src_deg[s as usize], true, Reverse(s)));
+                        }
+                    }
+                }
             }
+            remaining -= deg;
         }
-        Self {
-            src_in,
-            dst_in,
-            strategy: BackboneStrategy::GreedyDegree,
-            fixup_promotions: 0,
-        }
+        out.strategy = BackboneStrategy::GreedyDegree;
+        out.fixup_promotions = 0;
     }
 
     /// Membership of source `s`.

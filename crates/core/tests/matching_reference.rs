@@ -3,20 +3,25 @@
 //! [`hopcroft_karp_into`] opens with a greedy pass, keeps a list of the
 //! free sources, skips the final BFS once a side is saturated and runs an
 //! iterative augmenting DFS; the paper heuristic of
-//! [`Backbone::select_into`] reads only the rows of unmatched vertices. Both
-//! must produce exactly what the plain constructions below produce:
+//! [`Backbone::select_into`] reads only the rows of unmatched vertices,
+//! and its greedy-degree baseline picks from a lazy heap. Each must
+//! produce exactly what the plain constructions below produce:
 //!
 //! * [`reference_hopcroft_karp`] — every phase a full BFS seeded from all
 //!   free sources, then a recursive DFS from each of them, until a BFS
 //!   finds no free destination or a DFS phase augments nothing;
 //! * [`reference_paper_backbone`] — Algorithm 2 as printed, one scan of
 //!   every source row and every destination row, then a totality fixup
-//!   over every edge.
+//!   over every edge;
+//! * [`reference_greedy_backbone`] — the greedy max-degree cover as a
+//!   scan of every vertex per pick.
 //!
 //! The matching and its DFS step count must be equal. The engine may run
 //! one phase fewer, the final BFS it skips, and so probe no more edges.
-//! The backbone must be equal under maximum, maximal, empty and partial
-//! matchings alike.
+//! The paper backbone must be equal under maximum, maximal, empty and
+//! partial matchings alike; the greedy one ignores the matching.
+
+use std::cmp::Reverse;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -137,6 +142,49 @@ fn reference_paper_backbone(g: &BipartiteGraph, m: &Matching) -> (Vec<bool>, Vec
         }
     }
     (src_in, dst_in, promotions)
+}
+
+/// The greedy max-degree cover as a scan: each pick rescans every vertex
+/// for the most uncovered edges, ties to the source side, then to the
+/// lowest id. The source bitmap and the destination bitmap.
+fn reference_greedy_backbone(g: &BipartiteGraph) -> (Vec<bool>, Vec<bool>) {
+    let mut src_in = vec![false; g.src_count()];
+    let mut dst_in = vec![false; g.dst_count()];
+    let mut src_deg: Vec<usize> = (0..g.src_count()).map(|s| g.out_degree(s)).collect();
+    let mut dst_deg: Vec<usize> = (0..g.dst_count()).map(|d| g.in_degree(d)).collect();
+    let edges: Vec<_> = g.iter_edges().collect();
+    let mut edge_ids_by_src: Vec<Vec<usize>> = vec![Vec::new(); g.src_count()];
+    let mut edge_ids_by_dst: Vec<Vec<usize>> = vec![Vec::new(); g.dst_count()];
+    for (i, e) in edges.iter().enumerate() {
+        edge_ids_by_src[e.src.index()].push(i);
+        edge_ids_by_dst[e.dst.index()].push(i);
+    }
+    let mut covered = vec![false; edges.len()];
+    let mut remaining = edges.len();
+    let best = |deg: &[usize]| {
+        deg.iter()
+            .enumerate()
+            .max_by_key(|&(i, &d)| (d, Reverse(i)))
+            .map_or((0, 0), |(i, &d)| (i, d))
+    };
+    while remaining > 0 {
+        let ((si, sd), (di, dd)) = (best(&src_deg), best(&dst_deg));
+        let ids = if sd >= dd {
+            src_in[si] = true;
+            std::mem::take(&mut edge_ids_by_src[si])
+        } else {
+            dst_in[di] = true;
+            std::mem::take(&mut edge_ids_by_dst[di])
+        };
+        for i in ids {
+            if !std::mem::replace(&mut covered[i], true) {
+                remaining -= 1;
+                src_deg[edges[i].src.index()] -= 1;
+                dst_deg[edges[i].dst.index()] -= 1;
+            }
+        }
+    }
+    (src_in, dst_in)
 }
 
 /// A power-law graph with multi-edges (no dedup) and, at these edge
@@ -266,4 +314,21 @@ fn paper_backbone_equals_the_three_pass_reference() {
         }
     }
     assert!(promoted > 0, "the fixup must fire somewhere");
+}
+
+#[test]
+fn greedy_degree_backbone_equals_the_scan_reference() {
+    let mut scratch = MatchScratch::default();
+    let mut b = Backbone::default();
+    for g in corpus() {
+        let ctx = format!("{} ({} edges)", g.name(), g.edge_count());
+        let m = Matching::empty(g.src_count(), g.dst_count());
+        Backbone::select_into(&g, &m, BackboneStrategy::GreedyDegree, &mut b, &mut scratch);
+        let (src_in, dst_in) = reference_greedy_backbone(&g);
+        assert_eq!(b.src_bitmap(), src_in.as_slice(), "sources: {ctx}");
+        assert_eq!(b.dst_bitmap(), dst_in.as_slice(), "destinations: {ctx}");
+        assert_eq!(b.fixup_promotions(), 0, "{ctx}");
+        assert_eq!(b.strategy(), BackboneStrategy::GreedyDegree, "{ctx}");
+        assert!(b.covers_all_edges(&g), "{ctx}");
+    }
 }

@@ -267,13 +267,6 @@ fn recursive_schedule_equals_the_reference_recursion() {
             recursed += usize::from(g.edge_count() >= MIN_EDGES);
             for matcher in MATCHERS {
                 for strategy in STRATEGIES {
-                    // Greedy-degree rescans every vertex per pick, and a
-                    // subgraph keeps its parent's vertex spaces: on the
-                    // large class it alone would take ~20 s of a debug
-                    // run. The other three classes cover it.
-                    if step % 4 == 0 && strategy == BackboneStrategy::GreedyDegree {
-                        continue;
-                    }
                     let top = reference_split(&g, matcher, strategy);
                     for depth in [1, 2] {
                         let mut want = Vec::new();

@@ -13,6 +13,12 @@
 //! [`SloSpec`] p99 target (0 when no SLO is set) — pool-wide (`"ALL"`)
 //! and per distinct platform. Every value is a pure function of the
 //! scenario configuration, so records diff byte-for-byte across runs.
+//!
+//! The record reads a [`SimResult`]'s terminal request states, its run
+//! scalars and its [`RecordTotals`]: one [`RowTotals`] per row, summed
+//! as each batch starts, each replica cold-starts and each event is
+//! sampled. Per-batch and per-activation detail travels only in the
+//! [`TraceEvent`] stream, which the breakdown folds.
 
 use std::collections::HashMap;
 
@@ -26,6 +32,124 @@ use crate::fault::{plan_label, FaultSpec};
 use crate::scheduler::{PoolConfig, SchedPolicy, SimResult, SloSpec};
 use crate::trace::TraceEvent;
 use crate::workload::{Traffic, NS_PER_S};
+
+/// The running totals behind one record row (see [`RecordTotals`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct RowTotals {
+    /// Batches started.
+    pub batches: u64,
+    /// Requests those batches carried.
+    pub batched_requests: u64,
+    /// DRAM traffic charged to those batches, bytes.
+    pub dram_bytes: u64,
+    /// Batches that hit the slot's feature cache.
+    pub cache_hits: u64,
+    /// Batches that cold-bound a dataset outside the slot's shard.
+    pub shard_misses: u64,
+    /// Slots that started at least one batch.
+    pub served_slots: u64,
+    /// Autoscale cold-start delay paid, ns.
+    pub cold_start_ns: u64,
+    /// Queued requests integrated over the sampled span, requests × ns.
+    pub depth_ns: f64,
+    /// The deepest queue at any sample, requests.
+    pub max_depth: usize,
+    /// Active replicas integrated over the sampled span, replicas × ns.
+    pub replica_ns: f64,
+    /// The last sample's depth and active replicas, charged to the
+    /// interval that follows it.
+    last: (usize, usize),
+}
+
+/// What the serve record reads of a run, summed as the simulator runs:
+/// row 0 is the pool, row `1 + p` the slots of cost-model platform `p`.
+/// Each sample charges the interval since the one before at the state
+/// sampled then, so the depth and replica-time integrals take the same
+/// `f64` additions, in the same order, as integrating a log of every
+/// sample would.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RecordTotals {
+    /// One total per record row.
+    pub rows: Vec<RowTotals>,
+    /// Virtual time from the first sample to the last, ns.
+    pub span_ns: u64,
+    /// Virtual time of the last sample, ns.
+    last_ns: Option<u64>,
+}
+
+impl RecordTotals {
+    /// Empty totals for a cost model of `platforms` platforms.
+    pub fn new(platforms: usize) -> Self {
+        Self {
+            rows: vec![RowTotals::default(); 1 + platforms],
+            span_ns: 0,
+            last_ns: None,
+        }
+    }
+
+    /// The pool row (`None`) or the row of platform `p` (`Some(p)`).
+    pub fn row(&self, platform: Option<usize>) -> &RowTotals {
+        &self.rows[platform.map_or(0, |p| 1 + p)]
+    }
+
+    /// A batch of `size` requests started on a slot of `platform`;
+    /// `first` marks the slot's first batch.
+    pub(crate) fn start(
+        &mut self,
+        platform: usize,
+        size: usize,
+        dram_bytes: u64,
+        cache_hit: bool,
+        shard_miss: bool,
+        first: bool,
+    ) {
+        for row in [0, 1 + platform] {
+            let row = &mut self.rows[row];
+            row.batches += 1;
+            row.batched_requests += size as u64;
+            row.dram_bytes += dram_bytes;
+            row.cache_hits += u64::from(cache_hit);
+            row.shard_misses += u64::from(shard_miss);
+            row.served_slots += u64::from(first);
+        }
+    }
+
+    /// The autoscaler activated a slot of `platform`, paying `delay_ns`.
+    pub(crate) fn cold_start(&mut self, platform: usize, delay_ns: u64) {
+        for row in [0, 1 + platform] {
+            self.rows[row].cold_start_ns += delay_ns;
+        }
+    }
+
+    /// The queues at `now_ns`: `batcher_pending` requests gathering, and
+    /// each slot's `(platform, queued requests, active and up)`. Pool
+    /// depth counts the batcher, a platform's depth its slot queues.
+    pub(crate) fn sample(
+        &mut self,
+        now_ns: u64,
+        batcher_pending: usize,
+        slots: impl Iterator<Item = (usize, usize, bool)>,
+    ) {
+        let dt = now_ns - self.last_ns.unwrap_or(now_ns);
+        self.last_ns = Some(now_ns);
+        self.span_ns += dt;
+        for row in &mut self.rows {
+            let (depth, active) = std::mem::take(&mut row.last);
+            row.depth_ns += depth as f64 * dt as f64;
+            row.replica_ns += active as f64 * dt as f64;
+        }
+        self.rows[0].last.0 = batcher_pending;
+        for (platform, queued, active) in slots {
+            for row in [0, 1 + platform] {
+                self.rows[row].last.0 += queued;
+                self.rows[row].last.1 += usize::from(active);
+            }
+        }
+        for row in &mut self.rows {
+            row.max_depth = row.max_depth.max(row.last.0);
+        }
+    }
+}
 
 /// Nearest-rank percentile of an ascending-sorted sample.
 ///
@@ -324,49 +448,17 @@ fn run_record(
         latencies.iter().sum::<u64>() as f64 / completed as f64
     };
 
-    let batches: Vec<_> = result
-        .batches
-        .iter()
-        .filter(|b| on_platform(b.replica))
-        .collect();
-    let batched_requests: usize = batches.iter().map(|b| b.size).sum();
-    let mean_batch_size = if batches.is_empty() {
+    let row = result.totals.row(platform);
+    let mean_batch_size = if row.batches == 0 {
         0.0
     } else {
-        batched_requests as f64 / batches.len() as f64
+        row.batched_requests as f64 / row.batches as f64
     };
-
-    // Time-weighted queue depth over the event samples. Pool-wide depth
-    // includes requests still gathering in the batcher; per-platform
-    // depth covers that platform's replica queues.
-    let depth = |s: &crate::scheduler::QueueSample| -> usize {
-        let replicas: usize = s
-            .per_replica
-            .iter()
-            .enumerate()
-            .filter(|&(r, _)| on_platform(r))
-            .map(|(_, &q)| q)
-            .sum();
-        match platform {
-            None => s.batcher_pending + replicas,
-            Some(_) => replicas,
-        }
-    };
-    let mut weighted = 0.0f64;
-    let mut max_depth = 0usize;
-    let mut span = 0u64;
-    for pair in result.samples.windows(2) {
-        let dt = pair[1].time_ns - pair[0].time_ns;
-        weighted += depth(&pair[0]) as f64 * dt as f64;
-        span += dt;
-    }
-    for s in &result.samples {
-        max_depth = max_depth.max(depth(s));
-    }
-    let mean_queue_depth = if span == 0 {
+    // Time-weighted queue depth over the event samples.
+    let mean_queue_depth = if result.totals.span_ns == 0 {
         0.0
     } else {
-        weighted / span as f64
+        row.depth_ns / result.totals.span_ns as f64
     };
 
     let throughput_rps = if result.makespan_ns == 0 {
@@ -379,49 +471,22 @@ fn run_record(
     // ("replica-seconds"), pool-wide or restricted to one platform's
     // slots — the denominator for comparing autoscale policies on
     // efficiency rather than tails alone.
-    let mut replica_ns = 0.0f64;
-    for pair in result.samples.windows(2) {
-        let dt = pair[1].time_ns - pair[0].time_ns;
-        let active = pair[0]
-            .active_per_replica
-            .iter()
-            .enumerate()
-            .filter(|&(r, &a)| a && on_platform(r))
-            .count();
-        replica_ns += active as f64 * dt as f64;
-    }
-    let replica_seconds = replica_ns / NS_PER_S as f64;
+    let replica_seconds = row.replica_ns / NS_PER_S as f64;
 
-    // Scale-out metrics: DRAM traffic, feature-cache hit rate over the
-    // cache-eligible batches (shard misses bind transiently and never
-    // touch the cache), shard misses, peak replicas, and the total
-    // autoscale cold-start latency.
-    let dram_bytes: u64 = batches.iter().map(|b| b.dram_bytes).sum();
-    let cache_hits = batches.iter().filter(|b| b.cache_hit).count();
-    let cache_eligible = batches.iter().filter(|b| !b.shard_miss).count();
+    // The feature-cache hit rate is over the cache-eligible batches:
+    // shard misses bind transiently and never touch the cache.
+    let cache_eligible = row.batches - row.shard_misses;
     let cache_hit_rate = if cache_eligible == 0 {
         0.0
     } else {
-        cache_hits as f64 / cache_eligible as f64
+        row.cache_hits as f64 / cache_eligible as f64
     };
-    let shard_miss_count = batches.iter().filter(|b| b.shard_miss).count();
     let replicas_max = match platform {
-        None => result.replicas_max,
+        None => result.replicas_max as u64,
         // Per-platform peak concurrency is not sampled; report the
         // number of this platform's slots that ever served a batch.
-        Some(_) => {
-            let mut served: Vec<usize> = batches.iter().map(|b| b.replica).collect();
-            served.sort_unstable();
-            served.dedup();
-            served.len()
-        }
+        Some(_) => row.served_slots,
     };
-    let cold_start_ns: u64 = result
-        .cold_starts
-        .iter()
-        .filter(|cs| on_platform(cs.replica))
-        .map(|cs| cs.delay_ns)
-        .sum();
 
     // Fault metrics. Drops attribute to the platform of the replica they
     // died on; in-transit drops (no replica) count only in the pool-wide
@@ -486,16 +551,16 @@ fn run_record(
             "mean_ns" => mean_ns,
             "max_ns" => latencies.last().copied().unwrap_or(0) as f64,
             "throughput_rps" => throughput_rps,
-            "batches" => batches.len() as f64,
+            "batches" => row.batches as f64,
             "mean_batch_size" => mean_batch_size,
             "mean_queue_depth" => mean_queue_depth,
-            "max_queue_depth" => max_depth as f64,
+            "max_queue_depth" => row.max_depth as f64,
             "makespan_ns" => result.makespan_ns as f64,
-            "dram_bytes" => dram_bytes as f64,
+            "dram_bytes" => row.dram_bytes as f64,
             "cache_hit_rate" => cache_hit_rate,
-            "shard_miss_count" => shard_miss_count as f64,
+            "shard_miss_count" => row.shard_misses as f64,
             "replicas_max" => replicas_max as f64,
-            "cold_start_ns" => cold_start_ns as f64,
+            "cold_start_ns" => row.cold_start_ns as f64,
             "replica_seconds" => replica_seconds,
             "dropped" => dropped as f64,
             "availability" => availability,
@@ -639,9 +704,7 @@ mod tests {
         // sampled span, and partitioned exactly by platform
         let rs = |i: usize| rec.runs[i].metric("replica_seconds").unwrap();
         assert!(rs(0) > 0.0, "a served scenario accrues replica time");
-        let span_s = (result.samples.last().unwrap().time_ns
-            - result.samples.first().unwrap().time_ns) as f64
-            / crate::workload::NS_PER_S as f64;
+        let span_s = result.totals.span_ns as f64 / crate::workload::NS_PER_S as f64;
         assert!(rs(0) <= all.metric("replicas_max").unwrap() * span_s + 1e-9);
         assert!((rs(1) + rs(2) - rs(0)).abs() < 1e-9, "platforms partition");
         // a fixed 2-replica pool is active for the whole sampled span

@@ -52,10 +52,16 @@
 //! replica to run on park and are re-issued on the next recovery or
 //! view change; only when the run drains with no live replica left are
 //! they counted dropped.
+//!
+//! A [`SimResult`] holds each request's terminal state, the run scalars
+//! and the [`RecordTotals`] the serve record reads, so it grows with
+//! requests, not events. Per-event, per-batch and per-activation facts
+//! live only in the [`TraceEvent`] stream of an attached sink.
 
 use std::collections::{BinaryHeap, VecDeque};
 
 use gdr_hetgraph::datasets::Dataset;
+use gdr_hetgraph::{GdrError, GdrResult};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,6 +70,7 @@ use crate::cache::FeatureCache;
 use crate::control::{ControlPlane, HEARTBEAT_INTERVAL_NS, HEARTBEAT_TIMEOUT_NS, VIEW_CHANGE_NS};
 use crate::cost::CostModel;
 use crate::fault::FaultSpec;
+use crate::metrics::RecordTotals;
 use crate::request::{Cell, Request};
 use crate::trace::{TraceEvent, TraceSink};
 use crate::workload::TrafficStream;
@@ -255,6 +262,51 @@ pub struct PoolConfig {
     pub slo: Option<SloSpec>,
 }
 
+impl PoolConfig {
+    /// The one consistency check of a scenario's pool shaping, against
+    /// an `initial` pool size and a fault plan: `faults` must fit the
+    /// slot count ([`FaultSpec::validate`]), autoscale `max_replicas`
+    /// must be at least `initial` and `down_depth` below `up_depth`, and
+    /// an SLO needs a positive target and headroom in `(0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// [`GdrError::InvalidConfig`] naming the first rule broken.
+    pub fn validate(&self, initial: usize, faults: &FaultSpec) -> GdrResult<()> {
+        let slots = self
+            .autoscale
+            .map_or(initial, |a| a.max_replicas.max(initial));
+        faults
+            .validate(slots)
+            .map_err(|msg| GdrError::invalid_config("faults", msg))?;
+        let reason = match (self.autoscale, self.slo) {
+            (Some(a), _) if a.max_replicas < initial => (
+                "autoscale",
+                format!(
+                    "max_replicas {} below the pool size {initial}",
+                    a.max_replicas
+                ),
+            ),
+            (Some(a), _) if a.down_depth >= a.up_depth => (
+                "autoscale",
+                format!(
+                    "down_depth {} must be below up_depth {}",
+                    a.down_depth, a.up_depth
+                ),
+            ),
+            (_, Some(slo)) if slo.p99_target_ns == 0 => {
+                ("slo", "p99 target must be positive".to_string())
+            }
+            (_, Some(slo)) if !(slo.headroom > 0.0 && slo.headroom <= 1.0) => (
+                "slo",
+                format!("headroom {} must be in (0, 1]", slo.headroom),
+            ),
+            _ => return Ok(()),
+        };
+        Err(GdrError::invalid_config(reason.0, reason.1))
+    }
+}
+
 /// One served request: when it finished and which replica ran it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletedRequest {
@@ -276,33 +328,13 @@ impl CompletedRequest {
     }
 }
 
-/// One executed batch, for batch-shape metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchRecord {
-    /// Executing replica.
-    pub replica: usize,
-    /// Requests in the batch.
-    pub size: usize,
-    /// Whether the replica was dataset-warm (schedule-cache hit).
-    pub warm: bool,
-    /// Whether the cell's features were resident in the replica's
-    /// feature cache.
-    pub cache_hit: bool,
-    /// Whether the replica had to cold-bind a dataset outside its shard.
-    pub shard_miss: bool,
-    /// DRAM traffic charged to the batch, bytes.
-    pub dram_bytes: u64,
-    /// Service time of the batch, ns.
-    pub service_ns: u64,
-}
-
 /// One batch execution start — the replayable unit of the
 /// virtual-time scheduler's decisions, folded from a trace's
 /// [`TraceEvent::BatchStarted`] events by
 /// [`AssignmentLog::from_events`](crate::replay::AssignmentLog::from_events)
-/// in execution-start order (the order of [`SimResult::batches`]). The
-/// replay executor (`crate::replay`) re-executes exactly this sequence
-/// on real host threads, preserving per-replica order.
+/// in execution-start order. The replay executor (`crate::replay`)
+/// re-executes exactly this sequence on real host threads, preserving
+/// per-replica order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     /// Replica the batch started on.
@@ -311,41 +343,6 @@ pub struct Assignment {
     pub cell: Cell,
     /// The ids of the requests riding in the batch, batch order.
     pub request_ids: Vec<u64>,
-}
-
-/// One autoscale activation: which replica came up and what its
-/// cold start cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ColdStart {
-    /// Activated replica slot.
-    pub replica: usize,
-    /// Cold-start delay paid before the replica could serve, ns.
-    pub delay_ns: u64,
-}
-
-/// Queue depths observed at one event time (for time-weighted stats).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueueSample {
-    /// Virtual time of the sample, ns.
-    pub time_ns: u64,
-    /// Requests waiting in the batcher (batch not yet formed).
-    pub batcher_pending: usize,
-    /// Requests queued at each replica (formed, waiting for service).
-    pub per_replica: Vec<usize>,
-    /// Replicas active (serving or draining) at the sample time.
-    pub active_replicas: usize,
-    /// Per-slot activity flags at the sample time (`active_replicas`
-    /// counts the `true`s). This is what lets `replica_seconds` — the
-    /// integral of active replicas over virtual time, the serving
-    /// cost-of-goods metric — be split per platform.
-    pub active_per_replica: Vec<bool>,
-}
-
-impl QueueSample {
-    /// Total waiting requests across batcher and replica queues.
-    pub fn total(&self) -> usize {
-        self.batcher_pending + self.per_replica.iter().sum::<usize>()
-    }
 }
 
 /// One request lost to a fault: a crashed replica's dying batch
@@ -362,20 +359,19 @@ pub struct DroppedRequest {
     pub replica: Option<usize>,
 }
 
-/// The raw outcome of one scenario simulation: per-request and
-/// per-batch outcomes plus run totals. Lifecycle detail — stall
-/// episodes, migrations, each span's bind/service split, the dispatch
-/// sequence replay executes — travels in the [`TraceEvent`] stream of a
-/// sink attached with [`Simulator::with_trace`].
+/// The raw outcome of one scenario simulation: each request's terminal
+/// state, the run scalars, and the running totals the serve record
+/// reads. Per-batch and lifecycle detail — batch starts, cold starts,
+/// drains, stalls, migrations, the dispatch sequence replay executes —
+/// travels only in the [`TraceEvent`] stream of a sink attached with
+/// [`Simulator::with_trace`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Every completed request (every generated request completes
     /// unless a fault plan drops it — see [`SimResult::dropped`]).
     pub completed: Vec<CompletedRequest>,
-    /// Every executed batch, in execution-start order.
-    pub batches: Vec<BatchRecord>,
-    /// Queue depths sampled at every event.
-    pub samples: Vec<QueueSample>,
+    /// Batch, queue, activation and replica-time totals per record row.
+    pub totals: RecordTotals,
     /// Virtual time of the last completion, ns.
     pub makespan_ns: u64,
     /// Platform index (into the cost model) of each replica **slot**,
@@ -385,8 +381,6 @@ pub struct SimResult {
     pub initial_replicas: usize,
     /// Peak number of concurrently active replicas.
     pub replicas_max: usize,
-    /// Every autoscale activation, in activation-decision order.
-    pub cold_starts: Vec<ColdStart>,
     /// Every request lost to the fault plan, in loss order. Empty for
     /// fault-free runs.
     pub dropped: Vec<DroppedRequest>,
@@ -473,6 +467,8 @@ struct Replica {
     /// Bumped on every crash, stamped into `Done` events so completions
     /// from a previous life are void.
     generation: u64,
+    /// Whether the slot has started a batch.
+    served: bool,
 }
 
 impl Replica {
@@ -506,13 +502,10 @@ pub struct Simulator<'c> {
     autoscale: Option<AutoscaleSpec>,
     /// Latency SLO driving the predictive controller, if any.
     slo: Option<SloSpec>,
-    /// Running totals of executed batch service time, requests, and
-    /// batches — the measured means behind the SLO controller's p99
-    /// prediction. Maintained unconditionally (cheap), read only when
-    /// `slo` is set.
+    /// Executed batch service time; with the pool row's batch and
+    /// request totals, the measured means behind the SLO controller's
+    /// p99 prediction.
     served_service_ns: u64,
-    served_requests: u64,
-    served_batches: u64,
     replicas: Vec<Replica>,
     events: BinaryHeap<Event>,
     seq: u64,
@@ -554,11 +547,9 @@ impl<'c> Simulator<'c> {
     ///
     /// # Panics
     ///
-    /// Panics if `replica_platforms` is empty, names a platform index
-    /// outside the cost model, `pool.autoscale` is inconsistent
-    /// (`max_replicas` below the pool size, or
-    /// `down_depth >= up_depth`), or `pool.slo` is inconsistent (a zero
-    /// target, or headroom outside `(0, 1]`).
+    /// Panics if `replica_platforms` is empty or names a platform index
+    /// outside the cost model, and with the error's text if `pool` fails
+    /// [`PoolConfig::validate`].
     pub fn new(
         cost: &'c CostModel,
         sched: SchedPolicy,
@@ -585,8 +576,8 @@ impl<'c> Simulator<'c> {
     ///
     /// # Panics
     ///
-    /// Panics on everything [`Simulator::new`] panics on, plus any
-    /// [`FaultSpec::validate`] inconsistency against the slot count.
+    /// Panics as [`Simulator::new`] does, with `faults` in the
+    /// [`PoolConfig::validate`] check.
     pub fn with_faults(
         cost: &'c CostModel,
         sched: SchedPolicy,
@@ -604,35 +595,15 @@ impl<'c> Simulator<'c> {
             "replica platform index out of range"
         );
         let initial = replica_platforms.len();
-        let slots = match &pool.autoscale {
-            Some(spec) => {
-                assert!(
-                    spec.max_replicas >= initial,
-                    "autoscale max_replicas below the initial pool size"
-                );
-                assert!(
-                    spec.down_depth < spec.up_depth,
-                    "autoscale down_depth must be below up_depth"
-                );
-                spec.max_replicas
-            }
-            None => initial,
-        };
+        if let Err(err) = pool.validate(initial, faults) {
+            panic!("{err}");
+        }
+        let slots = pool.autoscale.map_or(initial, |a| a.max_replicas);
         let shards = if pool.shards > 1 {
             ShardMap::strided(slots, pool.shards)
         } else {
             ShardMap::full(slots)
         };
-        if let Err(msg) = faults.validate(slots) {
-            panic!("inconsistent fault plan: {msg}");
-        }
-        if let Some(slo) = &pool.slo {
-            assert!(slo.p99_target_ns > 0, "slo p99 target must be positive");
-            assert!(
-                slo.headroom > 0.0 && slo.headroom <= 1.0,
-                "slo headroom must be in (0, 1]"
-            );
-        }
         let mut slow = vec![1.0; slots];
         for s in &faults.slowdowns {
             slow[s.replica] = s.factor;
@@ -644,8 +615,6 @@ impl<'c> Simulator<'c> {
             autoscale: pool.autoscale,
             slo: pool.slo,
             served_service_ns: 0,
-            served_requests: 0,
-            served_batches: 0,
             replicas: (0..slots)
                 .map(|i| Replica {
                     platform: replica_platforms[i % initial],
@@ -660,6 +629,7 @@ impl<'c> Simulator<'c> {
                     pending_up: false,
                     up: true,
                     generation: 0,
+                    served: false,
                 })
                 .collect(),
             events: BinaryHeap::new(),
@@ -678,13 +648,11 @@ impl<'c> Simulator<'c> {
             trace: None,
             result: SimResult {
                 completed: Vec::new(),
-                batches: Vec::new(),
-                samples: Vec::new(),
+                totals: RecordTotals::new(cost.platforms().len()),
                 makespan_ns: 0,
                 replica_platforms: (0..slots).map(|i| replica_platforms[i % initial]).collect(),
                 initial_replicas: initial,
                 replicas_max: initial,
-                cold_starts: Vec::new(),
                 dropped: Vec::new(),
                 view_changes: 0,
                 failover_ns: 0,
@@ -1308,19 +1276,17 @@ impl<'c> Simulator<'c> {
             self.emit(event);
         }
         self.served_service_ns += service;
-        self.served_requests += batch.len() as u64;
-        self.served_batches += 1;
         let replica = &mut self.replicas[r];
         replica.busy_until = now + service;
-        self.result.batches.push(BatchRecord {
-            replica: r,
-            size: batch.len(),
-            warm,
+        let first = !std::mem::replace(&mut replica.served, true);
+        self.result.totals.start(
+            replica.platform,
+            batch.len(),
+            dram_bytes,
             cache_hit,
             shard_miss,
-            dram_bytes,
-            service_ns: service,
-        });
+            first,
+        );
         replica.in_flight = Some((batch, service));
         let generation = replica.generation;
         self.push(
@@ -1354,13 +1320,14 @@ impl<'c> Simulator<'c> {
         let unbound = (batcher.pending_len()
             + self.orphans.iter().map(Batch::len).sum::<usize>()
             + self.parked.iter().map(Batch::len).sum::<usize>()) as u64;
+        let served = self.result.totals.row(None);
         let per_request = self
             .served_service_ns
-            .checked_div(self.served_requests)
+            .checked_div(served.batched_requests)
             .unwrap_or(0);
         let per_batch = self
             .served_service_ns
-            .checked_div(self.served_batches)
+            .checked_div(served.batches)
             .unwrap_or(0);
         (bound + unbound * per_request) / serving as u64 + per_batch
     }
@@ -1415,10 +1382,9 @@ impl<'c> Simulator<'c> {
                     replica: r,
                     delay_ns,
                 });
-                self.result.cold_starts.push(ColdStart {
-                    replica: r,
-                    delay_ns,
-                });
+                self.result
+                    .totals
+                    .cold_start(self.replicas[r].platform, delay_ns);
                 self.push(now + delay_ns, EventKind::ScaleUp(r));
             }
         } else if want_down && self.pending_ups == 0 {
@@ -1504,16 +1470,17 @@ impl<'c> Simulator<'c> {
         replica.cache.clear();
     }
 
+    /// Reports the queues after an event to the record totals.
     fn sample(&mut self, now: u64, batcher: &Batcher) {
-        self.result.samples.push(QueueSample {
-            time_ns: now,
-            batcher_pending: batcher.pending_len(),
-            per_replica: self.replicas.iter().map(Replica::queued_requests).collect(),
-            active_replicas: self.active_count(),
+        self.result.totals.sample(
+            now,
+            batcher.pending_len(),
             // A crashed replica is not serving and does not bill
             // replica-seconds, whatever its autoscale state.
-            active_per_replica: self.replicas.iter().map(|r| r.active && r.up).collect(),
-        });
+            self.replicas
+                .iter()
+                .map(|r| (r.platform, r.queued_requests(), r.active && r.up)),
+        );
     }
 }
 
@@ -1523,6 +1490,7 @@ mod tests {
     use crate::batcher::BatchPolicy;
     use crate::cost::{CostModel, ServiceCost};
     use crate::request::CELL_COUNT;
+    use crate::trace::{active_replicas, RecordingSink};
     use crate::workload::{ArrivalProcess, Traffic, TrafficStream};
 
     /// A synthetic single-platform cost model (no simulation needed).
@@ -1579,6 +1547,68 @@ mod tests {
         Simulator::new(cost, sched, replicas, pool).run(stream, Batcher::new(policy))
     }
 
+    /// [`run_pool`] with a recording sink: the result and its trace.
+    fn traced_pool(
+        cost: &CostModel,
+        sched: SchedPolicy,
+        replicas: &[usize],
+        pool: &PoolConfig,
+        policy: BatchPolicy,
+        stream: TrafficStream,
+    ) -> (SimResult, Vec<TraceEvent>) {
+        let mut sink = RecordingSink::default();
+        let r = Simulator::new(cost, sched, replicas, pool)
+            .with_trace(&mut sink)
+            .run(stream, Batcher::new(policy));
+        (r, sink.events)
+    }
+
+    /// One batch start, as the trace records it.
+    struct Started {
+        replica: usize,
+        warm: bool,
+        cache_hit: bool,
+        shard_miss: bool,
+        /// The whole execution window, bind included.
+        service_ns: u64,
+    }
+
+    /// The trace's batch starts, in execution-start order.
+    fn starts(events: &[TraceEvent]) -> Vec<Started> {
+        events
+            .iter()
+            .filter_map(|event| match *event {
+                TraceEvent::BatchStarted {
+                    replica,
+                    warm,
+                    cache_hit,
+                    shard_miss,
+                    bind_ns,
+                    service_ns,
+                    ..
+                } => Some(Started {
+                    replica,
+                    warm,
+                    cache_hit,
+                    shard_miss,
+                    service_ns: bind_ns + service_ns,
+                }),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The delays of the trace's cold starts, ns.
+    fn cold_start_delays(events: &[TraceEvent]) -> Vec<u64> {
+        events
+            .iter()
+            .filter_map(|event| match *event {
+                TraceEvent::ColdStart { delay_ns, .. } => Some(delay_ns),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn every_request_completes_exactly_once() {
         let cost = flat_cost(10_000, 1_000, 0);
@@ -1605,11 +1635,7 @@ mod tests {
                 .completed
                 .iter()
                 .all(|c| c.completed_ns > c.request.arrival_ns));
-            assert_eq!(
-                r.batches.iter().map(|b| b.size).sum::<usize>(),
-                200,
-                "{policy:?}"
-            );
+            assert_eq!(r.totals.row(None).batched_requests, 200, "{policy:?}");
             assert!(r.makespan_ns > 0);
         }
     }
@@ -1617,80 +1643,75 @@ mod tests {
     #[test]
     fn simulation_is_deterministic() {
         let cost = flat_cost(20_000, 2_000, 0);
-        let a = run(
-            &cost,
-            SchedPolicy::LeastLoaded,
-            &[0, 0, 0],
-            BatchPolicy::SizeCapped { cap: 4 },
-            poisson(20_000.0, 300, 42),
-        );
-        let b = run(
-            &cost,
-            SchedPolicy::LeastLoaded,
-            &[0, 0, 0],
-            BatchPolicy::SizeCapped { cap: 4 },
-            poisson(20_000.0, 300, 42),
-        );
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.batches, b.batches);
-        assert_eq!(a.samples, b.samples);
+        let traced = || {
+            traced_pool(
+                &cost,
+                SchedPolicy::LeastLoaded,
+                &[0, 0, 0],
+                &PoolConfig::default(),
+                BatchPolicy::SizeCapped { cap: 4 },
+                poisson(20_000.0, 300, 42),
+            )
+        };
+        let (a, a_events) = traced();
+        let (b, b_events) = traced();
+        assert_eq!(a, b);
+        assert_eq!(a_events, b_events);
     }
 
     #[test]
     fn round_robin_rotates_and_least_loaded_balances() {
         let cost = flat_cost(10_000, 1_000, 0);
-        let rr = run(
-            &cost,
-            SchedPolicy::RoundRobin,
-            &[0, 0],
-            BatchPolicy::Immediate,
-            poisson(1_000.0, 50, 1),
-        );
+        let traced = |sched, stream| {
+            let (_, events) = traced_pool(
+                &cost,
+                sched,
+                &[0, 0],
+                &PoolConfig::default(),
+                BatchPolicy::Immediate,
+                stream,
+            );
+            starts(&events)
+        };
         let hits =
-            |r: &SimResult, replica| r.batches.iter().filter(|b| b.replica == replica).count();
+            |starts: &[Started], replica| starts.iter().filter(|b| b.replica == replica).count();
+        let rr = traced(SchedPolicy::RoundRobin, poisson(1_000.0, 50, 1));
         assert_eq!(hits(&rr, 0), 25);
         assert_eq!(hits(&rr, 1), 25);
-        let ll = run(
-            &cost,
-            SchedPolicy::LeastLoaded,
-            &[0, 0],
-            BatchPolicy::Immediate,
-            poisson(200_000.0, 50, 1),
-        );
+        let ll = traced(SchedPolicy::LeastLoaded, poisson(200_000.0, 50, 1));
         assert!(hits(&ll, 0) > 0 && hits(&ll, 1) > 0, "overload spills over");
     }
 
     #[test]
     fn shard_affinity_pins_datasets_and_reaps_warm_hits() {
         let cost = flat_cost(50_000, 1_000, 40_000);
-        let r = run(
-            &cost,
-            SchedPolicy::ShardAffinity,
-            &[0, 0, 0],
-            BatchPolicy::Immediate,
-            poisson(4_000.0, 120, 9),
-        );
+        let traced = |sched| {
+            traced_pool(
+                &cost,
+                sched,
+                &[0, 0, 0],
+                &PoolConfig::default(),
+                BatchPolicy::Immediate,
+                poisson(4_000.0, 120, 9),
+            )
+        };
+        let (r, events) = traced(SchedPolicy::ShardAffinity);
         // each dataset lands on exactly one replica
         for c in &r.completed {
             let d = c.request.cell.index() % 3;
             assert_eq!(c.replica, d % 3);
         }
         // pinned replicas are dataset-warm after their first batch
-        let warm = r.batches.iter().filter(|b| b.warm).count();
+        let batches = starts(&events);
+        let warm = batches.iter().filter(|b| b.warm).count();
         assert!(
-            warm > r.batches.len() / 2,
+            warm > batches.len() / 2,
             "{warm}/{} warm batches",
-            r.batches.len()
+            batches.len()
         );
         // round-robin over the same traffic is mostly cold
-        let rr = run(
-            &cost,
-            SchedPolicy::RoundRobin,
-            &[0, 0, 0],
-            BatchPolicy::Immediate,
-            poisson(4_000.0, 120, 9),
-        );
-        let rr_warm = rr.batches.iter().filter(|b| b.warm).count();
+        let (_, rr) = traced(SchedPolicy::RoundRobin);
+        let rr_warm = starts(&rr).iter().filter(|b| b.warm).count();
         assert!(rr_warm < warm, "affinity beats round-robin on warm hits");
     }
 
@@ -1748,9 +1769,10 @@ mod tests {
         );
         assert_eq!(r.completed.len(), 100);
         // at most `clients` requests are ever outstanding
-        for s in &r.samples {
-            assert!(s.total() <= 4, "closed loop bounds the queue");
-        }
+        assert!(
+            r.totals.row(None).max_depth <= 4,
+            "closed loop bounds the queue"
+        );
     }
 
     #[test]
@@ -1791,8 +1813,9 @@ mod tests {
             poisson(4_000.0, 120, 9),
         );
         assert_eq!(r.completed.len(), 120);
-        assert!(
-            r.batches.iter().all(|b| !b.shard_miss),
+        let pool_row = r.totals.row(None);
+        assert_eq!(
+            pool_row.shard_misses, 0,
             "full coverage + partial affinity never misses"
         );
         // each replica only ever serves its own shard
@@ -1802,7 +1825,7 @@ mod tests {
         }
         // the per-replica cache warms: later batches hit
         assert!(
-            r.batches.iter().filter(|b| b.cache_hit).count() > r.batches.len() / 2,
+            pool_row.cache_hits > pool_row.batches / 2,
             "cross-batch feature cache warms up"
         );
     }
@@ -1816,7 +1839,7 @@ mod tests {
         };
         // Round-robin over partial replicas ignores the shard map, so
         // roughly 2/3 of batches land on non-holders.
-        let r = run_pool(
+        let (r, events) = traced_pool(
             &cost,
             SchedPolicy::RoundRobin,
             &[0, 0, 0],
@@ -1824,10 +1847,12 @@ mod tests {
             BatchPolicy::Immediate,
             poisson(1_000.0, 90, 5),
         );
-        let misses = r.batches.iter().filter(|b| b.shard_miss).count();
-        assert!(misses > 0, "blind routing over shards must miss");
+        assert!(
+            r.totals.row(None).shard_misses > 0,
+            "blind routing over shards must miss"
+        );
         let bind = cost.cost(0, crate::request::Cell::from_index(0)).bind_ns;
-        for b in &r.batches {
+        for b in starts(&events) {
             if b.shard_miss {
                 assert!(b.service_ns >= bind, "miss pays the full bind");
                 assert!(!b.warm && !b.cache_hit, "a transient bind retains nothing");
@@ -1842,8 +1867,8 @@ mod tests {
             BatchPolicy::Immediate,
             poisson(1_000.0, 90, 5),
         );
-        assert_eq!(affine.batches.iter().filter(|b| b.shard_miss).count(), 0);
-        let dram = |r: &SimResult| r.batches.iter().map(|b| b.dram_bytes).sum::<u64>();
+        assert_eq!(affine.totals.row(None).shard_misses, 0);
+        let dram = |r: &SimResult| r.totals.row(None).dram_bytes;
         assert!(
             dram(&affine) < dram(&r),
             "miss binds stream the working set again"
@@ -1867,8 +1892,10 @@ mod tests {
             poisson(1_000.0, 60, 2),
         );
         assert_eq!(r.completed.len(), 60, "missing coverage still serves");
-        let misses = r.batches.iter().filter(|b| b.shard_miss).count();
-        assert!(misses > 0, "the uncovered dataset pays its way");
+        assert!(
+            r.totals.row(None).shard_misses > 0,
+            "the uncovered dataset pays its way"
+        );
     }
 
     #[test]
@@ -1891,32 +1918,31 @@ mod tests {
             cache_bytes: 200_000, // all nine cells fit
             ..PoolConfig::default()
         };
-        let warm = run_pool(
-            &cost,
-            SchedPolicy::LeastLoaded,
-            &[0],
-            &cached,
-            BatchPolicy::SizeCapped { cap: 4 },
-            poisson(2_000.0, 120, 13),
+        let traced = |pool: &PoolConfig| {
+            traced_pool(
+                &cost,
+                SchedPolicy::LeastLoaded,
+                &[0],
+                pool,
+                BatchPolicy::SizeCapped { cap: 4 },
+                poisson(2_000.0, 120, 13),
+            )
+        };
+        let (warm, warm_events) = traced(&cached);
+        let (cold, cold_events) = traced(&PoolConfig::default());
+        assert!(
+            warm.totals.row(None).cache_hits > 0,
+            "the cache warms from batch composition"
         );
-        let cold = run(
-            &cost,
-            SchedPolicy::LeastLoaded,
-            &[0],
-            BatchPolicy::SizeCapped { cap: 4 },
-            poisson(2_000.0, 120, 13),
-        );
-        let hits = warm.batches.iter().filter(|b| b.cache_hit).count();
-        assert!(hits > 0, "the cache warms from batch composition");
-        assert_eq!(
-            cold.batches.iter().filter(|b| b.cache_hit).count(),
-            0,
-            "no cache, no hits"
-        );
-        let dram = |r: &SimResult| r.batches.iter().map(|b| b.dram_bytes).sum::<u64>();
-        let service = |r: &SimResult| r.batches.iter().map(|b| b.service_ns).sum::<u64>();
+        assert_eq!(cold.totals.row(None).cache_hits, 0, "no cache, no hits");
+        let dram = |r: &SimResult| r.totals.row(None).dram_bytes;
+        let service =
+            |events: &[TraceEvent]| starts(events).iter().map(|b| b.service_ns).sum::<u64>();
         assert!(dram(&warm) < dram(&cold), "hits discount DRAM traffic");
-        assert!(service(&warm) < service(&cold), "hits discount service");
+        assert!(
+            service(&warm_events) < service(&cold_events),
+            "hits discount service"
+        );
     }
 
     #[test]
@@ -1940,7 +1966,7 @@ mod tests {
             requests: 300,
             seed: 21,
         });
-        let r = run_pool(
+        let (r, events) = traced_pool(
             &cost,
             SchedPolicy::LeastLoaded,
             &[0],
@@ -1955,41 +1981,46 @@ mod tests {
             "spike forces scale-up within the cap (got {})",
             r.replicas_max
         );
-        assert!(!r.cold_starts.is_empty(), "every activation cold-starts");
-        for cs in &r.cold_starts {
-            assert_eq!(cs.delay_ns, cost.cold_start_ns(0));
+        let delays = cold_start_delays(&events);
+        assert!(!delays.is_empty(), "every activation cold-starts");
+        for delay_ns in delays {
+            assert_eq!(delay_ns, cost.cold_start_ns(0));
         }
-        // replica count stays within [min, max] at every sample…
-        for s in &r.samples {
-            assert!((1..=4).contains(&s.active_replicas));
-        }
+        // replica count stays within [min, max] after every change…
+        let steps = active_replicas(&events, 1);
+        assert!(
+            steps.iter().all(|&(_, n)| (1..=4).contains(&n)),
+            "{steps:?}"
+        );
         // …and the pool drains back to the minimum by the end
         assert_eq!(
-            r.samples.last().unwrap().active_replicas,
+            steps.last().unwrap().1,
             1,
             "surplus replicas drain once the burst passes"
         );
         // scaled-up slots actually served traffic
-        assert!(r.batches.iter().any(|b| b.replica > 0));
+        assert!(starts(&events).iter().any(|b| b.replica > 0));
     }
 
     #[test]
     fn fixed_pool_never_scales() {
         let cost = flat_cost(100_000, 10_000, 0);
-        let r = run(
+        let (r, events) = traced_pool(
             &cost,
             SchedPolicy::LeastLoaded,
             &[0, 0],
+            &PoolConfig::default(),
             BatchPolicy::SizeCapped { cap: 8 },
             poisson(100_000.0, 200, 3),
         );
         assert_eq!(r.replicas_max, 2);
-        assert!(r.cold_starts.is_empty());
-        assert!(r.samples.iter().all(|s| s.active_replicas == 2));
+        assert!(cold_start_delays(&events).is_empty());
+        let steps = active_replicas(&events, 2);
+        assert!(steps.iter().all(|&(_, n)| n == 2), "{steps:?}");
     }
 
     #[test]
-    #[should_panic(expected = "down_depth must be below up_depth")]
+    #[should_panic(expected = "invalid autoscale: down_depth 4 must be below up_depth 4")]
     fn autoscale_rejects_inverted_thresholds() {
         let cost = flat_cost(1, 1, 0);
         let pool = PoolConfig {
@@ -2004,7 +2035,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "below the initial pool size")]
+    #[should_panic(expected = "invalid autoscale: max_replicas 1 below the pool size 2")]
     fn autoscale_rejects_max_below_pool() {
         let cost = flat_cost(1, 1, 0);
         let pool = PoolConfig {
@@ -2168,7 +2199,7 @@ mod tests {
             })
         };
         let run_once = || {
-            run_pool(
+            traced_pool(
                 &cost,
                 SchedPolicy::LeastLoaded,
                 &[0],
@@ -2177,27 +2208,29 @@ mod tests {
                 stream(),
             )
         };
-        let r = run_once();
+        let (r, events) = run_once();
         assert_eq!(r.completed.len(), 300);
         assert!(
             r.replicas_max > 1 && r.replicas_max <= 4,
             "the predicted tail forces scale-up within the cap (got {})",
             r.replicas_max
         );
-        for s in &r.samples {
-            assert!((1..=4).contains(&s.active_replicas));
-        }
+        let steps = active_replicas(&events, 1);
+        assert!(
+            steps.iter().all(|&(_, n)| (1..=4).contains(&n)),
+            "{steps:?}"
+        );
         assert_eq!(
-            r.samples.last().unwrap().active_replicas,
+            steps.last().unwrap().1,
             1,
             "the pool drains back once the burst passes"
         );
         // SLO-controlled runs replay byte-identically.
-        assert_eq!(r, run_once());
+        assert_eq!((r, events), run_once());
     }
 
     #[test]
-    #[should_panic(expected = "headroom must be in (0, 1]")]
+    #[should_panic(expected = "invalid slo: headroom 1.5 must be in (0, 1]")]
     fn slo_rejects_out_of_range_headroom() {
         let cost = flat_cost(1, 1, 0);
         let pool = PoolConfig {
@@ -2221,6 +2254,17 @@ mod tests {
         control: bool,
         stream: TrafficStream,
     ) -> SimResult {
+        faulty_sim(cost, replicas, faults, control, &stream)
+            .run(stream, Batcher::new(BatchPolicy::SizeCapped { cap: 4 }))
+    }
+
+    fn faulty_sim<'c>(
+        cost: &'c CostModel,
+        replicas: &[usize],
+        faults: &FaultSpec,
+        control: bool,
+        stream: &TrafficStream,
+    ) -> Simulator<'c> {
         Simulator::with_faults(
             cost,
             SchedPolicy::LeastLoaded,
@@ -2230,7 +2274,6 @@ mod tests {
             control,
             stream.budget(), // any deterministic seed works
         )
-        .run(stream, Batcher::new(BatchPolicy::SizeCapped { cap: 4 }))
     }
 
     /// Unique sorted request ids across completions and drops.
@@ -2369,13 +2412,15 @@ mod tests {
     #[test]
     fn straggler_stretches_service_and_the_tail() {
         let cost = flat_cost(20_000, 2_000, 0);
-        let healthy = run_faulty(
-            &cost,
-            &[0, 0],
-            &FaultSpec::default(),
-            false,
-            poisson(30_000.0, 150, 5),
-        );
+        let traced = |faults: &FaultSpec| {
+            let stream = poisson(30_000.0, 150, 5);
+            let mut sink = RecordingSink::default();
+            let r = faulty_sim(&cost, &[0, 0], faults, false, &stream)
+                .with_trace(&mut sink)
+                .run(stream, Batcher::new(BatchPolicy::SizeCapped { cap: 4 }));
+            (r, sink.events)
+        };
+        let (healthy, healthy_events) = traced(&FaultSpec::default());
         let slow = FaultSpec {
             slowdowns: vec![Slowdown {
                 replica: 1,
@@ -2383,10 +2428,10 @@ mod tests {
             }],
             ..FaultSpec::default()
         };
-        let straggling = run_faulty(&cost, &[0, 0], &slow, false, poisson(30_000.0, 150, 5));
+        let (straggling, straggling_events) = traced(&slow);
         assert_eq!(straggling.completed.len(), 150, "slow is not lost");
-        let min_service = |r: &SimResult, replica: usize| {
-            r.batches
+        let min_service = |events: &[TraceEvent], replica: usize| {
+            starts(events)
                 .iter()
                 .filter(|b| b.replica == replica)
                 .map(|b| b.service_ns)
@@ -2394,7 +2439,7 @@ mod tests {
                 .unwrap()
         };
         assert!(
-            min_service(&straggling, 1) >= 8 * min_service(&healthy, 0),
+            min_service(&straggling_events, 1) >= 8 * min_service(&healthy_events, 0),
             "every batch on the straggler pays the multiplier"
         );
         assert!(straggling.makespan_ns > healthy.makespan_ns);
@@ -2443,7 +2488,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "inconsistent fault plan")]
+    #[should_panic(expected = "invalid faults: crash names replica 5")]
     fn fault_plan_replica_indices_are_validated() {
         let cost = flat_cost(1, 1, 0);
         let faults = FaultSpec {

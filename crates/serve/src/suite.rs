@@ -183,12 +183,9 @@ impl ServeHarness {
     ///
     /// # Errors
     ///
-    /// Returns [`GdrError::InvalidConfig`] when the spec's pool names a
-    /// platform the harness did not measure, the pool is empty, the
-    /// autoscale spec is inconsistent (`max_replicas` below the pool
-    /// size, or `down_depth >= up_depth`), the SLO is inconsistent (a
-    /// zero target, or headroom outside `(0, 1]`), or the fault plan is
-    /// inconsistent with the slot count ([`FaultSpec::validate`]).
+    /// Returns [`GdrError::InvalidConfig`] when the spec's pool is empty
+    /// or names a platform the harness did not measure, or when its
+    /// pool shaping and fault plan fail [`PoolConfig::validate`].
     pub fn run(&self, spec: &ScenarioSpec, seed: u64) -> GdrResult<ServeScenarioRecord> {
         Ok(self.simulate(spec, seed, None)?.0)
     }
@@ -291,9 +288,8 @@ impl ServeHarness {
         Ok((record, result))
     }
 
-    /// The simulation path's validation: checks the spec against
-    /// the harness and resolves the pool to cost-model platform
-    /// indices.
+    /// The simulation path's validation: checks the spec and resolves
+    /// the pool to cost-model platform indices.
     fn validate(&self, spec: &ScenarioSpec) -> GdrResult<Vec<usize>> {
         if spec.pool.is_empty() {
             return Err(GdrError::invalid_config(
@@ -301,47 +297,7 @@ impl ServeHarness {
                 "a scenario needs at least one replica",
             ));
         }
-        let slots = spec
-            .autoscale
-            .map_or(spec.pool.len(), |a| a.max_replicas.max(spec.pool.len()));
-        if let Err(msg) = spec.faults.validate(slots) {
-            return Err(GdrError::invalid_config("faults", msg));
-        }
-        if let Some(a) = &spec.autoscale {
-            if a.max_replicas < spec.pool.len() {
-                return Err(GdrError::invalid_config(
-                    "autoscale",
-                    format!(
-                        "max_replicas {} below the pool size {}",
-                        a.max_replicas,
-                        spec.pool.len()
-                    ),
-                ));
-            }
-            if a.down_depth >= a.up_depth {
-                return Err(GdrError::invalid_config(
-                    "autoscale",
-                    format!(
-                        "down_depth {} must be below up_depth {}",
-                        a.down_depth, a.up_depth
-                    ),
-                ));
-            }
-        }
-        if let Some(slo) = &spec.slo {
-            if slo.p99_target_ns == 0 {
-                return Err(GdrError::invalid_config(
-                    "slo",
-                    "p99 target must be positive",
-                ));
-            }
-            if !(slo.headroom > 0.0 && slo.headroom <= 1.0) {
-                return Err(GdrError::invalid_config(
-                    "slo",
-                    format!("headroom {} must be in (0, 1]", slo.headroom),
-                ));
-            }
-        }
+        spec.pool_config().validate(spec.pool.len(), &spec.faults)?;
         spec.pool
             .iter()
             .map(|name| {

@@ -23,11 +23,14 @@
 //! batches as duration events, faults and control-plane activity as
 //! instant events. `gdr-bench trace --out trace.json` wires it to the
 //! CLI. The same list feeds the latency breakdown
-//! ([`request_breakdowns`](crate::metrics::request_breakdowns)) and the
+//! ([`request_breakdowns`](crate::metrics::request_breakdowns)), the
 //! replay log
-//! ([`AssignmentLog::from_events`](crate::replay::AssignmentLog::from_events)).
+//! ([`AssignmentLog::from_events`](crate::replay::AssignmentLog::from_events))
+//! and the pool's active-replica count ([`active_replicas`]).
 
 use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use gdr_system::json::Json;
 use gdr_system::trace_export::ChromeTrace;
@@ -237,6 +240,53 @@ impl TraceSink for RecordingSink {
     fn emit(&mut self, event: TraceEvent) {
         self.events.push(event);
     }
+}
+
+/// The pool's active-replica count after every change to it, folded
+/// from a recorded event list as `(time_ns, count)` pairs from
+/// `(0, initial)`. A slot counts while it is active and up, as
+/// replica-seconds bill it: an initial slot from the start, an
+/// autoscaled one from its cold start's `time_ns + delay_ns`, each until
+/// it drains, and none between a crash and its recovery.
+pub fn active_replicas(events: &[TraceEvent], initial: usize) -> Vec<(u64, usize)> {
+    // Per slot: (active, up); autoscaled slots join inactive.
+    let mut slots = vec![(true, true); initial];
+    let mut steps = vec![(0, initial)];
+    let mut change = |time_ns, r: usize, set: fn(&mut (bool, bool))| {
+        if slots.len() <= r {
+            slots.resize(r + 1, (false, true));
+        }
+        set(&mut slots[r]);
+        let active = slots.iter().filter(|&&s| s == (true, true)).count();
+        steps.push((time_ns, active));
+    };
+    // Cold starts not yet serving, earliest first.
+    let mut pending = BinaryHeap::new();
+    // A trailing `None` lets the cold starts still pending finish.
+    for event in events.iter().map(Some).chain([None]) {
+        let now = event.map_or(u64::MAX, TraceEvent::time_ns);
+        while let Some(Reverse((ready_ns, r))) = pending.peek().copied() {
+            if ready_ns > now {
+                break;
+            }
+            pending.pop();
+            change(ready_ns, r, |s| s.0 = true);
+        }
+        match event {
+            Some(&TraceEvent::ColdStart {
+                time_ns,
+                replica,
+                delay_ns,
+            }) => pending.push(Reverse((time_ns + delay_ns, replica))),
+            Some(&TraceEvent::ReplicaDrained { replica, .. }) => {
+                change(now, replica, |s| s.0 = false)
+            }
+            Some(&TraceEvent::Crash { replica, .. }) => change(now, replica, |s| s.1 = false),
+            Some(&TraceEvent::Recover { replica, .. }) => change(now, replica, |s| s.1 = true),
+            _ => {}
+        }
+    }
+    steps
 }
 
 /// Track layout of the exported trace: the scenario is one process

@@ -12,7 +12,8 @@
 //!   that carried it;
 //! * **batch sizes never exceed the policy cap**;
 //! * **cache hit rate ∈ [0, 1]**, and zero whenever the cache is off;
-//! * **autoscaler replica count ∈ [min, max]** at every event sample;
+//! * **autoscaler replica count ∈ [min, max]** after every change the
+//!   trace records;
 //! * **SLO-scaled pools never dip below the initial pool**, conserve
 //!   every request across drain migrations, replay deterministically,
 //!   and report an `slo_violation_rate` in [0, 1].
@@ -41,6 +42,7 @@ use gdr_serve::cost::{CostModel, ServiceCost};
 use gdr_serve::fault::{CrashWindow, FaultSpec, Slowdown};
 use gdr_serve::metrics::{percentile, scenario_record};
 use gdr_serve::scheduler::{AutoscaleSpec, PoolConfig, SchedPolicy, SimResult, Simulator, SloSpec};
+use gdr_serve::trace::{active_replicas, RecordingSink, TraceEvent};
 use gdr_serve::workload::{ArrivalProcess, Traffic};
 use gdr_system::report::SERVE_METRIC_KEYS;
 
@@ -154,6 +156,26 @@ fn run(s: &Scenario) -> SimResult {
         .run(s.traffic.stream(), Batcher::new(s.batch))
 }
 
+/// [`run`] with a recording sink: the result and its trace.
+fn run_traced(s: &Scenario) -> (SimResult, Vec<TraceEvent>) {
+    let mut sink = RecordingSink::default();
+    let r = Simulator::new(&s.cost, s.sched, &s.replicas, &s.pool)
+        .with_trace(&mut sink)
+        .run(s.traffic.stream(), Batcher::new(s.batch));
+    (r, sink.events)
+}
+
+/// Asserts the active-replica count stays in `[min, max]` after every
+/// change the trace records.
+fn assert_active_within(events: &[TraceEvent], min: usize, max: usize, seed: u64) {
+    for (time_ns, n) in active_replicas(events, min) {
+        assert!(
+            (min..=max).contains(&n),
+            "seed {seed}: {n} active at {time_ns} ns outside [{min}, {max}]"
+        );
+    }
+}
+
 fn batch_cap(policy: BatchPolicy) -> usize {
     match policy {
         BatchPolicy::Immediate => 1,
@@ -175,8 +197,8 @@ fn requests_are_conserved_at_drain() {
         assert_eq!(ids.len(), s.traffic.requests, "seed {seed}: duplicate ids");
         // batches partition the request set
         assert_eq!(
-            r.batches.iter().map(|b| b.size).sum::<usize>(),
-            s.traffic.requests,
+            r.totals.row(None).batched_requests,
+            s.traffic.requests as u64,
             "seed {seed}"
         );
     }
@@ -205,13 +227,14 @@ fn batch_sizes_never_exceed_the_policy_cap() {
     for seed in 0..SEEDS {
         let s = random_scenario(seed);
         let cap = batch_cap(s.batch);
-        let r = run(&s);
-        for b in &r.batches {
-            assert!(
-                (1..=cap).contains(&b.size),
-                "seed {seed}: batch of {} under cap {cap}",
-                b.size
-            );
+        let (_, events) = run_traced(&s);
+        for event in &events {
+            if let TraceEvent::BatchStarted { size, .. } = *event {
+                assert!(
+                    (1..=cap).contains(&size),
+                    "seed {seed}: batch of {size} under cap {cap}"
+                );
+            }
         }
     }
 }
@@ -252,18 +275,14 @@ fn autoscaler_stays_within_min_and_max() {
         let s = random_scenario(seed);
         let min = s.replicas.len();
         let max = s.pool.autoscale.map_or(min, |a| a.max_replicas);
-        let r = run(&s);
-        for sample in &r.samples {
-            assert!(
-                (min..=max).contains(&sample.active_replicas),
-                "seed {seed}: {} active outside [{min}, {max}]",
-                sample.active_replicas
-            );
-        }
+        let (r, events) = run_traced(&s);
+        assert_active_within(&events, min, max, seed);
         assert!((min..=max).contains(&r.replicas_max), "seed {seed}");
         if s.pool.autoscale.is_none() {
             assert!(
-                r.cold_starts.is_empty(),
+                !events
+                    .iter()
+                    .any(|e| matches!(e, TraceEvent::ColdStart { .. })),
                 "seed {seed}: fixed pools never cold-start"
             );
         }
@@ -542,11 +561,9 @@ fn faulty_simulation_is_replay_deterministic() {
 fn simulation_is_replay_deterministic_across_random_scenarios() {
     for seed in 0..8 {
         let s = random_scenario(seed);
-        let (a, b) = (run(&s), run(&s));
-        assert_eq!(a.completed, b.completed, "seed {seed}");
-        assert_eq!(a.batches, b.batches, "seed {seed}");
-        assert_eq!(a.samples, b.samples, "seed {seed}");
-        assert_eq!(a.cold_starts, b.cold_starts, "seed {seed}");
+        let (a, b) = (run_traced(&s), run_traced(&s));
+        assert_eq!(a.0, b.0, "seed {seed}");
+        assert_eq!(a.1, b.1, "seed {seed}");
     }
 }
 
@@ -574,14 +591,8 @@ fn slo_scaling_never_dips_below_the_initial_pool() {
         let s = random_slo_scenario(seed);
         let min = s.replicas.len();
         let max = s.pool.autoscale.expect("forced on").max_replicas;
-        let r = run(&s);
-        for sample in &r.samples {
-            assert!(
-                (min..=max).contains(&sample.active_replicas),
-                "seed {seed}: {} active outside [{min}, {max}]",
-                sample.active_replicas
-            );
-        }
+        let (r, events) = run_traced(&s);
+        assert_active_within(&events, min, max, seed);
         assert!((min..=max).contains(&r.replicas_max), "seed {seed}");
     }
 }

@@ -7,7 +7,7 @@
 use std::time::Instant;
 
 use gdr_serve::fault::{CrashWindow, FaultSpec, Slowdown};
-use gdr_serve::metrics::request_breakdowns;
+use gdr_serve::metrics::{request_breakdowns, RecordTotals};
 use gdr_serve::request::{Cell, Request};
 use gdr_serve::scheduler::{CompletedRequest, SimResult};
 use gdr_serve::suite::{scaled_rate, ScenarioSpec, ServeHarness, HIGH_RATE_RPS};
@@ -209,13 +209,11 @@ fn synthetic_run(n: u64) -> (SimResult, Vec<TraceEvent>) {
     }
     let result = SimResult {
         completed,
-        batches: Vec::new(),
-        samples: Vec::new(),
+        totals: RecordTotals::new(1),
         makespan_ns: 0,
         replica_platforms: vec![0],
         initial_replicas: 1,
         replicas_max: 1,
-        cold_starts: Vec::new(),
         dropped: Vec::new(),
         view_changes: 0,
         failover_ns: 0,
