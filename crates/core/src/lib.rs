@@ -11,7 +11,9 @@
 //! * [`recouple`] — recoupling step 2: the `Src/Dst × in/out` vertex
 //!   partition and the three-subgraph generation (`GenerateGraph`);
 //! * [`schedule`] — edge schedules, including the locality-friendly
-//!   restructured order and the baselines it is compared against;
+//!   restructured order (walked over the three subgraphs, or emitted
+//!   straight from the backbone without them) and the baselines it is
+//!   compared against;
 //! * [`locality`] — fully-associative LRU analysis quantifying buffer
 //!   thrashing per schedule;
 //! * [`restructure`] — the end-to-end [`restructure::Restructurer`]

@@ -20,8 +20,9 @@ pub enum VertexClass {
     DstOut,
 }
 
-/// Vertex partition derived from a [`Backbone`]: the contents of the four
-/// FIFOs (`Src_in`, `Src_out`, `Dst_in`, `Dst_out`) the Recoupler fills.
+/// Vertex partition derived from a [`Backbone`]: the four classes
+/// (`Src_in`, `Src_out`, `Dst_in`, `Dst_out`) the Recoupler's class
+/// FIFOs hold.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct VertexPartition {
     src_in: Vec<u32>,
@@ -209,6 +210,13 @@ impl RestructuredSubgraphs {
     /// (debug builds assert instead).
     pub fn cover_violations(&self) -> usize {
         self.cover_violations
+    }
+
+    /// Records the cover-violation count of a restructuring that emitted
+    /// its schedule without generating these subgraphs
+    /// ([`EdgeSchedule::from_backbone_into`](crate::schedule::EdgeSchedule::from_backbone_into)).
+    pub(crate) fn set_cover_violations(&mut self, violations: usize) {
+        self.cover_violations = violations;
     }
 
     /// The subgraph of a given kind.

@@ -1,8 +1,9 @@
 //! Top-level graph restructuring driver (decoupling + recoupling).
 //!
 //! [`Restructurer`] wires the pieces together exactly as the GDR-HGNN
-//! frontend does: decouple (maximum matching) → select backbone → generate
-//! the three subgraphs → emit a locality-friendly edge schedule. It also
+//! frontend does: decouple (maximum matching) → select backbone → emit the
+//! locality-friendly edge schedule of the three subgraphs (straight from
+//! the backbone, without building them, unless it recurses). It also
 //! implements the paper's proposed extension of applying the method
 //! *recursively* to subgraphs ("…can be applied to subgraphs to generate
 //! smaller sub-subgraphs, thereby exploiting data locality in a smaller
@@ -124,13 +125,26 @@ impl Restructurer {
     /// Restructures one semantic graph.
     ///
     /// This is the allocating entry point: it builds a transient
-    /// [`Workspace`], runs [`Restructurer::restructure_with`], and moves
-    /// the results out — so it costs exactly one restructuring pass
-    /// worth of allocations. Callers restructuring many graphs should
-    /// hold a workspace and call `restructure_with` directly.
+    /// [`Workspace`], runs [`Restructurer::restructure_with`], then
+    /// builds the four-way partition
+    /// ([`VertexPartition::from_backbone_into`]) and, at depth 0, the
+    /// three subgraphs ([`RestructuredSubgraphs::generate_into`]), which
+    /// `restructure_with` leaves out, and moves the results out. So it
+    /// costs one restructuring pass worth of allocations plus the
+    /// partition and subgraph storage. Callers restructuring many graphs
+    /// should hold a workspace and call `restructure_with` directly.
     pub fn restructure(&self, g: &BipartiteGraph) -> Restructured {
         let mut ws = Workspace::new();
         let decoupling_stats = self.restructure_with(&mut ws, g);
+        VertexPartition::from_backbone_into(g, &ws.backbone, &mut ws.partition);
+        if self.recursion_depth == 0 {
+            RestructuredSubgraphs::generate_into(
+                g,
+                &ws.backbone,
+                &mut ws.subgraphs,
+                &mut ws.recouple_scratch,
+            );
+        }
         let name = if self.recursion_depth == 0 {
             "restructured"
         } else {
@@ -147,29 +161,43 @@ impl Restructurer {
     }
 
     /// Restructures one semantic graph **into a reusable workspace**:
-    /// decouple → select backbone → partition → generate subgraphs →
-    /// emit the schedule, with every intermediate rebuilt in place. At
-    /// steady state (buffers grown to the largest graph seen) the pass
-    /// performs zero heap allocation, and its results do not depend on
-    /// what the workspace held before: the 48-seed property net in
-    /// `crates/core/tests/workspace_properties.rs` pins both a reused
-    /// workspace against a fresh one and the recursive order against a
-    /// reference construction.
+    /// decouple → select backbone → emit the schedule, with every
+    /// intermediate rebuilt in place. At steady state (buffers grown to
+    /// the largest graph seen) the pass performs zero heap allocation,
+    /// and its results do not depend on what the workspace held before:
+    /// the 48-seed property net in
+    /// `crates/core/tests/workspace_properties.rs` pins a reused
+    /// workspace against a fresh one, the emitted order against the
+    /// subgraph walk, and the recursive order against a reference
+    /// construction.
     ///
-    /// On return the workspace holds the full result: `ws.matching`,
-    /// `ws.backbone`, `ws.partition`, `ws.subgraphs` (including
-    /// [`RestructuredSubgraphs::cover_violations`]), and the schedule
-    /// edge order in `ws.edges`. The returned [`DecouplingStats`] carry
-    /// the FIFO matcher's work counters (zero for the other engines).
+    /// It fills exactly `ws.matching`, `ws.backbone`, the schedule edge
+    /// order in `ws.edges`, and the graph's cover-violation count
+    /// ([`RestructuredSubgraphs::cover_violations`] on `ws.subgraphs`).
+    /// At depth 0 the schedule comes straight from the backbone
+    /// ([`EdgeSchedule::from_backbone_into`]): `ws.partition` and the
+    /// three subgraph graphs keep whatever they held, and callers that
+    /// need them run the stage steps
+    /// ([`VertexPartition::from_backbone_into`],
+    /// [`RestructuredSubgraphs::generate_into`]) or
+    /// [`Restructurer::restructure`]. The returned [`DecouplingStats`]
+    /// carry the FIFO matcher's work counters (zero for the other
+    /// engines).
     ///
-    /// Recursive refinement (`recursion_depth > 0`) reuses the workspace
-    /// for the top level; each recursion level restructures its
+    /// Recursive refinement (`recursion_depth > 0`) generates the top
+    /// level's three subgraphs into `ws.subgraphs` (not the partition)
+    /// and walks them; each recursion level restructures its
     /// sub-subgraphs in a workspace of its own, so it allocates per
     /// level — it is an offline schedule-quality extension, not the
     /// streaming hot path.
     pub fn restructure_with(&self, ws: &mut Workspace, g: &BipartiteGraph) -> DecouplingStats {
+        if self.recursion_depth == 0 {
+            let stats = self.decouple_into(ws, g);
+            let violations = EdgeSchedule::from_backbone_into(g, &ws.backbone, &mut ws.edges);
+            ws.subgraphs.set_cover_violations(violations);
+            return stats;
+        }
         let stats = self.split_into(ws, g);
-        VertexPartition::from_backbone_into(g, &ws.backbone, &mut ws.partition);
         let Workspace {
             subgraphs, edges, ..
         } = ws;
@@ -181,10 +209,10 @@ impl Restructurer {
         stats
     }
 
-    /// Decouples `g` with the configured matcher, selects the backbone
-    /// and generates the three subgraphs, all into `ws`. Returns the FIFO
-    /// matcher's work counters (zero for the other engines).
-    fn split_into(&self, ws: &mut Workspace, g: &BipartiteGraph) -> DecouplingStats {
+    /// Decouples `g` with the configured matcher and selects the
+    /// backbone, both into `ws`. Returns the FIFO matcher's work counters
+    /// (zero for the other engines).
+    fn decouple_into(&self, ws: &mut Workspace, g: &BipartiteGraph) -> DecouplingStats {
         let stats = match self.matcher {
             MatcherKind::Fifo => fifo_matching_into(g, &mut ws.matching, &mut ws.match_scratch),
             MatcherKind::HopcroftKarp => {
@@ -203,6 +231,13 @@ impl Restructurer {
             &mut ws.backbone,
             &mut ws.match_scratch,
         );
+        stats
+    }
+
+    /// [`Restructurer::decouple_into`], then generates the three
+    /// subgraphs into `ws.subgraphs`.
+    fn split_into(&self, ws: &mut Workspace, g: &BipartiteGraph) -> DecouplingStats {
+        let stats = self.decouple_into(ws, g);
         RestructuredSubgraphs::generate_into(
             g,
             &ws.backbone,

@@ -12,6 +12,7 @@ use gdr_hetgraph::{BipartiteGraph, Edge, GdrError, GdrResult};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::backbone::Backbone;
 use crate::recouple::{RestructuredSubgraphs, SubgraphKind};
 
 /// A named total order over a semantic graph's edges.
@@ -152,13 +153,68 @@ impl EdgeSchedule {
     ///   finishes in one burst, backbone sources stay on-chip).
     ///
     /// A caller that keeps the schedule wraps the buffer with
-    /// [`EdgeSchedule::new`], as the Recoupler model does.
+    /// [`EdgeSchedule::new`]. [`EdgeSchedule::from_backbone_into`] emits
+    /// the same order without the subgraphs.
     pub fn restructured_into(r: &RestructuredSubgraphs, out: &mut Vec<Edge>) {
         out.clear();
         out.reserve(r.total_edges());
         for (kind, sg) in r.iter() {
             push_subgraph(kind, sg, out);
         }
+    }
+
+    /// The restructured order of `g` against backbone `b`, emitted into
+    /// a reusable buffer (cleared first) straight from `g`'s two CSRs and
+    /// the backbone bitmaps: edge for edge what
+    /// [`EdgeSchedule::restructured_into`] walks over the subgraphs
+    /// [`RestructuredSubgraphs::generate_into`] builds from `b`, with no
+    /// partition and no subgraph built. Three filtered passes, in
+    /// pipeline order:
+    ///
+    /// * `Src_out × Dst_in` — each source outside the backbone, in id
+    ///   order, then its out-neighbors inside it;
+    /// * `Src_in × Dst_in` — each backbone destination, in id order, then
+    ///   its in-neighbors inside the backbone;
+    /// * `Src_in × Dst_out` — each destination outside the backbone, in id
+    ///   order, then its whole in-row.
+    ///
+    /// Returns the number of edges with neither endpoint in the backbone
+    /// (see [`RestructuredSubgraphs::cover_violations`]). They are
+    /// counted in the first pass and emitted in the last, in ascending
+    /// source order, where `generate_into` files them.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug assertion) if `b` is not a vertex cover of `g`, and
+    /// if a backbone bitmap is shorter than its vertex space.
+    pub fn from_backbone_into(g: &BipartiteGraph, b: &Backbone, out: &mut Vec<Edge>) -> usize {
+        out.clear();
+        out.reserve(g.edge_count());
+        let src_in = &b.src_bitmap()[..g.src_count()];
+        let dst_in = &b.dst_bitmap()[..g.dst_count()];
+        let mut violations = 0;
+        for (s, _) in src_in.iter().enumerate().filter(|(_, &inside)| !inside) {
+            for &d in g.out_neighbors(s) {
+                if dst_in[d as usize] {
+                    out.push(Edge::new(s as u32, d));
+                } else {
+                    violations += 1;
+                }
+            }
+        }
+        for (d, _) in dst_in.iter().enumerate().filter(|(_, &inside)| inside) {
+            let row = g.in_neighbors(d).iter().filter(|&&s| src_in[s as usize]);
+            out.extend(row.map(|&s| Edge::new(s, d as u32)));
+        }
+        for (d, _) in dst_in.iter().enumerate().filter(|(_, &inside)| !inside) {
+            out.extend(g.in_neighbors(d).iter().map(|&s| Edge::new(s, d as u32)));
+        }
+        debug_assert!(
+            violations == 0,
+            "backbone is not a vertex cover: {violations} edges of {} have no backbone endpoint",
+            g.name()
+        );
+        violations
     }
 
     /// Schedule label.

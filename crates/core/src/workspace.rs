@@ -9,8 +9,10 @@
 //! reuses it
 //! ([`crate::matching::fifo_matching_into`],
 //! [`crate::backbone::Backbone::select_into`],
+//! [`crate::recouple::VertexPartition::from_backbone_into`],
 //! [`crate::recouple::RestructuredSubgraphs::generate_into`],
 //! [`crate::schedule::EdgeSchedule::restructured_into`],
+//! [`crate::schedule::EdgeSchedule::from_backbone_into`],
 //! [`crate::restructure::Restructurer::restructure_with`]):
 //! buffers are `clear()`ed, never dropped, and subgraph
 //! [`BipartiteGraph`](gdr_hetgraph::BipartiteGraph)s are refilled in
@@ -18,17 +20,23 @@
 //! ([`BipartiteGraph::split_by_side_into`](gdr_hetgraph::BipartiteGraph::split_by_side_into)).
 //! At steady state — once every buffer has grown to the largest graph
 //! seen — a restructuring pass performs **zero heap allocation** for
-//! its intermediates. Retained products are pooled too: DRAM request
-//! logs draw from [`Workspace::take_request_log`] and return through
+//! its intermediates. At recursion depth 0 `restructure_with` fills
+//! only the matching, the backbone, the schedule edges and the
+//! cover-violation count: it emits the schedule straight from the
+//! backbone and builds no partition and no subgraphs, which the stage
+//! steps above build for a caller that wants them. Retained products
+//! are pooled too: DRAM request logs draw from
+//! [`Workspace::take_request_log`] and return through
 //! [`Workspace::recycle_request_log`], so replay-heavy callers (the
 //! serving cost model re-measures every cell per harness) recycle the
 //! log storage instead of reallocating it per replay. The hardware
 //! frontend model in `gdr-frontend` still allocates per graph: its owned
-//! schedule, its modeled hash table and its four class FIFOs.
+//! schedule and its modeled hash table.
 //!
 //! The one allocating convenience is the one-shot
 //! [`Restructurer::restructure`](crate::restructure::Restructurer::restructure),
-//! which runs the workspace path on a transient workspace and moves the
+//! which runs the workspace path on a transient workspace, builds the
+//! partition and subgraphs through the stage steps, and moves the
 //! results out. A 48-seed property net
 //! (`crates/core/tests/workspace_properties.rs`) pins that a reused
 //! workspace gives byte-identical results to a fresh one over long
@@ -37,6 +45,7 @@
 //! # Examples
 //!
 //! ```
+//! use gdr_core::recouple::RestructuredSubgraphs;
 //! use gdr_core::restructure::Restructurer;
 //! use gdr_core::workspace::Workspace;
 //! use gdr_hetgraph::gen::PowerLawConfig;
@@ -45,9 +54,18 @@
 //! let mut ws = Workspace::new();
 //! for seed in 0..4 {
 //!     let g = PowerLawConfig::new(60, 60, 240).generate("g", seed);
+//!     // decouple → select the backbone → emit the schedule
 //!     r.restructure_with(&mut ws, &g);
-//!     assert_eq!(ws.subgraphs.total_edges(), g.edge_count());
 //!     assert_eq!(ws.edges.len(), g.edge_count());
+//!     assert_eq!(ws.subgraphs.cover_violations(), 0);
+//!     // the three subgraphs, for a caller that wants them
+//!     RestructuredSubgraphs::generate_into(
+//!         &g,
+//!         &ws.backbone,
+//!         &mut ws.subgraphs,
+//!         &mut ws.recouple_scratch,
+//!     );
+//!     assert_eq!(ws.subgraphs.total_edges(), g.edge_count());
 //! }
 //! ```
 
@@ -193,11 +211,19 @@ pub struct Workspace {
     pub match_scratch: MatchScratch,
     /// Backbone output slot (membership bitmaps rebuilt in place).
     pub backbone: Backbone,
-    /// Four-way vertex partition output slot.
+    /// Four-way vertex partition output slot, filled by
+    /// [`VertexPartition::from_backbone_into`];
+    /// [`Restructurer::restructure_with`](crate::restructure::Restructurer::restructure_with)
+    /// leaves it as it was.
     pub partition: VertexPartition,
-    /// Three-subgraph output slot; each
+    /// Three-subgraph output slot, filled by
+    /// [`RestructuredSubgraphs::generate_into`]; each
     /// [`BipartiteGraph`](gdr_hetgraph::BipartiteGraph) refills its CSR
     /// storage in place.
+    /// [`Restructurer::restructure_with`](crate::restructure::Restructurer::restructure_with)
+    /// rebuilds the subgraphs only when it recurses, and always sets
+    /// [`RestructuredSubgraphs::cover_violations`] to the count of the
+    /// graph it restructured.
     pub subgraphs: RestructuredSubgraphs,
     /// Empty subgraph-generation scratch (see [`RecoupleScratch`]).
     pub recouple_scratch: RecoupleScratch,

@@ -10,20 +10,24 @@
 //!
 //! * **matching** — same assignment tables and size;
 //! * **backbone** — same membership bitmaps, strategy, fixups;
-//! * **partition** — same four class FIFOs;
-//! * **subgraphs** — same three edge lists, names, and
-//!   `cover_violations`;
 //! * **schedule** — same emitted edge order;
-//! * **stats** — same decoupling work counters.
+//! * **stats** — same decoupling work counters;
+//! * **partition** and **subgraphs** — rebuilt in the reused workspace by
+//!   the stage steps (which `restructure_with` leaves out at depth 0),
+//!   same four class FIFOs, three edge lists, names, and
+//!   `cover_violations`.
 //!
 //! Any divergence between a reused and a fresh workspace is a
 //! correctness bug, not a tuning difference. The one-shot
 //! [`Restructurer::restructure`] runs the same code as
-//! [`Restructurer::restructure_with`], so three more nets check the
+//! [`Restructurer::restructure_with`], so four more nets check the
 //! code itself against constructions of their own:
 //!
 //! * the granular `_into` steps, called one by one, must reproduce
-//!   `restructure_with`;
+//!   `restructure_with` and `restructure`;
+//! * the schedule emitted straight from the backbone must equal the walk
+//!   of the generated subgraphs, edge for edge, with the same
+//!   cover-violation count;
 //! * the recursive schedule must equal a reference recursion with its
 //!   own matcher dispatch and its own per-kind walk order;
 //! * each generated subgraph must equal
@@ -39,7 +43,8 @@ use gdr_core::matching::{
 use gdr_core::recouple::{RestructuredSubgraphs, SubgraphKind, VertexPartition};
 use gdr_core::restructure::{MatcherKind, Restructurer};
 use gdr_core::schedule::EdgeSchedule;
-use gdr_core::workspace::Workspace;
+use gdr_core::workspace::{RecoupleScratch, Workspace};
+use gdr_hetgraph::datasets::Dataset;
 use gdr_hetgraph::gen::PowerLawConfig;
 use gdr_hetgraph::{BipartiteGraph, Edge};
 
@@ -125,8 +130,6 @@ fn reused_workspace_is_byte_identical_to_fresh_restructuring() {
             let ctx = format!("seed {seed} step {step} graph {}", g.name());
             assert_eq!(&ws.matching, fresh.matching(), "matching: {ctx}");
             assert_eq!(&ws.backbone, fresh.backbone(), "backbone: {ctx}");
-            assert_eq!(&ws.partition, fresh.partition(), "partition: {ctx}");
-            assert_eq!(&ws.subgraphs, fresh.subgraphs(), "subgraphs: {ctx}");
             assert_eq!(
                 ws.edges.as_slice(),
                 fresh.schedule().edges(),
@@ -137,6 +140,20 @@ fn reused_workspace_is_byte_identical_to_fresh_restructuring() {
             // and the workspace result is a real restructuring
             assert!(ws.backbone.covers_all_edges(&g), "{ctx}");
             assert_eq!(ws.edges.len(), g.edge_count(), "{ctx}");
+            // The partition, and at depth 0 the subgraphs, come from the
+            // stage steps; rebuilt in the reused workspace they must
+            // equal the fresh ones too.
+            VertexPartition::from_backbone_into(&g, &ws.backbone, &mut ws.partition);
+            if r.recursion_depth_value() == 0 {
+                RestructuredSubgraphs::generate_into(
+                    &g,
+                    &ws.backbone,
+                    &mut ws.subgraphs,
+                    &mut ws.recouple_scratch,
+                );
+            }
+            assert_eq!(&ws.partition, fresh.partition(), "partition: {ctx}");
+            assert_eq!(&ws.subgraphs, fresh.subgraphs(), "subgraphs: {ctx}");
         }
     }
 }
@@ -185,16 +202,24 @@ fn granular_into_steps_match_restructure_with() {
                     );
                     EdgeSchedule::restructured_into(&ws.subgraphs, &mut ws.edges);
 
-                    let want = Restructurer::new()
+                    let r = Restructurer::new()
                         .matcher(matcher)
-                        .backbone_strategy(strategy)
-                        .restructure_with(&mut whole, &g);
+                        .backbone_strategy(strategy);
+                    let want = r.restructure_with(&mut whole, &g);
                     assert_eq!(stats, want, "stats: {ctx}");
                     assert_eq!(ws.matching, whole.matching, "matching: {ctx}");
                     assert_eq!(ws.backbone, whole.backbone, "backbone: {ctx}");
-                    assert_eq!(ws.partition, whole.partition, "partition: {ctx}");
-                    assert_eq!(ws.subgraphs, whole.subgraphs, "subgraphs: {ctx}");
                     assert_eq!(ws.edges, whole.edges, "schedule: {ctx}");
+                    assert_eq!(
+                        ws.subgraphs.cover_violations(),
+                        whole.subgraphs.cover_violations(),
+                        "cover: {ctx}"
+                    );
+                    // `restructure_with` builds no partition or subgraphs
+                    // at depth 0; `restructure` does, through these steps.
+                    let fresh = r.restructure(&g);
+                    assert_eq!(&ws.partition, fresh.partition(), "partition: {ctx}");
+                    assert_eq!(&ws.subgraphs, fresh.subgraphs(), "subgraphs: {ctx}");
                 }
             }
         }
@@ -376,4 +401,123 @@ fn generated_subgraphs_equal_from_pairs_over_each_edge_class() {
         empty > 0 && stars > 0,
         "the net must cover empty and star graphs"
     );
+}
+
+/// The depth-0 schedule as first built: the three subgraphs generated
+/// from `b`, then walked in pipeline order. Returns the edges and the
+/// cover-violation count.
+fn reference_schedule(g: &BipartiteGraph, b: &Backbone) -> (Vec<Edge>, usize) {
+    let mut subgraphs = RestructuredSubgraphs::default();
+    RestructuredSubgraphs::generate_into(g, b, &mut subgraphs, &mut RecoupleScratch);
+    let mut edges = Vec::new();
+    EdgeSchedule::restructured_into(&subgraphs, &mut edges);
+    (edges, subgraphs.cover_violations())
+}
+
+#[test]
+fn backbone_emitter_equals_the_subgraph_walk() {
+    let mut graphs: Vec<BipartiteGraph> = Dataset::ALL
+        .iter()
+        .flat_map(|d| d.build_scaled(42, 0.1).all_semantic_graphs())
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(5_000);
+    for step in 0..4 * SEEDS as usize {
+        graphs.push(random_graph(&mut rng, step));
+    }
+    let (mut multi_edges, mut empty, mut stars) = (0, 0, 0);
+    let mut ws = Workspace::new();
+    for g in &graphs {
+        let pairs: Vec<_> = g.out_csr().iter_pairs().collect();
+        multi_edges += pairs.windows(2).filter(|w| w[0] == w[1]).count();
+        empty += usize::from(g.is_empty());
+        stars += usize::from(g.name() == "star");
+        for matcher in MATCHERS {
+            match_into(&mut ws, matcher, g);
+            for strategy in STRATEGIES {
+                Backbone::select_into(
+                    g,
+                    &ws.matching,
+                    strategy,
+                    &mut ws.backbone,
+                    &mut ws.match_scratch,
+                );
+                let violations = EdgeSchedule::from_backbone_into(g, &ws.backbone, &mut ws.edges);
+                let (want, want_violations) = reference_schedule(g, &ws.backbone);
+                let ctx = format!("{matcher} {strategy} graph {}", g.name());
+                assert_eq!(ws.edges, want, "schedule: {ctx}");
+                assert_eq!(violations, want_violations, "cover: {ctx}");
+            }
+        }
+    }
+    assert!(multi_edges > 0, "the net must cover multi-edges");
+    assert!(
+        empty > 0 && stars > 0,
+        "the net must cover empty and star graphs"
+    );
+}
+
+/// Two graphs of one shape, from different seeds.
+#[cfg(not(debug_assertions))]
+fn same_shape(seed: u64) -> (BipartiteGraph, BipartiteGraph) {
+    let shape = |s| {
+        PowerLawConfig::new(60, 50, 300)
+            .dst_alpha(0.9)
+            .generate("g", s)
+    };
+    (shape(seed), shape(seed + 1_000))
+}
+
+/// A backbone selected for another graph of the same shape leaves edges
+/// of this one uncovered: the emitter must order and count them as the
+/// subgraph walk does. Release only: debug builds assert on a non-cover
+/// backbone.
+#[cfg(not(debug_assertions))]
+#[test]
+fn non_cover_backbone_emits_like_the_subgraph_walk() {
+    let mut uncovered = 0;
+    let mut ws = Workspace::new();
+    for seed in 0..SEEDS {
+        let (g, other) = same_shape(seed);
+        match_into(&mut ws, MatcherKind::HopcroftKarp, &other);
+        for strategy in STRATEGIES {
+            Backbone::select_into(
+                &other,
+                &ws.matching,
+                strategy,
+                &mut ws.backbone,
+                &mut ws.match_scratch,
+            );
+            let violations = EdgeSchedule::from_backbone_into(&g, &ws.backbone, &mut ws.edges);
+            let (want, want_violations) = reference_schedule(&g, &ws.backbone);
+            assert_eq!(ws.edges, want, "schedule: seed {seed} {strategy}");
+            assert_eq!(violations, want_violations, "cover: seed {seed} {strategy}");
+            uncovered += violations;
+        }
+    }
+    assert!(uncovered > 0, "test premise: the backbones miss edges");
+}
+
+/// At depth 0 `restructure_with` generates no subgraphs, yet
+/// `ws.subgraphs.cover_violations()` must still read the count of the
+/// graph it just restructured, not one an earlier generation left there.
+/// Release only, like the test above.
+#[cfg(not(debug_assertions))]
+#[test]
+fn restructure_with_replaces_a_stale_cover_violation_count() {
+    let (g, other) = same_shape(1);
+    let r = Restructurer::new();
+    let mut ws = Workspace::new();
+    r.restructure_with(&mut ws, &other);
+    RestructuredSubgraphs::generate_into(
+        &g,
+        &ws.backbone,
+        &mut ws.subgraphs,
+        &mut ws.recouple_scratch,
+    );
+    assert!(
+        ws.subgraphs.cover_violations() > 0,
+        "test premise: a nonzero count is left over"
+    );
+    r.restructure_with(&mut ws, &g);
+    assert_eq!(ws.subgraphs.cover_violations(), 0);
 }

@@ -7,7 +7,7 @@
 //!   Candidate buffers), producing a maximum matching and a cycle count;
 //! * [`recoupler`] — Algorithm 2: the Backbone Searcher, four class
 //!   FIFOs and the Graph Generator, producing the three restructured
-//!   subgraphs and their schedule;
+//!   subgraphs' schedule (emitted straight from the backbone);
 //! * [`pipeline`] — the epoch-overlapped Decoupler → Recoupler →
 //!   accelerator pipeline with exposed-cycle accounting;
 //! * [`session`] — the lazy, streaming [`Session`] API: per-graph

@@ -180,12 +180,12 @@ impl FrontendPipeline {
 
     /// Restructures one semantic graph through a reusable [`Workspace`]:
     /// Decoupler and Recoupler intermediates (matching tables, BFS
-    /// arrays, partition FIFOs, subgraph CSRs) are rebuilt in place, and
-    /// the DRAM request log draws its storage from the workspace's
-    /// request pool (retire whole runs back into it with
-    /// [`FrontendRun::recycle_into`]). At steady state a graph still
-    /// allocates its retained schedule, the Decoupler's modeled hash
-    /// table and the Recoupler's four modeled class FIFOs.
+    /// arrays, the backbone) are rebuilt in place, and the DRAM request
+    /// log draws its storage from the workspace's request pool (retire
+    /// whole runs back into it with [`FrontendRun::recycle_into`]). At
+    /// steady state a graph still allocates its retained schedule and
+    /// the Decoupler's modeled hash table; the Recoupler counts its four
+    /// class FIFOs and builds no partition or subgraphs.
     pub fn process_with(&self, ws: &mut Workspace, g: &BipartiteGraph) -> GraphResult {
         let dec = self.decoupler.decouple_with(ws, g);
         let matching_size = ws.matching.size();

@@ -19,15 +19,16 @@
 //!   indices per lane up front, and each lane walks its own list in
 //!   assignment order — no lane ever touches another's work;
 //! * **work per batch**: for every semantic graph of the batch's
-//!   dataset, decouple → recouple → schedule
-//!   ([`Restructurer::restructure_with`](gdr_core::restructure::Restructurer::restructure_with))
-//!   then execute the restructured schedule through the pooled NA
-//!   buffer
+//!   dataset, decouple → select the backbone → emit the restructured
+//!   schedule straight from it
+//!   ([`Restructurer::restructure_with`](gdr_core::restructure::Restructurer::restructure_with),
+//!   which at the lanes' recursion depth 0 builds no vertex partition
+//!   and no subgraph CSRs) then execute the schedule through the pooled
+//!   NA buffer
 //!   ([`NaBufferSim::simulate_edges_with`](gdr_accel::na_engine::NaBufferSim::simulate_edges_with))
 //!   — the steady-state zero-allocation hot path.
 //!
-//! Replay runs that full decouple → recouple → schedule → NA-sim path
-//! for **every** batch, including batches the simulator priced as
+//! Replay runs that full restructure → NA-sim path for **every** batch, including batches the simulator priced as
 //! schedule-cache (dataset-warm) or feature-cache hits: the virtual-time
 //! cost model discounts those, the host replay does not. Replay
 //! therefore times the plan's frontend work as if every batch ran
@@ -297,10 +298,11 @@ impl ReplayReport {
 /// dataset, restructure into the workspace and execute the restructured
 /// schedule through the pooled NA buffer. Returns the graph count.
 ///
-/// This is the full decouple → recouple → schedule → NA-sim path for
-/// every batch, including batches the simulator priced as
-/// schedule-cache or feature-cache hits — replay does not model those
-/// discounts (see the [module docs](self)).
+/// This is the full restructure → NA-sim path for every batch
+/// (decouple, select the backbone, emit the schedule straight from it),
+/// including batches the simulator priced as schedule-cache or
+/// feature-cache hits — replay does not model those discounts (see the
+/// [module docs](self)).
 ///
 /// At steady state — once the workspace has grown to the largest graph
 /// and the pooled buffer has seen every fetch tag — this performs

@@ -750,7 +750,7 @@ impl<'c> Simulator<'c> {
                         .drain(..)
                         .chain(self.parked.drain(..))
                         .collect();
-                    let dead_end = self.available().is_empty()
+                    let dead_end = self.available().next().is_none()
                         || self
                             .control
                             .as_ref()
@@ -1089,16 +1089,25 @@ impl<'c> Simulator<'c> {
             .batch_ns(batch.len(), false, false)
     }
 
-    /// Replicas eligible for dispatch: up, active, and not draining.
-    /// The autoscaler never drains below the initial pool, so without a
-    /// fault plan this is never empty; crashes can empty it, in which
-    /// case batches park until a recovery.
-    fn available(&self) -> Vec<usize> {
-        (0..self.replicas.len())
-            .filter(|&r| {
-                self.replicas[r].up && self.replicas[r].active && !self.replicas[r].draining
-            })
-            .collect()
+    /// Whether replica `r` is eligible for dispatch: up, active, and not
+    /// draining.
+    fn is_available(&self, r: usize) -> bool {
+        let replica = &self.replicas[r];
+        replica.up && replica.active && !replica.draining
+    }
+
+    /// Replicas eligible for dispatch, in index order. The autoscaler
+    /// never drains below the initial pool, so without a fault plan
+    /// this is never empty; crashes can empty it, in which case batches
+    /// park until a recovery.
+    fn available(&self) -> impl DoubleEndedIterator<Item = usize> + use<'_, 'c> {
+        (0..self.replicas.len()).filter(|&r| self.is_available(r))
+    }
+
+    /// The replica of `among` with the least outstanding work at `now`,
+    /// the lowest index on a tie; `None` when `among` is empty.
+    fn least_loaded(&self, among: impl Iterator<Item = usize>, now: u64) -> Option<usize> {
+        among.min_by_key(|&r| (self.replicas[r].outstanding_ns(now), r))
     }
 
     fn active_count(&self) -> usize {
@@ -1121,11 +1130,10 @@ impl<'c> Simulator<'c> {
                 return;
             }
         }
-        let avail = self.available();
         // No live replica to run on, or assignment ordering suspended
         // while the primary seat is empty: park for the next recovery
         // or view change.
-        if avail.is_empty()
+        if self.available().next().is_none()
             || self
                 .control
                 .as_ref()
@@ -1140,47 +1148,35 @@ impl<'c> Simulator<'c> {
             self.parked.push_back(batch);
             return;
         }
-        let least_loaded = |sim: &Self, among: &[usize]| {
-            among
-                .iter()
-                .copied()
-                .min_by_key(|&r| (sim.replicas[r].outstanding_ns(now), r))
-                .expect("candidate set is non-empty")
-        };
-        let r = match self.sched {
+        let pick = match self.sched {
             SchedPolicy::RoundRobin => {
-                let r = avail[self.rr_next % avail.len()];
+                let count = self.available().count();
+                let pick = self.available().nth(self.rr_next % count);
                 self.rr_next = self.rr_next.wrapping_add(1);
-                r
+                pick
             }
-            SchedPolicy::LeastLoaded => least_loaded(self, &avail),
+            SchedPolicy::LeastLoaded => self.least_loaded(self.available(), now),
             SchedPolicy::ShardAffinity => {
                 // Classic pinning over the whole slot range; an
                 // unavailable pin (possible only while autoscaled)
                 // spills to the least-loaded available replica.
                 let pin = Self::dataset_index(&batch) % self.replicas.len();
-                if avail.contains(&pin) {
-                    pin
+                if self.is_available(pin) {
+                    Some(pin)
                 } else {
-                    least_loaded(self, &avail)
+                    self.least_loaded(self.available(), now)
                 }
             }
             SchedPolicy::ShardAffinityPartial => {
                 let d = Self::dataset_index(&batch);
-                let holders: Vec<usize> = avail
-                    .iter()
-                    .copied()
-                    .filter(|&r| self.shards.holds(r, d))
-                    .collect();
-                if holders.is_empty() {
-                    // Miss-penalty routing: no available holder, so the
-                    // least-loaded replica cold-binds the dataset.
-                    least_loaded(self, &avail)
-                } else {
-                    least_loaded(self, &holders)
-                }
+                let holders = self.available().filter(|&r| self.shards.holds(r, d));
+                // Miss-penalty routing: with no available holder, the
+                // least-loaded replica cold-binds the dataset.
+                self.least_loaded(holders, now)
+                    .or_else(|| self.least_loaded(self.available(), now))
             }
         };
+        let r = pick.expect("an available replica exists");
         // The primary orders every assignment through the control plane
         // before it reaches the replica.
         let prepares = match self.control.as_mut() {
@@ -1342,7 +1338,7 @@ impl<'c> Simulator<'c> {
         };
         let (want_up, want_down) = match self.slo {
             Some(slo) => {
-                let serving = self.available().len();
+                let serving = self.available().count();
                 let deadline = slo.deadline_ns();
                 let up = self.predicted_p99_ns(now, batcher, serving) > deadline;
                 // Scale down only when one replica fewer would still
@@ -1388,14 +1384,14 @@ impl<'c> Simulator<'c> {
                 self.push(now + delay_ns, EventKind::ScaleUp(r));
             }
         } else if want_down && self.pending_ups == 0 {
-            let serving: Vec<usize> = self.available();
+            let serving = self.available().count();
             let draining = self.replicas.iter().filter(|r| r.draining && r.up).count();
             // A draining replica still occupies its surplus slot: a new
             // drain starts only when none is in progress, survivors stay
             // at or above the initial floor, and at least one replica
             // keeps serving (so migrated batches never strand).
-            if draining == 0 && serving.len() > self.result.initial_replicas && serving.len() > 1 {
-                let r = self.drain_target(&serving, now);
+            if draining == 0 && serving > self.result.initial_replicas && serving > 1 {
+                let r = self.drain_target(now);
                 if self.replicas[r].idle() {
                     self.deactivate(r, now);
                 } else {
@@ -1410,19 +1406,12 @@ impl<'c> Simulator<'c> {
     /// most-recently-added slots go first, keeping the warmed initial
     /// pool); otherwise drain the one with the least outstanding work —
     /// the quickest to empty.
-    fn drain_target(&self, serving: &[usize], now: u64) -> usize {
-        serving
-            .iter()
+    fn drain_target(&self, now: u64) -> usize {
+        self.available()
             .rev()
-            .copied()
             .find(|&r| self.replicas[r].idle())
-            .unwrap_or_else(|| {
-                serving
-                    .iter()
-                    .copied()
-                    .min_by_key(|&r| (self.replicas[r].outstanding_ns(now), r))
-                    .expect("serving set is non-empty")
-            })
+            .or_else(|| self.least_loaded(self.available(), now))
+            .expect("serving set is non-empty")
     }
 
     /// Marks `r` draining and hands its queued (not yet bound) batches
@@ -2099,7 +2088,7 @@ mod tests {
         sim.autoscale_step(2, &batcher);
         assert_eq!(draining(&sim), 1, "at most one drain in flight");
         assert!(
-            sim.available().len() >= sim.result.initial_replicas,
+            sim.available().count() >= sim.result.initial_replicas,
             "dispatchable replicas never dip below the initial pool"
         );
     }

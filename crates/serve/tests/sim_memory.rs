@@ -1,21 +1,29 @@
-//! Counting-global-allocator guard on what a simulation keeps.
+//! Counting-global-allocator guard on what a simulation keeps and how
+//! often it allocates.
 //!
-//! A test-only `#[global_allocator]` wraps [`System`] and tracks live
-//! heap bytes. The test runs an untraced [`Simulator`] over the serving
-//! suite's scenario shapes and measures the heap the returned
-//! [`SimResult`] retains: the live bytes after the run less the live
-//! bytes before the simulator, its request stream and its batcher were
-//! built. A result keeps each request's terminal state, the run scalars
-//! and one running total per record row, so it must stay within a
-//! fixed number of bytes per offered request. A per-event or per-batch
-//! log in the result grows with events, and breaks the bound.
+//! A test-only `#[global_allocator]` wraps [`System`], tracks live heap
+//! bytes and counts allocations (`alloc` and `alloc_zeroed` calls). The
+//! test runs an untraced [`Simulator`] over the serving suite's scenario
+//! shapes and measures two things from before the simulator, its
+//! request stream and its batcher were built:
+//!
+//! * the heap the returned [`SimResult`] retains: the live bytes after
+//!   the run less the live bytes before. A result keeps each request's
+//!   terminal state, the run scalars and one running total per record
+//!   row, so it must stay within a fixed number of bytes per offered
+//!   request. A per-event or per-batch log in the result grows with
+//!   events, and breaks the bound;
+//! * the allocations the run makes, per offered request. A batch owns
+//!   one buffer of its requests, so a run that allocates once per
+//!   dispatch or once per event on top of that (collecting the
+//!   available replicas to pick one, say) breaks the bound.
 //!
 //! This lives in its own integration-test binary because a global
 //! allocator is process-wide: a single `#[test]` keeps other tests'
 //! allocations out of the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
 
 use gdr_serve::batcher::{BatchPolicy, Batcher};
 use gdr_serve::cost::{CostModel, ServiceCost};
@@ -28,15 +36,19 @@ struct CountingAlloc;
 
 /// Heap bytes currently allocated by the process.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+/// Allocations made by the process so far (reallocations not counted).
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
@@ -63,6 +75,10 @@ const REQUESTS: usize = 20_000;
 /// The retained-heap bound, bytes per offered request. The completions
 /// alone take 56 B each, up to twice that in a doubling `Vec`.
 const MAX_BYTES_PER_REQUEST: f64 = 128.0;
+
+/// The allocation bound, allocations per offered request: one request
+/// buffer per batch, and an immediate batch holds one request.
+const MAX_ALLOCS_PER_REQUEST: f64 = 1.25;
 
 /// Offered load, requests per second: about two thirds of the
 /// two-replica size-capped capacity, above the immediate capacity.
@@ -222,6 +238,7 @@ fn a_result_retains_a_bounded_heap_per_request() {
             seed: 7,
         };
         let before = LIVE.load(Ordering::Relaxed);
+        let allocs_before = ALLOCS.load(Ordering::Relaxed);
         let result = Simulator::with_faults(
             &cost,
             shape.sched,
@@ -233,20 +250,31 @@ fn a_result_retains_a_bounded_heap_per_request() {
         )
         .run(traffic.stream(), Batcher::new(shape.batch));
         let retained = LIVE.load(Ordering::Relaxed) - before;
+        let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
         assert_eq!(
             result.completed.len() + result.dropped.len(),
             REQUESTS,
             "{}: every offered request terminates",
             shape.name
         );
-        report.push((shape.name, retained as f64 / REQUESTS as f64));
+        let per_request = |n: f64| n / REQUESTS as f64;
+        report.push((
+            shape.name,
+            per_request(retained as f64),
+            per_request(allocs as f64),
+        ));
         drop(result);
     }
-    for &(name, per_request) in &report {
+    for &(name, bytes, allocs) in &report {
         assert!(
-            per_request <= MAX_BYTES_PER_REQUEST,
-            "{name} retains {per_request:.1} B per request, over \
+            bytes <= MAX_BYTES_PER_REQUEST,
+            "{name} retains {bytes:.1} B per request, over \
              {MAX_BYTES_PER_REQUEST} B: {report:?}"
+        );
+        assert!(
+            allocs <= MAX_ALLOCS_PER_REQUEST,
+            "{name} makes {allocs:.2} allocations per request, over \
+             {MAX_ALLOCS_PER_REQUEST}: {report:?}"
         );
     }
 }

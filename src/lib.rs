@@ -130,11 +130,14 @@
 //! and subgraph CSR storage are rebuilt in place instead of reallocated
 //! per graph. The software pass
 //! ([`Restructurer::restructure_with`](prelude::Restructurer::restructure_with))
-//! then runs **allocation-free at steady state**; the hardware frontend
-//! model still allocates each graph's retained schedule and its modeled
-//! hash table and class FIFOs. [`prelude::Session`] threads workspaces
-//! automatically (one per [`Session::iter`](prelude::Session::iter)
-//! stream, one per
+//! then runs **allocation-free at steady state**. Without recursion it
+//! decouples, selects the backbone and emits the schedule straight from
+//! it, building no partition and no subgraphs; the schedule and the
+//! cover-violation count are what it leaves in the workspace beside the
+//! matching and backbone. The hardware frontend model still allocates
+//! each graph's retained schedule and its modeled hash table.
+//! [`prelude::Session`] threads workspaces automatically (one per
+//! [`Session::iter`](prelude::Session::iter) stream, one per
 //! [`Session::par_process`](prelude::Session::par_process) worker
 //! lane), and long-lived callers — serving replicas, benchmark loops —
 //! hold their own and pass it to
