@@ -130,7 +130,9 @@ pub struct ArrivalArgs {
 ///
 /// # Errors
 ///
-/// Returns a message naming the unknown kind.
+/// Returns a message naming the unknown kind, or, for `bursty`, a zero
+/// `--burst-period` or an on-window (`--burst-period` × `--burst-duty`)
+/// under 1 ns: either would silently run another traffic shape.
 ///
 /// # Examples
 ///
@@ -156,11 +158,24 @@ pub fn parse_arrival(kind: &str, args: &ArrivalArgs) -> Result<ArrivalProcess, S
         "poisson" => Ok(ArrivalProcess::Poisson {
             rate_rps: args.rate_rps,
         }),
-        "bursty" => Ok(ArrivalProcess::Bursty {
-            rate_rps: args.rate_rps,
-            period_ns: args.burst_period_ns,
-            duty: args.burst_duty,
-        }),
+        "bursty" => {
+            if args.burst_period_ns == 0 {
+                return Err("invalid --burst-period 0: expected a positive period, ns".into());
+            }
+            let on_ns = args.burst_period_ns as f64 * args.burst_duty;
+            if on_ns < 1.0 {
+                return Err(format!(
+                    "invalid --burst-duty {}: the on-window (--burst-period {} ns × \
+                     --burst-duty) is {on_ns} ns, under 1 ns",
+                    args.burst_duty, args.burst_period_ns
+                ));
+            }
+            Ok(ArrivalProcess::Bursty {
+                rate_rps: args.rate_rps,
+                period_ns: args.burst_period_ns,
+                duty: args.burst_duty,
+            })
+        }
         "closed-loop" => Ok(ArrivalProcess::ClosedLoop {
             clients: args.clients,
             think_ns: args.think_ns,

@@ -68,6 +68,23 @@ fn retired_host_surface_is_a_usage_error() {
     }
 }
 
+#[test]
+fn bursty_arrival_without_an_on_window_is_rejected_not_run_as_poisson() {
+    // A zero period, or an on-window (period × duty) under 1 ns, would
+    // run plain Poisson traffic under the `bursty` label.
+    for (shape, flag) in [
+        (&["--burst-period", "0"][..], "--burst-period"),
+        (
+            &["--burst-period", "1", "--burst-duty", "0.25"],
+            "--burst-duty",
+        ),
+    ] {
+        let mut args = vec!["serve", "--scale", "test", "--arrival", "bursty"];
+        args.extend_from_slice(shape);
+        assert_usage_error(&gdr_bench(&args), flag);
+    }
+}
+
 /// Replaces the value at `path` — object keys, or array indices in
 /// decimal.
 fn set(v: &mut Json, path: &[&str], value: Json) {

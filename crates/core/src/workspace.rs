@@ -28,10 +28,10 @@
 //! are pooled too: DRAM request logs draw from
 //! [`Workspace::take_request_log`] and return through
 //! [`Workspace::recycle_request_log`], so replay-heavy callers (the
-//! serving cost model re-measures every cell per harness) recycle the
-//! log storage instead of reallocating it per replay. The hardware
-//! frontend model in `gdr-frontend` still allocates per graph: its owned
-//! schedule and its modeled hash table.
+//! serving cost model replays the restructuring pass once per dataset
+//! per harness) recycle the log storage instead of reallocating it per
+//! replay. The hardware frontend model in `gdr-frontend` still
+//! allocates per graph: its owned schedule and its modeled hash table.
 //!
 //! The one allocating convenience is the one-shot
 //! [`Restructurer::restructure`](crate::restructure::Restructurer::restructure),

@@ -102,7 +102,7 @@ impl FrontendRun {
 
     /// Retires the run, returning every per-graph DRAM request log's
     /// storage to `ws`'s request pool. Replay-heavy callers (the serving
-    /// cost model re-runs the restructuring pass per cell) recycle the
+    /// cost model re-runs the restructuring pass per dataset) recycle the
     /// retired run before the next replay so the logs stop allocating at
     /// steady state; callers that keep runs alive simply drop them as
     /// before.

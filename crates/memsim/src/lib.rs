@@ -11,7 +11,6 @@
 //!   ([`SetAssocBuffer::access`], the GPU L2) or, when the caller names
 //!   each tag by a dense key, through a residency index
 //!   ([`SetAssocBuffer::access_keyed`], the NA engine).
-//! * [`fifo`] — bounded hardware FIFOs with stall/occupancy accounting.
 //! * [`hashtable`] — the Decoupler's set-associative hash table.
 //! * [`cacti_lite`] — analytic area / power estimation at TSMC 12 nm
 //!   (the CACTI + Synopsys substitute).
@@ -32,12 +31,10 @@
 
 pub mod buffer;
 pub mod cacti_lite;
-pub mod fifo;
 pub mod hashtable;
 pub mod hbm;
 
 pub use buffer::{Access, BufferStats, Replacement, SetAssocBuffer};
 pub use cacti_lite::{CactiLite, MacroEstimate, TechNode};
-pub use fifo::{FifoStats, HwFifo};
 pub use hashtable::{HashTable, HashTableStats};
 pub use hbm::{HbmConfig, HbmModel, HbmStats, MemRequest};

@@ -21,8 +21,9 @@
 //!   restructuring time on a schedule-cache hit. The exposure is priced
 //!   by replaying the §4.3 overlap accounting over one reused
 //!   [`Session`] — [`Session::rebind`]
-//!   keeps a single warm pipeline, and one reused restructuring
-//!   [`Workspace`] carries its scratch, across all nine cells, exactly
+//!   keeps a single warm pipeline, re-bound once per dataset and shared
+//!   by that dataset's three models, and one reused restructuring
+//!   [`Workspace`] carries its scratch from dataset to dataset, exactly
 //!   as a serving replica would.
 //! * `hit_per_request_ns` — the marginal cost when the cell's features
 //!   are already resident in the replica's cross-batch feature cache:
@@ -50,9 +51,11 @@ use gdr_frontend::config::FrontendConfig;
 use gdr_frontend::pipeline::FrontendRun;
 use gdr_frontend::session::Session;
 use gdr_frontend::Workspace;
-use gdr_hetgraph::GdrResult;
+use gdr_hetgraph::datasets::Dataset;
+use gdr_hetgraph::{BipartiteGraph, GdrResult};
+use gdr_hgnn::model::{ModelConfig, ModelKind};
 use gdr_hgnn::workload::Workload;
-use gdr_system::grid::{cell_inputs, ExperimentConfig};
+use gdr_system::grid::ExperimentConfig;
 
 use crate::request::{Cell, CELL_COUNT};
 
@@ -148,7 +151,10 @@ impl CostModel {
     /// Measures every (platform, cell) pair at `cfg` by executing each
     /// cell's workload once per platform — the one-off warmup an online
     /// server would run before accepting traffic. Dataset inputs are
-    /// built once per cell and shared across platforms.
+    /// built once per dataset — one build, one semantic-graph split and,
+    /// since the restructured schedule depends only on those graphs, one
+    /// warm-session restructuring replay — and shared across the
+    /// dataset's models and every platform.
     ///
     /// # Errors
     ///
@@ -156,62 +162,35 @@ impl CostModel {
     /// fail on grid-generated inputs.
     pub fn measure(platforms: &[&dyn Platform], cfg: &ExperimentConfig) -> GdrResult<Self> {
         let needs_frontend = platforms.iter().any(|p| p.reuses_schedules());
-        // One warm pipeline, re-bound per cell — the Session reuse hook —
-        // and one restructuring workspace reused across every cell's
-        // rebind replay, exactly as a serving replica holds them: the
-        // nine replays share matching tables, BFS arrays, subgraph CSR
-        // storage, and (via the request pool, refilled as each replay
-        // retires) the DRAM request logs, instead of reallocating them
-        // per cell.
+        // One warm pipeline, re-bound per dataset — the Session reuse
+        // hook — and one restructuring workspace reused across every
+        // dataset's rebind replay, exactly as a serving replica holds
+        // them: the three replays share matching tables, BFS arrays,
+        // subgraph CSR storage, and (via the request pool, refilled as
+        // each replay retires) the DRAM request logs, instead of
+        // reallocating them per dataset.
         let warm_session = Session::new(FrontendConfig::default(), &[]);
         let mut ws = Workspace::new();
         let clock = FrontendConfig::default().clock_ghz;
 
         let mut costs: Vec<[ServiceCost; CELL_COUNT]> =
             vec![[ServiceCost::default(); CELL_COUNT]; platforms.len()];
-        for cell in Cell::all() {
-            let (workload, graphs) = cell_inputs(cell.model, cell.dataset, cfg);
+        for dataset in Dataset::ALL {
+            let het = dataset.build_scaled(cfg.seed, cfg.scale);
+            let graphs = het.all_semantic_graphs();
             let frontend =
                 needs_frontend.then(|| warm_session.rebind(&graphs).process_with(&mut ws));
-            for (p, row) in platforms.iter().zip(costs.iter_mut()) {
-                let run = p.execute(&workload, &graphs, None)?;
-                let fixed_ns = run.report.stages.overhead_ns.max(0.0).round() as u64;
-                let work_ns = (run.report.time_ns - run.report.stages.overhead_ns).max(1.0);
-                let per_request_ns = ((work_ns / MINI_BATCH_DIVISOR as f64).round() as u64).max(1);
-                // On a feature-cache hit the NA gathers are served from
-                // the cache; only the compute-bound stages remain.
-                let hit_work_ns = (work_ns - run.report.stages.na_ns).max(1.0);
-                let hit_per_request_ns = ((hit_work_ns / MINI_BATCH_DIVISOR as f64).round() as u64)
-                    .clamp(1, per_request_ns);
-                let dram_bytes_per_request = (run.report.dram_bytes / MINI_BATCH_DIVISOR).max(1);
-                let warm_save_ns = match &frontend {
-                    Some(fr) if p.reuses_schedules() => {
-                        exposure_ns(fr, &workload, run.report.time_ns, clock)?.min(fixed_ns)
-                    }
-                    _ => 0,
-                };
-                // Cold bind: a full un-overlapped restructuring pass for
-                // frontend platforms, one full streaming pass over the
-                // working set (≈ the measured cell time) for the rest.
-                let bind_ns = match &frontend {
-                    Some(fr) if p.reuses_schedules() => {
-                        ((fr.total_cycles() as f64 / clock).round() as u64).max(1)
-                    }
-                    _ => (run.report.time_ns.max(0.0).round() as u64).max(1),
-                };
-                row[cell.index()] = ServiceCost {
-                    fixed_ns,
-                    per_request_ns,
-                    warm_save_ns,
-                    hit_per_request_ns,
-                    dram_bytes_per_request,
-                    footprint_bytes: run.report.dram_bytes,
-                    bind_ns,
-                };
+            for model in ModelKind::ALL {
+                let workload = Workload::from_hetero(ModelConfig::paper(model), &het);
+                let cell = Cell { model, dataset };
+                for (p, row) in platforms.iter().zip(costs.iter_mut()) {
+                    row[cell.index()] =
+                        service_cost(*p, &workload, &graphs, frontend.as_ref(), clock)?;
+                }
             }
-            // This cell's replay is fully priced; retire its request
-            // logs into the workspace so the next cell's replay reuses
-            // the storage instead of reallocating it.
+            // Every model of this dataset is priced; retire the replay's
+            // request logs into the workspace so the next dataset's
+            // replay reuses the storage instead of reallocating it.
             if let Some(fr) = frontend {
                 fr.recycle_into(&mut ws);
             }
@@ -274,6 +253,52 @@ impl CostModel {
     }
 }
 
+/// Prices one (platform, cell) pair from one execution of the cell's
+/// `workload` on `p`. `frontend` is the dataset's warm-session replay,
+/// present when some measured platform restructures internally.
+fn service_cost(
+    p: &dyn Platform,
+    workload: &Workload,
+    graphs: &[BipartiteGraph],
+    frontend: Option<&FrontendRun>,
+    clock: f64,
+) -> GdrResult<ServiceCost> {
+    let run = p.execute(workload, graphs, None)?;
+    let fixed_ns = run.report.stages.overhead_ns.max(0.0).round() as u64;
+    let work_ns = (run.report.time_ns - run.report.stages.overhead_ns).max(1.0);
+    let per_request_ns = ((work_ns / MINI_BATCH_DIVISOR as f64).round() as u64).max(1);
+    // On a feature-cache hit the NA gathers are served from the cache;
+    // only the compute-bound stages remain.
+    let hit_work_ns = (work_ns - run.report.stages.na_ns).max(1.0);
+    let hit_per_request_ns =
+        ((hit_work_ns / MINI_BATCH_DIVISOR as f64).round() as u64).clamp(1, per_request_ns);
+    let dram_bytes_per_request = (run.report.dram_bytes / MINI_BATCH_DIVISOR).max(1);
+    let warm_save_ns = match frontend {
+        Some(fr) if p.reuses_schedules() => {
+            exposure_ns(fr, workload, run.report.time_ns, clock)?.min(fixed_ns)
+        }
+        _ => 0,
+    };
+    // Cold bind: a full un-overlapped restructuring pass for frontend
+    // platforms, one full streaming pass over the working set (≈ the
+    // measured cell time) for the rest.
+    let bind_ns = match frontend {
+        Some(fr) if p.reuses_schedules() => {
+            ((fr.total_cycles() as f64 / clock).round() as u64).max(1)
+        }
+        _ => (run.report.time_ns.max(0.0).round() as u64).max(1),
+    };
+    Ok(ServiceCost {
+        fixed_ns,
+        per_request_ns,
+        warm_save_ns,
+        hit_per_request_ns,
+        dram_bytes_per_request,
+        footprint_bytes: run.report.dram_bytes,
+        bind_ns,
+    })
+}
+
 /// The frontend time left exposed when restructuring overlaps the
 /// accelerator — the combined system's §4.3 accounting, replayed here:
 /// the platform's total time is apportioned to semantic graphs by edge
@@ -306,7 +331,7 @@ fn exposure_ns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdr_system::grid::{paper_platforms, platform_refs};
+    use gdr_system::grid::{cell_inputs, paper_platforms, platform_refs};
 
     #[test]
     fn batch_cost_amortizes_fixed_overhead() {
@@ -419,10 +444,49 @@ mod tests {
                 .max()
                 .unwrap()
         );
-        // determinism: measuring again gives the identical table
-        let again = CostModel::measure(&refs, &cfg).unwrap();
-        for cell in Cell::all() {
-            assert_eq!(m.cost(gdr, cell), again.cost(gdr, cell));
+        // sharing each dataset's inputs and replay across its models
+        // prices every pair exactly as building them per cell does
+        let reference = per_cell_reference(&refs, &cfg).unwrap();
+        assert_eq!(reference.platforms(), m.platforms());
+        for p in 0..refs.len() {
+            for cell in Cell::all() {
+                assert_eq!(
+                    m.cost(p, cell),
+                    reference.cost(p, cell),
+                    "{} on {}",
+                    m.platforms()[p],
+                    cell.label()
+                );
+            }
+            assert_eq!(m.cold_start_ns(p), reference.cold_start_ns(p));
         }
+    }
+
+    /// The cost table built the direct way: every cell builds its own
+    /// inputs ([`cell_inputs`]) and runs its own warm-session replay.
+    fn per_cell_reference(
+        platforms: &[&dyn Platform],
+        cfg: &ExperimentConfig,
+    ) -> GdrResult<CostModel> {
+        let needs_frontend = platforms.iter().any(|p| p.reuses_schedules());
+        let warm_session = Session::new(FrontendConfig::default(), &[]);
+        let mut ws = Workspace::new();
+        let clock = FrontendConfig::default().clock_ghz;
+        let mut costs = vec![[ServiceCost::default(); CELL_COUNT]; platforms.len()];
+        for cell in Cell::all() {
+            let (workload, graphs) = cell_inputs(cell.model, cell.dataset, cfg);
+            let frontend =
+                needs_frontend.then(|| warm_session.rebind(&graphs).process_with(&mut ws));
+            for (p, row) in platforms.iter().zip(costs.iter_mut()) {
+                row[cell.index()] = service_cost(*p, &workload, &graphs, frontend.as_ref(), clock)?;
+            }
+            if let Some(fr) = frontend {
+                fr.recycle_into(&mut ws);
+            }
+        }
+        Ok(CostModel::synthetic(
+            platforms.iter().map(|p| p.name().to_string()).collect(),
+            costs,
+        ))
     }
 }
