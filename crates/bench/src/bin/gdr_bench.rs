@@ -318,8 +318,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     value()?
                         .parse()
                         .ok()
-                        .filter(|x: &f64| *x > 0.0)
-                        .ok_or("invalid --rate: expected a positive requests/s figure")?,
+                        .filter(|x: &f64| x.is_finite() && *x > 0.0)
+                        .ok_or("invalid --rate: expected a finite positive requests/s figure")?,
                 );
             }
             "--burst-period" => args.burst_period = Some(parse_num("--burst-period", value()?)?),

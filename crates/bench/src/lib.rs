@@ -69,7 +69,8 @@ pub fn parse_scale(arg: &str) -> Result<f64, String> {
 ///
 /// # Errors
 ///
-/// Returns a message for non-numeric or negative input.
+/// Returns a message for non-numeric, negative or non-finite input
+/// (`inf` and `1e400` would let any regression through the gate).
 ///
 /// # Examples
 ///
@@ -77,12 +78,13 @@ pub fn parse_scale(arg: &str) -> Result<f64, String> {
 /// assert_eq!(gdr_bench::parse_threshold("10%"), Ok(10.0));
 /// assert_eq!(gdr_bench::parse_threshold("7.5"), Ok(7.5));
 /// assert!(gdr_bench::parse_threshold("-1").is_err());
+/// assert!(gdr_bench::parse_threshold("inf").is_err());
 /// ```
 pub fn parse_threshold(arg: &str) -> Result<f64, String> {
     match arg.strip_suffix('%').unwrap_or(arg).parse::<f64>() {
-        Ok(x) if x >= 0.0 => Ok(x),
+        Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
         _ => Err(format!(
-            "invalid --threshold {arg:?}: expected a non-negative percentage like \"10%\""
+            "invalid --threshold {arg:?}: expected a finite non-negative percentage like \"10%\""
         )),
     }
 }
@@ -711,6 +713,9 @@ mod tests {
         assert_eq!(parse_threshold("10%"), Ok(10.0));
         assert_eq!(parse_threshold("0"), Ok(0.0));
         assert!(parse_threshold("ten").is_err());
+        for infinite in ["inf", "inf%", "1e400", "NaN"] {
+            assert!(parse_threshold(infinite).is_err(), "{infinite:?}");
+        }
     }
 
     #[test]

@@ -45,13 +45,31 @@ fn zero_counts_are_rejected_not_clamped() {
 }
 
 #[test]
-fn non_finite_scale_is_rejected_not_an_abort() {
-    for args in [
-        &["--scale", "inf"][..],
-        &["serve", "--scale", "inf"],
-        &["paper", "--scale", "1e400"],
+fn non_finite_scale_rate_and_threshold_are_rejected() {
+    // An infinite scale aborted a dataset build; an infinite rate ran
+    // and wrote `"rate_rps": null`, a report `--compare` then refused;
+    // an infinite threshold let every regression through the gate.
+    for (args, flag) in [
+        (&["--scale", "inf"][..], "--scale"),
+        (&["serve", "--scale", "inf"], "--scale"),
+        (&["paper", "--scale", "1e400"], "--scale"),
+        (&["serve", "--rate", "inf"], "--rate"),
+        (&["serve", "--rate", "1e400"], "--rate"),
+        (&["trace", "--rate", "inf"], "--rate"),
+        (&["replay", "--rate", "inf"], "--rate"),
     ] {
-        assert_usage_error(&gdr_bench(args), "--scale");
+        assert_usage_error(&gdr_bench(args), flag);
+    }
+    for threshold in ["inf", "inf%", "1e400"] {
+        let args = [
+            "--compare",
+            BASELINE,
+            "--baseline",
+            BASELINE,
+            "--threshold",
+            threshold,
+        ];
+        assert_usage_error(&gdr_bench(&args), "--threshold");
     }
 }
 

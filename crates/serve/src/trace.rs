@@ -582,7 +582,7 @@ mod tests {
         ];
         let names = vec!["HiHGNN+GDR".to_string()];
         let trace = chrome_trace("unit", &events, &[0, 0], &names);
-        let json = trace.to_json();
+        let json = Json::parse(&trace.to_json().to_pretty()).unwrap();
         let items = json.get("traceEvents").unwrap().as_arr().unwrap();
         // 3 metadata (process + requests + 2 replicas = 4) then 3 events.
         assert_eq!(items.len(), 4 + 3);

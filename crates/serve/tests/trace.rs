@@ -1,8 +1,9 @@
 //! Trace-subsystem guarantees: double-run byte-identity of the
-//! exported Chrome trace and the pinned bytes of one export, the exact
-//! component-sum invariant of the latency attribution across many
-//! seeds, the zero-cost-when-disabled contract (tracing never perturbs
-//! the simulation), and a guard that the attribution join stays linear.
+//! exported Chrome trace, the pinned bytes of one export and of every
+//! suite scenario's export, the exact component-sum invariant of the
+//! latency attribution across many seeds, the zero-cost-when-disabled
+//! contract (tracing never perturbs the simulation), and a guard that
+//! the attribution join stays linear.
 
 use std::time::Instant;
 
@@ -10,7 +11,7 @@ use gdr_serve::fault::{CrashWindow, FaultSpec, Slowdown};
 use gdr_serve::metrics::{request_breakdowns, RecordTotals};
 use gdr_serve::request::{Cell, Request};
 use gdr_serve::scheduler::{CompletedRequest, SimResult};
-use gdr_serve::suite::{scaled_rate, ScenarioSpec, ServeHarness, HIGH_RATE_RPS};
+use gdr_serve::suite::{default_specs, scaled_rate, ScenarioSpec, ServeHarness, HIGH_RATE_RPS};
 use gdr_serve::workload::ArrivalProcess;
 use gdr_serve::{BatchPolicy, SchedPolicy, TraceEvent};
 use gdr_system::grid::ExperimentConfig;
@@ -103,6 +104,33 @@ fn exported_trace_bytes_are_pinned() {
     assert_eq!(
         (text.len(), format!("{:016x}", fnv1a(text.as_bytes()))),
         (79_490, "7edabe3311b46bad".to_string())
+    );
+}
+
+#[test]
+fn suite_scenario_exports_are_pinned() {
+    // Every committed suite scenario, traced at the suite seed: the
+    // length and digest of the exports laid end to end, so a writer
+    // change that alters any scenario's bytes fails here.
+    let cfg = ExperimentConfig::test_scale();
+    let specs = default_specs(&cfg);
+    let names: Vec<&str> = specs
+        .iter()
+        .flat_map(|spec| spec.pool.iter().map(String::as_str))
+        .collect();
+    let harness = ServeHarness::new(&cfg, &names).expect("harness builds");
+    let mut text = String::new();
+    for spec in &specs {
+        let run = harness.run_traced(spec, cfg.seed).expect("traced run");
+        text.push_str(&run.chrome.to_json().to_pretty());
+    }
+    assert_eq!(
+        (
+            specs.len(),
+            text.len(),
+            format!("{:016x}", fnv1a(text.as_bytes()))
+        ),
+        (14, 2_624_045, "3256efbc37b184bd".to_string())
     );
 }
 

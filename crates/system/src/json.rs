@@ -16,6 +16,18 @@
 //! copied from a constant run of spaces, integers are printed through a
 //! stack buffer, and each unescaped run of a string is copied whole.
 //!
+//! A finite number prints by one of three routes. A whole number below
+//! 9·10¹⁵ prints as an integer (`-0` as `0`). An exact thousandth, the
+//! `f64` nearest to `m / 1000` for an integer `m` with `|x| < 2^43`
+//! (every microsecond timestamp of a trace export), prints the digits
+//! of `m / 1000` directly, which are the bytes `format!("{x}")` gives.
+//! Everything else goes through `{x}`. A non-finite number prints as
+//! `null`.
+//!
+//! The crate's other writers reuse these pieces: the Chrome trace
+//! export writes its document from its events with the same quoting,
+//! number printing and layout, and no value tree in between.
+//!
 //! # Examples
 //!
 //! ```
@@ -165,30 +177,25 @@ impl Json {
     /// Serializes with 2-space indentation and a trailing newline —
     /// the on-disk format of `bench.json` (diff- and VCS-friendly).
     pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
+        pretty(|out, indent| self.write(out, indent, 0))
     }
 
+    /// Writes the value at nesting `depth`: compact when `indent` is
+    /// `None`, else `indent` spaces per level.
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(x) => write_num(out, *x),
             Json::Str(s) => write_str(out, s),
-            Json::Arr(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
-                items[i].write(out, indent, depth + 1);
-            }),
-            Json::Obj(pairs) => write_seq(out, indent, depth, '{', '}', pairs.len(), |out, i| {
-                let (k, v) = &pairs[i];
-                write_str(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
+            Json::Arr(items) => {
+                let mut arr = Seq::array(out, indent, depth);
+                for v in items {
+                    v.write(arr.item(), indent, depth + 1);
                 }
-                v.write(out, indent, depth + 1);
-            }),
+                arr.end();
+            }
+            Json::Obj(pairs) => write_obj(out, pairs, indent, depth),
         }
     }
 
@@ -215,37 +222,86 @@ impl Json {
     }
 }
 
-/// Writes a number: integral values without a decimal point, everything
-/// else with Rust's shortest round-trip float formatting.
-fn write_num(out: &mut String, x: f64) {
+/// A pretty-printed document: `write(out, indent)` writes its root
+/// value at depth 0 with two spaces per level, and a newline ends it.
+pub(crate) fn pretty(write: impl FnOnce(&mut String, Option<usize>)) -> String {
+    let mut out = String::new();
+    write(&mut out, Some(2));
+    out.push('\n');
+    out
+}
+
+/// Writes a number: integral values without a decimal point, exact
+/// thousandths through [`thousandths`], everything else with Rust's
+/// shortest round-trip float formatting. The last two print the text
+/// `format!("{x}")` gives.
+pub(crate) fn write_num(out: &mut String, x: f64) {
     if !x.is_finite() {
         // JSON has no Inf/NaN; reports only carry finite values, but a
         // defensive null beats an unparseable document.
         out.push_str("null");
     } else if x.fract() == 0.0 && x.abs() < 9.0e15 {
         write_int(out, x as i64);
+    } else if let Some(m) = thousandths(x) {
+        write_thousandths(out, m);
     } else {
         let _ = write!(out, "{x}");
     }
 }
 
-/// Writes `n` in decimal, the text `format!("{n}")` gives, through a
-/// stack buffer instead of `fmt`. Twenty bytes hold any `i64`.
+/// The integer `m` when `x` is the `f64` nearest to `m / 1000` and
+/// `|x| < 2^43`. There one ulp of `x` is at most 2^-10, under 0.001, so
+/// no other decimal of three or fewer places rounds to `x`, and the
+/// shortest round-trip text of `x` is the digits of `m / 1000`.
+fn thousandths(x: f64) -> Option<i64> {
+    const LIMIT: f64 = (1u64 << 43) as f64;
+    if x.abs() >= LIMIT {
+        return None;
+    }
+    // |m| < 2^53, so `m` and the correctly rounded quotient are exact.
+    let m = (x * 1_000.0).round();
+    (m / 1_000.0 == x).then_some(m as i64)
+}
+
+/// Writes `m / 1000` for an `m` that is not a whole multiple of 1000:
+/// the integer part, a point and the thousandths without their trailing
+/// zeros.
+fn write_thousandths(out: &mut String, m: i64) {
+    if m < 0 {
+        out.push('-');
+    }
+    let (whole, mut frac) = (m.unsigned_abs() / 1_000, m.unsigned_abs() % 1_000);
+    write_digits(out, whole);
+    out.push('.');
+    let mut places = 3;
+    while frac % 10 == 0 {
+        frac /= 10;
+        places -= 1;
+    }
+    let digits = [frac / 100, frac / 10 % 10, frac % 10].map(|d| b'0' + d as u8);
+    out.push_str(std::str::from_utf8(&digits[3 - places..]).expect("digits are ASCII"));
+}
+
+/// Writes `n` in decimal, the text `format!("{n}")` gives.
 fn write_int(out: &mut String, n: i64) {
+    if n < 0 {
+        out.push('-');
+    }
+    write_digits(out, n.unsigned_abs());
+}
+
+/// Writes `n` in decimal through a stack buffer instead of `fmt`.
+/// Twenty bytes hold any `u64`.
+fn write_digits(out: &mut String, mut n: u64) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
-    let mut rest = n.unsigned_abs();
     loop {
         at -= 1;
-        buf[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
             break;
         }
-    }
-    if n < 0 {
-        at -= 1;
-        buf[at] = b'-';
     }
     out.push_str(std::str::from_utf8(&buf[at..]).expect("digits are ASCII"));
 }
@@ -253,7 +309,7 @@ fn write_int(out: &mut String, n: i64) {
 /// Writes `s` quoted, copying each run of characters that need no
 /// escape whole. Every escaped character is ASCII, so a run always
 /// starts and ends on a character boundary.
-fn write_str(out: &mut String, s: &str) {
+pub(crate) fn write_str(out: &mut String, s: &str) {
     out.push('"');
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -277,11 +333,30 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// The run of spaces [`push_indent`] copies from.
+/// Writes an object of `pairs` at nesting `depth`, each value through
+/// the value writer.
+pub(crate) fn write_obj(
+    out: &mut String,
+    pairs: &[(Cow<'static, str>, Json)],
+    indent: Option<usize>,
+    depth: usize,
+) {
+    let mut obj = Seq::object(out, indent, depth);
+    for (k, v) in pairs {
+        v.write(obj.member(k), indent, depth + 1);
+    }
+    obj.end();
+}
+
+/// The run of spaces [`write_break`] copies from.
 const SPACES: &str = "                                ";
 
-/// Appends `n` spaces, a slice of [`SPACES`] at a time.
-fn push_indent(out: &mut String, mut n: usize) {
+/// When pretty-printing, starts a new line indented to `depth`, a slice
+/// of [`SPACES`] at a time; compact output gets nothing.
+fn write_break(out: &mut String, indent: Option<usize>, depth: usize) {
+    let Some(w) = indent else { return };
+    out.push('\n');
+    let mut n = w * depth;
     while n > SPACES.len() {
         out.push_str(SPACES);
         n -= SPACES.len();
@@ -289,35 +364,73 @@ fn push_indent(out: &mut String, mut n: usize) {
     out.push_str(&SPACES[..n]);
 }
 
-fn write_seq(
-    out: &mut String,
+/// An array or object being written at nesting `depth`: its items go one
+/// level deeper, comma-separated, each on its own line when
+/// pretty-printing. An empty one prints as `[]` or `{}`.
+pub(crate) struct Seq<'a> {
+    out: &'a mut String,
     indent: Option<usize>,
     depth: usize,
-    open: char,
     close: char,
-    n: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if n == 0 {
-        out.push(close);
-        return;
+    empty: bool,
+}
+
+impl<'a> Seq<'a> {
+    /// Opens an array.
+    pub(crate) fn array(out: &'a mut String, indent: Option<usize>, depth: usize) -> Self {
+        Self::open(out, indent, depth, '[', ']')
     }
-    for i in 0..n {
-        if let Some(w) = indent {
-            out.push('\n');
-            push_indent(out, w * (depth + 1));
+
+    /// Opens an object.
+    pub(crate) fn object(out: &'a mut String, indent: Option<usize>, depth: usize) -> Self {
+        Self::open(out, indent, depth, '{', '}')
+    }
+
+    fn open(
+        out: &'a mut String,
+        indent: Option<usize>,
+        depth: usize,
+        open: char,
+        close: char,
+    ) -> Self {
+        out.push(open);
+        Seq {
+            out,
+            indent,
+            depth,
+            close,
+            empty: true,
         }
-        item(out, i);
-        if i + 1 < n {
-            out.push(',');
+    }
+
+    /// Starts the next item and returns the output to write it to, at
+    /// nesting `depth + 1`.
+    pub(crate) fn item(&mut self) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
         }
+        self.empty = false;
+        write_break(self.out, self.indent, self.depth + 1);
+        self.out
     }
-    if let Some(w) = indent {
-        out.push('\n');
-        push_indent(out, w * depth);
+
+    /// Starts the next object member: the item, its quoted key, a colon,
+    /// and a space when pretty-printing. Write the value next.
+    pub(crate) fn member(&mut self, key: &str) -> &mut String {
+        let pretty = self.indent.is_some();
+        let out = self.item();
+        write_str(out, key);
+        out.push_str(if pretty { ": " } else { ":" });
+        out
     }
-    out.push(close);
+
+    /// Closes the sequence, on its own line after any items.
+    pub(crate) fn end(self) {
+        if !self.empty {
+            write_break(self.out, self.indent, self.depth);
+        }
+        self.out.push(self.close);
+    }
 }
 
 struct Parser<'a> {
@@ -570,8 +683,18 @@ impl Parser<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Deterministic case expansion (SplitMix64).
+    pub(crate) fn mix(case: u64, salt: u64) -> u64 {
+        let mut z = case
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(salt.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
 
     #[test]
     fn round_trips_nested_values() {
@@ -631,6 +754,45 @@ mod tests {
             }
             n = next;
         }
+    }
+
+    /// How many of `xs` take `write_num`'s fast path, after checking
+    /// that each of those prints as `{x}` does.
+    fn fast_path_count(xs: impl Iterator<Item = f64>) -> usize {
+        let (mut out, mut expected) = (String::new(), String::new());
+        let mut fast = 0;
+        for x in xs.filter(|&x| x.fract() != 0.0 && thousandths(x).is_some()) {
+            out.clear();
+            expected.clear();
+            write_num(&mut out, x);
+            let _ = write!(expected, "{x}");
+            assert_eq!(out, expected, "{:#x}", x.to_bits());
+            fast += 1;
+        }
+        fast
+    }
+
+    #[test]
+    fn exact_thousandths_print_as_fmt_does() {
+        // Dense thousandths around zero: every fractional one is exact.
+        let dense = fast_path_count((-5_000_000i64..=5_000_000).map(|m| m as f64 / 1_000.0));
+        assert_eq!(dense, 10_000_000 - 10_000);
+        // Thousandths on both sides of the 2^43 bound: the path stops
+        // there.
+        let edge = (1i64 << 43) * 1_000;
+        let below = fast_path_count((edge - 3_000_000..edge).map(|m| m as f64 / 1_000.0));
+        let past = fast_path_count((edge..=edge + 3_000_000).map(|m| m as f64 / 1_000.0));
+        assert!(
+            below > 0 && past == 0,
+            "{below} below the bound, {past} past it"
+        );
+        // Random thousandths below 2^53, both signs, and random bit
+        // patterns.
+        let random = fast_path_count((0..250_000).flat_map(|case| {
+            let m = (mix(case, 1) % (1 << 53)) as f64 / 1_000.0;
+            [m, -m, f64::from_bits(mix(case, 2))]
+        }));
+        assert!(random > 0, "random thousandths reach the fast path");
     }
 
     #[test]

@@ -12,14 +12,18 @@
 //! The builder is deliberately generic — it knows nothing about
 //! serving, replicas, or lanes. `gdr_serve::trace` folds simulation
 //! events into it; the sweep executor feeds it wall-clock lane
-//! sections. Serialization goes through [`Json`], so a trace built
-//! from deterministic inputs serializes byte-identically.
+//! sections. Serialization uses the quoting, number printing and layout
+//! of [`json`], so a trace built from deterministic inputs
+//! serializes byte-identically, and to the bytes [`Json::to_pretty`]
+//! would give for the same document.
 //!
 //! Text known at compile time is kept by reference: a category is a
-//! `&'static str`, a literal event name ([`EventName`]) and a literal
-//! arg key are borrowed, and so are every fixed key and phase of the
-//! export. An exported event then allocates only its field and args
-//! vectors, plus its name where the name was formatted.
+//! `&'static str`, and a literal event name ([`EventName`]) and a
+//! literal arg key are borrowed. An event allocates only its name where
+//! the name was formatted, and its args. The export,
+//! [`ChromeTrace::to_json`], is a view that writes the text straight
+//! from the events: it builds no value tree and allocates only its
+//! output.
 //!
 //! [Chrome Trace Event Format]:
 //!     https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -37,13 +41,13 @@
 //! let args = vec![("size", Json::from(size))];
 //! trace.duration(1, 1, 2_000, 1_500, format!("batch x{size}"), "batch", args);
 //! trace.instant(1, 1, 3_500, "crash", "fault", vec![("replica", Json::from(0u64))]);
-//! let json = trace.to_json();
+//! let json = Json::parse(&trace.to_json().to_pretty()).unwrap();
 //! assert_eq!(json.get("traceEvents").unwrap().as_arr().unwrap().len(), 4);
 //! ```
 
 use std::borrow::Cow;
 
-use crate::json::Json;
+use crate::json::{self, Json, Seq};
 
 /// The name of a duration or instant event. A string literal is kept by
 /// reference for the life of the trace, a formatted `String` is moved
@@ -194,20 +198,45 @@ impl ChromeTrace {
         });
     }
 
-    /// Serializes the trace as a Chrome-trace-event JSON object:
-    /// `{"traceEvents": [...], "displayTimeUnit": "ms"}`.
+    /// The trace as a Chrome-trace-event JSON document,
+    /// `{"traceEvents": [...], "displayTimeUnit": "ms"}`: a view that
+    /// borrows the events and writes their text when asked.
     ///
     /// Timestamps and durations are converted from the builder's
     /// nanoseconds to the microseconds the format specifies (fractional
     /// `ts` values are valid and preserved by Perfetto). The conversion
     /// is a fixed function of the input, so identical traces serialize
     /// byte-identically.
-    pub fn to_json(&self) -> Json {
-        let events: Vec<Json> = self.events.iter().map(ChromeEvent::to_json).collect();
-        Json::obj([
-            ("traceEvents", Json::Arr(events)),
-            ("displayTimeUnit", Json::Str("ms".into())),
-        ])
+    pub fn to_json(&self) -> ChromeJson<'_> {
+        ChromeJson {
+            events: &self.events,
+        }
+    }
+}
+
+/// A [`ChromeTrace`] seen as its JSON document. It holds nothing but a
+/// borrow of the events; [`to_pretty`](Self::to_pretty) writes the text
+/// straight from them.
+#[derive(Debug, Clone, Copy)]
+pub struct ChromeJson<'a> {
+    events: &'a [ChromeEvent],
+}
+
+impl ChromeJson<'_> {
+    /// Writes the document with 2-space indentation and a trailing
+    /// newline, the layout [`Json::to_pretty`] gives, allocating only
+    /// the returned text.
+    pub fn to_pretty(&self) -> String {
+        json::pretty(|out, indent| {
+            let mut doc = Seq::object(out, indent, 0);
+            let mut events = Seq::array(doc.member("traceEvents"), indent, 1);
+            for event in self.events {
+                event.write(events.item(), indent, 2);
+            }
+            events.end();
+            json::write_str(doc.member("displayTimeUnit"), "ms");
+            doc.end();
+        })
     }
 }
 
@@ -219,32 +248,166 @@ fn args_of<K: Into<Cow<'static, str>>>(args: Vec<(K, Json)>) -> Vec<(Cow<'static
 }
 
 impl ChromeEvent {
-    fn to_json(&self) -> Json {
-        // name, cat, ph, ts, dur, pid, tid, s, args
-        let mut pairs = Vec::with_capacity(9);
-        pairs.push(("name".into(), Json::Str(self.name.clone())));
-        pairs.push(("cat".into(), Json::Str(self.cat.into())));
-        pairs.push(("ph".into(), Json::Str(self.ph.into())));
-        pairs.push(("ts".into(), Json::Num(self.ts_ns as f64 / 1_000.0)));
+    /// Writes the event as one object at nesting `depth`, its fields in
+    /// the order name, cat, ph, ts, dur, pid, tid, s, args.
+    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+        let micros = |ns: u64| ns as f64 / 1_000.0;
+        let mut obj = Seq::object(out, indent, depth);
+        json::write_str(obj.member("name"), &self.name);
+        json::write_str(obj.member("cat"), self.cat);
+        json::write_str(obj.member("ph"), self.ph);
+        json::write_num(obj.member("ts"), micros(self.ts_ns));
         if let Some(dur) = self.dur_ns {
-            pairs.push(("dur".into(), Json::Num(dur as f64 / 1_000.0)));
+            json::write_num(obj.member("dur"), micros(dur));
         }
-        pairs.push(("pid".into(), Json::from(self.pid)));
-        pairs.push(("tid".into(), Json::from(self.tid)));
+        json::write_num(obj.member("pid"), self.pid as f64);
+        json::write_num(obj.member("tid"), self.tid as f64);
         if self.ph == "i" {
             // Instant scope: thread-local, the narrowest rendering.
-            pairs.push(("s".into(), Json::Str("t".into())));
+            json::write_str(obj.member("s"), "t");
         }
         if !self.args.is_empty() {
-            pairs.push(("args".into(), Json::Obj(self.args.clone())));
+            json::write_obj(obj.member("args"), &self.args, indent, depth + 1);
         }
-        Json::Obj(pairs)
+        obj.end();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::tests::mix;
+
+    /// The export built as a value tree, one [`Json`] object per event:
+    /// the reference whose [`Json::to_pretty`] bytes the writer must
+    /// print.
+    fn reference(trace: &ChromeTrace) -> Json {
+        let events = trace.events.iter().map(|e| {
+            // name, cat, ph, ts, dur, pid, tid, s, args
+            let mut pairs = Vec::with_capacity(9);
+            pairs.push(("name".into(), Json::Str(e.name.clone())));
+            pairs.push(("cat".into(), Json::Str(e.cat.into())));
+            pairs.push(("ph".into(), Json::Str(e.ph.into())));
+            pairs.push(("ts".into(), Json::Num(e.ts_ns as f64 / 1_000.0)));
+            if let Some(dur) = e.dur_ns {
+                pairs.push(("dur".into(), Json::Num(dur as f64 / 1_000.0)));
+            }
+            pairs.push(("pid".into(), Json::from(e.pid)));
+            pairs.push(("tid".into(), Json::from(e.tid)));
+            if e.ph == "i" {
+                pairs.push(("s".into(), Json::Str("t".into())));
+            }
+            if !e.args.is_empty() {
+                pairs.push(("args".into(), Json::Obj(e.args.clone())));
+            }
+            Json::Obj(pairs)
+        });
+        Json::obj([
+            ("traceEvents", Json::arr(events)),
+            ("displayTimeUnit", Json::Str("ms".into())),
+        ])
+    }
+
+    /// Text from pieces that need every kind of escape: quotes,
+    /// backslashes, control bytes, and multi-byte characters.
+    fn arb_text(seed: u64) -> String {
+        const PIECES: &[&str] = &[
+            "batch", " x", "8", "\"", "\\", "\n", "\t", "\u{1}", "\u{1f}", "é", "中", "🚀", "/",
+        ];
+        let len = mix(seed, 1) % 6;
+        (0..len)
+            .map(|i| PIECES[mix(seed, 2 + i) as usize % PIECES.len()])
+            .collect()
+    }
+
+    /// A time in ns: under a millisecond, anywhere below 2^53, past 2^43
+    /// µs (where the writer leaves the exact-thousandths path), or
+    /// anywhere in `u64`.
+    fn arb_ns(seed: u64) -> u64 {
+        let r = mix(seed, 11);
+        match mix(seed, 10) % 4 {
+            0 => r % 1_000_000,
+            1 => r % (1 << 53),
+            2 => (1 << 43) * 1_000 + r % (1 << 50),
+            _ => r,
+        }
+    }
+
+    /// An arg value: every scalar kind, random float bit patterns
+    /// (NaN, infinities, subnormals), strings needing escapes, and,
+    /// above depth 0, nested arrays and objects.
+    fn arb_value(seed: u64, depth: u64) -> Json {
+        let kinds = if depth == 0 { 6 } else { 8 };
+        let n = mix(seed, 21) % 3;
+        match mix(seed, 20) % kinds {
+            0 => Json::Null,
+            1 => Json::from(n == 0),
+            2 => Json::from(arb_ns(seed)),
+            3 => Json::from(arb_ns(seed) as f64 / 1_000.0),
+            4 => Json::Num(f64::from_bits(mix(seed, 22))),
+            5 => Json::from(arb_text(seed)),
+            6 => Json::arr((0..n).map(|i| arb_value(mix(seed, 30 + i), depth - 1))),
+            _ => Json::Obj(arb_args(seed, depth - 1)),
+        }
+    }
+
+    /// Zero to three args, keys borrowed or formatted.
+    fn arb_args(seed: u64, depth: u64) -> Vec<(Cow<'static, str>, Json)> {
+        (0..mix(seed, 40) % 4)
+            .map(|i| {
+                let s = mix(seed, 41 + i);
+                let key = if s.is_multiple_of(2) {
+                    Cow::Borrowed("size")
+                } else {
+                    Cow::Owned(arb_text(s))
+                };
+                (key, arb_value(s, depth))
+            })
+            .collect()
+    }
+
+    /// A trace of every phase, with ids up to `u64::MAX`.
+    fn arb_trace(seed: u64) -> ChromeTrace {
+        const CATS: [&str; 4] = ["batch", "fault", "request", "q\"uo\\te"];
+        let mut t = ChromeTrace::new();
+        for i in 0..mix(seed, 50) % 16 {
+            let s = mix(seed, 51 + i);
+            let id = |salt| match mix(s, salt) % 3 {
+                0 => mix(s, salt + 1),
+                _ => mix(s, salt + 1) % 8,
+            };
+            let (pid, tid, ts, dur) = (id(60), id(62), arb_ns(s), arb_ns(mix(s, 64)));
+            let cat = CATS[mix(s, 65) as usize % CATS.len()];
+            match mix(s, 66) % 5 {
+                0 => t.process_name(pid, &arb_text(s)),
+                1 => t.thread_name(pid, tid, &arb_text(s)),
+                2 => t.duration(pid, tid, ts, dur, arb_text(s), cat, arb_args(s, 2)),
+                3 => t.instant(pid, tid, ts, "crash", cat, arb_args(s, 2)),
+                _ => t.instant(pid, tid, ts, arb_text(s), cat, arb_args(s, 2)),
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn export_prints_the_reference_bytes() {
+        assert_eq!(
+            ChromeTrace::new().to_json().to_pretty(),
+            reference(&ChromeTrace::new()).to_pretty()
+        );
+        assert_eq!(
+            sample().to_json().to_pretty(),
+            reference(&sample()).to_pretty()
+        );
+        for case in 0..512 {
+            let t = arb_trace(case);
+            assert_eq!(
+                t.to_json().to_pretty(),
+                reference(&t).to_pretty(),
+                "case {case}"
+            );
+        }
+    }
 
     fn sample() -> ChromeTrace {
         let mut t = ChromeTrace::new();
@@ -271,7 +434,7 @@ mod tests {
         t.duration(0, 0, 0, 1, "x4", "b", vec![("k", n())]);
         t.duration(0, 0, 0, 1, x4.clone(), "b", vec![("k".to_string(), n())]);
         t.duration(0, 0, 0, 1, &x4, "b", vec![(Cow::from("k"), n())]);
-        let json = t.to_json();
+        let json = Json::parse(&t.to_json().to_pretty()).unwrap();
         let events = json.get("traceEvents").unwrap().as_arr().unwrap();
         assert_eq!(events[0], events[1]);
         assert_eq!(events[0], events[2]);
@@ -279,7 +442,7 @@ mod tests {
 
     #[test]
     fn events_serialize_with_microsecond_timestamps() {
-        let json = sample().to_json();
+        let json = Json::parse(&sample().to_json().to_pretty()).unwrap();
         let events = json.get("traceEvents").unwrap().as_arr().unwrap();
         assert_eq!(events.len(), 4);
         let span = &events[2];
@@ -299,7 +462,7 @@ mod tests {
 
     #[test]
     fn metadata_names_tracks() {
-        let json = sample().to_json();
+        let json = Json::parse(&sample().to_json().to_pretty()).unwrap();
         let events = json.get("traceEvents").unwrap().as_arr().unwrap();
         assert_eq!(events[0].get("ph").unwrap().as_str(), Some("M"));
         assert_eq!(
