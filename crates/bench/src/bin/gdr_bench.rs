@@ -295,13 +295,15 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--scale" => args.scale = parse_scale(value()?)?,
             "--seed" => args.seed = parse_num("--seed", value()?)?,
             "--platforms" => {
-                args.platforms = Some(
-                    value()?
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty())
-                        .collect(),
-                );
+                let names: Vec<String> = value()?
+                    .split(',')
+                    .map(|s| s.trim().to_string())
+                    .filter(|s| !s.is_empty())
+                    .collect();
+                if names.is_empty() {
+                    return Err("invalid --platforms: expected at least one platform name".into());
+                }
+                args.platforms = Some(names);
             }
             "--out" => args.out = Some(value()?.to_string()),
             "--trace-out" => args.trace_out = Some(value()?.to_string()),

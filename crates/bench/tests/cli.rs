@@ -74,6 +74,24 @@ fn non_finite_scale_rate_and_threshold_are_rejected() {
 }
 
 #[test]
+fn empty_platform_list_is_rejected_not_run() {
+    // An empty list divided by zero while building the replica pool of
+    // serve, trace and replay, and ran a grid over zero platforms.
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("empty-platforms.json");
+    let out = out.to_str().expect("temp path is UTF-8");
+    for command in [&[][..], &["serve"], &["trace"], &["replay"], &["sweep"]] {
+        for list in [",", ""] {
+            let mut args = command.to_vec();
+            args.extend(["--scale", "test", "--platforms", list, "--out", out]);
+            if command.is_empty() {
+                args.push("--no-serve");
+            }
+            assert_usage_error(&gdr_bench(&args), "--platforms");
+        }
+    }
+}
+
+#[test]
 fn retired_host_surface_is_a_usage_error() {
     // The session measurement is gone; none of its spellings may fall
     // through to a grid run.

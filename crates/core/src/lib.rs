@@ -14,8 +14,6 @@
 //!   restructured order (walked over the three subgraphs, or emitted
 //!   straight from the backbone without them) and the baselines it is
 //!   compared against;
-//! * [`locality`] — fully-associative LRU analysis quantifying buffer
-//!   thrashing per schedule;
 //! * [`restructure`] — the end-to-end [`restructure::Restructurer`]
 //!   driver, including the paper's recursive sub-subgraph extension;
 //! * [`workspace`] — the reusable [`workspace::Workspace`] scratch arena.
@@ -26,30 +24,26 @@
 //!
 //! # Examples
 //!
-//! Restructure a skewed semantic graph and measure the thrashing
-//! reduction:
+//! Restructure a skewed semantic graph: the backbone covers every edge,
+//! and the restructured schedule walks each edge exactly once. The
+//! buffer misses a schedule causes are measured by the NA engine's
+//! buffer model, `gdr_accel::na_engine::NaBufferSim`.
 //!
 //! ```
 //! use gdr_hetgraph::gen::PowerLawConfig;
 //! use gdr_core::restructure::Restructurer;
-//! use gdr_core::schedule::EdgeSchedule;
-//! use gdr_core::locality::simulate_lru;
 //!
 //! let g = PowerLawConfig::new(500, 500, 4000).dst_alpha(0.9).generate("toy", 1);
 //! let restructured = Restructurer::new().restructure(&g);
 //!
-//! let cap = 128; // on-chip buffer capacity in feature vectors
-//! let before = simulate_lru(&EdgeSchedule::dst_major(&g), cap)?;
-//! let after = simulate_lru(restructured.schedule(), cap)?;
-//! assert!(after.misses() <= before.misses());
-//! # Ok::<(), gdr_hetgraph::GdrError>(())
+//! assert!(restructured.backbone().covers_all_edges(&g));
+//! assert!(restructured.schedule().is_permutation_of(&g));
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod backbone;
-pub mod locality;
 pub mod matching;
 pub mod recouple;
 pub mod restructure;

@@ -6,20 +6,6 @@ use gdr_hetgraph::BipartiteGraph;
 use crate::backbone::Backbone;
 use crate::workspace::RecoupleScratch;
 
-/// The four vertex classes of §4.1: source/destination vertices inside or
-/// outside the graph backbone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VertexClass {
-    /// Source vertex included in the backbone.
-    SrcIn,
-    /// Source vertex excluded from the backbone.
-    SrcOut,
-    /// Destination vertex included in the backbone.
-    DstIn,
-    /// Destination vertex excluded from the backbone.
-    DstOut,
-}
-
 /// Vertex partition derived from a [`Backbone`]: the four classes
 /// (`Src_in`, `Src_out`, `Dst_in`, `Dst_out`) the Recoupler's class
 /// FIFOs hold.
@@ -83,28 +69,6 @@ impl VertexPartition {
     /// Destinations outside the backbone.
     pub fn dst_out(&self) -> &[u32] {
         &self.dst_out
-    }
-
-    /// Class of a source vertex, or `None` if isolated.
-    pub fn classify_src(&self, s: u32) -> Option<VertexClass> {
-        if self.src_in.binary_search(&s).is_ok() {
-            Some(VertexClass::SrcIn)
-        } else if self.src_out.binary_search(&s).is_ok() {
-            Some(VertexClass::SrcOut)
-        } else {
-            None
-        }
-    }
-
-    /// Class of a destination vertex, or `None` if isolated.
-    pub fn classify_dst(&self, d: u32) -> Option<VertexClass> {
-        if self.dst_in.binary_search(&d).is_ok() {
-            Some(VertexClass::DstIn)
-        } else if self.dst_out.binary_search(&d).is_ok() {
-            Some(VertexClass::DstOut)
-        } else {
-            None
-        }
     }
 }
 
@@ -287,21 +251,21 @@ mod tests {
     fn classify_matches_membership() {
         let (g, b) = setup(2);
         let p = partition_of(&g, &b);
-        for s in 0..g.src_count() as u32 {
-            match p.classify_src(s) {
-                Some(VertexClass::SrcIn) => assert!(b.src_in(s as usize)),
-                Some(VertexClass::SrcOut) => assert!(!b.src_in(s as usize)),
-                None => assert_eq!(g.out_degree(s as usize), 0),
-                other => panic!("source classified as {other:?}"),
-            }
+        // A touched vertex sits in exactly the class its backbone bit
+        // names; an isolated one in neither.
+        for s in 0..g.src_count() {
+            let id = s as u32;
+            let member = (p.src_in().contains(&id), p.src_out().contains(&id));
+            let touched = g.out_degree(s) > 0;
+            let want = (touched && b.src_in(s), touched && !b.src_in(s));
+            assert_eq!(member, want, "source {s}");
         }
-        for d in 0..g.dst_count() as u32 {
-            match p.classify_dst(d) {
-                Some(VertexClass::DstIn) => assert!(b.dst_in(d as usize)),
-                Some(VertexClass::DstOut) => assert!(!b.dst_in(d as usize)),
-                None => assert_eq!(g.in_degree(d as usize), 0),
-                other => panic!("destination classified as {other:?}"),
-            }
+        for d in 0..g.dst_count() {
+            let id = d as u32;
+            let member = (p.dst_in().contains(&id), p.dst_out().contains(&id));
+            let touched = g.in_degree(d) > 0;
+            let want = (touched && b.dst_in(d), touched && !b.dst_in(d));
+            assert_eq!(member, want, "destination {d}");
         }
     }
 

@@ -325,7 +325,6 @@ impl Restructured {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::locality::simulate_lru;
     use gdr_hetgraph::gen::PowerLawConfig;
 
     fn graph(seed: u64) -> BipartiteGraph {
@@ -381,29 +380,6 @@ mod tests {
                 "depth {depth} broke the permutation property"
             );
         }
-    }
-
-    #[test]
-    fn recursion_improves_small_buffer_locality() {
-        let g = PowerLawConfig::new(600, 600, 4800)
-            .dst_alpha(0.9)
-            .generate("g", 4);
-        let flat = Restructurer::new()
-            .backbone_strategy(BackboneStrategy::KonigExact)
-            .restructure(&g);
-        let deep = Restructurer::new()
-            .backbone_strategy(BackboneStrategy::KonigExact)
-            .recursion_depth(2)
-            .restructure(&g);
-        let tiny_cap = 48;
-        let m_flat = simulate_lru(flat.schedule(), tiny_cap).unwrap().misses();
-        let m_deep = simulate_lru(deep.schedule(), tiny_cap).unwrap().misses();
-        // Recursion targets smaller buffers; it must not be much worse and
-        // should typically help.
-        assert!(
-            (m_deep as f64) <= m_flat as f64 * 1.10,
-            "recursive {m_deep} vs flat {m_flat}"
-        );
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! Buffer thrashing is a property of the *schedule*, not of the graph: the
 //! same edges walked in a locality-friendly order produce far fewer buffer
 //! replacements. This module provides the baseline orders the paper
-//! compares against (natural destination-major, random, degree-sorted, and
-//! an I-GCN-style islandized order) plus the restructured order produced
-//! by graph decoupling/recoupling.
+//! compares against (natural destination-major, random, and an
+//! I-GCN-style islandized order) plus the restructured order produced by
+//! graph decoupling/recoupling.
 
 use gdr_hetgraph::{BipartiteGraph, Edge, GdrError, GdrResult};
 use rand::rngs::SmallRng;
@@ -59,11 +59,6 @@ impl EdgeSchedule {
         Self::new("dst-major", edges)
     }
 
-    /// Source-major order (scatter-style engines).
-    pub fn src_major(g: &BipartiteGraph) -> Self {
-        Self::new("src-major", g.iter_edges().collect())
-    }
-
     /// Uniformly random edge order (worst case for both sides).
     pub fn random(g: &BipartiteGraph, seed: u64) -> Self {
         let mut edges: Vec<Edge> = g.iter_edges().collect();
@@ -73,20 +68,6 @@ impl EdgeSchedule {
             edges.swap(i, j);
         }
         Self::new("random", edges)
-    }
-
-    /// Destination-major order with destinations sorted by descending
-    /// in-degree — the common software "sort by degree" locality fix.
-    pub fn degree_sorted(g: &BipartiteGraph) -> Self {
-        let mut order: Vec<u32> = (0..g.dst_count() as u32).collect();
-        order.sort_by_key(|&d| (std::cmp::Reverse(g.in_degree(d as usize)), d));
-        let mut edges = Vec::with_capacity(g.edge_count());
-        for &d in &order {
-            for &s in g.in_neighbors(d as usize) {
-                edges.push(Edge::new(s, d));
-            }
-        }
-        Self::new("degree-sorted", edges)
     }
 
     /// I-GCN-style islandized order: repeatedly pick the destination
@@ -338,9 +319,7 @@ mod tests {
         let g = graph(1);
         for sched in [
             EdgeSchedule::dst_major(&g),
-            EdgeSchedule::src_major(&g),
             EdgeSchedule::random(&g, 7),
-            EdgeSchedule::degree_sorted(&g),
             EdgeSchedule::islandized(&g),
             konig(&g).schedule().clone(),
         ] {
@@ -365,15 +344,6 @@ mod tests {
                 prev = Some(e.dst);
             }
         }
-    }
-
-    #[test]
-    fn degree_sorted_starts_with_max_degree() {
-        let g = graph(3);
-        let s = EdgeSchedule::degree_sorted(&g);
-        let first_dst = s.edges()[0].dst.index();
-        let max_deg = (0..g.dst_count()).map(|d| g.in_degree(d)).max().unwrap();
-        assert_eq!(g.in_degree(first_dst), max_deg);
     }
 
     #[test]

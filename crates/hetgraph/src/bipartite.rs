@@ -60,19 +60,6 @@ impl BipartiteGraph {
         })
     }
 
-    /// Builds a semantic graph from an already-constructed source-major CSR.
-    pub fn from_csr(name: impl Into<String>, out: Csr) -> Self {
-        let inc = out.transpose();
-        Self {
-            name: name.into(),
-            relation: None,
-            src_ty: None,
-            dst_ty: None,
-            out,
-            inc,
-        }
-    }
-
     /// Rebuilds `parts` **in place** as a partition of this graph's edges
     /// by endpoint side: edge `(s, d)` goes to part
     /// `route[src_side[s] as usize][dst_side[d] as usize]`, and part `k`

@@ -6,7 +6,7 @@
 //! an adjacency list in DRAM.
 
 use crate::error::{GraphError, Result};
-use crate::ids::{Edge, VertexId};
+use crate::ids::Edge;
 
 /// Compressed sparse row adjacency: `offsets.len() == rows + 1`, and the
 /// neighbors of row `r` are `cols[offsets[r]..offsets[r+1]]`.
@@ -235,24 +235,6 @@ impl Csr {
     pub fn contains(&self, r: u32, c: u32) -> bool {
         (r as usize) < self.rows && self.neighbors(r as usize).binary_search(&c).is_ok()
     }
-
-    /// Maximum out-degree over all rows (0 for an empty CSR).
-    pub fn max_degree(&self) -> usize {
-        (0..self.rows).map(|r| self.degree(r)).max().unwrap_or(0)
-    }
-
-    /// Rows sorted by descending degree; ties broken by ascending id.
-    pub fn rows_by_degree_desc(&self) -> Vec<u32> {
-        let mut rows: Vec<u32> = (0..self.rows as u32).collect();
-        rows.sort_by_key(|&r| (std::cmp::Reverse(self.degree(r as usize)), r));
-        rows
-    }
-
-    /// Neighbors of a typed vertex id (convenience wrapper over
-    /// [`Csr::neighbors`]).
-    pub fn neighbors_of(&self, v: VertexId) -> &[u32] {
-        self.neighbors(v.index())
-    }
 }
 
 #[cfg(test)]
@@ -338,13 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn degree_statistics() {
-        let c = sample();
-        assert_eq!(c.max_degree(), 3);
-        assert_eq!(c.rows_by_degree_desc(), vec![2, 0, 3, 1]);
-    }
-
-    #[test]
     fn rebuild_matches_from_pairs_and_reuses_storage() {
         // Refill `csr` row by row from another CSR's rows.
         fn refill(csr: &mut Csr, from: &Csr) {
@@ -382,7 +357,6 @@ mod tests {
     fn empty_and_duplicate_edges() {
         let empty = Csr::from_pairs(0, 0, &[]).unwrap();
         assert_eq!(empty.edge_count(), 0);
-        assert_eq!(empty.max_degree(), 0);
         let dup = Csr::from_pairs(1, 1, &[(0, 0), (0, 0)]).unwrap();
         assert_eq!(dup.edge_count(), 2);
         assert_eq!(dup.neighbors(0), &[0, 0]);

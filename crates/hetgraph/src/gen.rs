@@ -188,69 +188,6 @@ pub fn fixed_out_degree(
         .expect("sampled endpoints are in range by construction")
 }
 
-/// Uniform Erdős–Rényi-style bipartite graph with an exact edge count
-/// (duplicates allowed, mirroring multi-edges in metapath expansions).
-///
-/// # Examples
-///
-/// ```
-/// use gdr_hetgraph::gen::uniform_bipartite;
-/// let g = uniform_bipartite("u", 10, 10, 25, 1);
-/// assert_eq!(g.edge_count(), 25);
-/// ```
-pub fn uniform_bipartite(
-    name: &str,
-    src_count: usize,
-    dst_count: usize,
-    edge_count: usize,
-    seed: u64,
-) -> BipartiteGraph {
-    PowerLawConfig::new(src_count, dst_count, edge_count).generate(name, seed)
-}
-
-/// A planted-community bipartite graph: `blocks` communities, each edge
-/// falls inside its community with probability `affinity`, otherwise picks
-/// both endpoints globally. Used by locality ablations as a best-case
-/// contrast to the power-law graphs.
-///
-/// # Examples
-///
-/// ```
-/// use gdr_hetgraph::gen::planted_communities;
-/// let g = planted_communities("c", 64, 64, 256, 8, 0.9, 5);
-/// assert_eq!(g.edge_count(), 256);
-/// ```
-pub fn planted_communities(
-    name: &str,
-    src_count: usize,
-    dst_count: usize,
-    edge_count: usize,
-    blocks: usize,
-    affinity: f64,
-    seed: u64,
-) -> BipartiteGraph {
-    assert!(blocks > 0, "need at least one community block");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut pairs = Vec::with_capacity(edge_count);
-    let src_block = (src_count / blocks).max(1);
-    let dst_block = (dst_count / blocks).max(1);
-    for _ in 0..edge_count {
-        if rng.gen_bool(affinity) {
-            let b = rng.gen_range(0..blocks);
-            let s = (b * src_block + rng.gen_range(0..src_block)).min(src_count - 1);
-            let d = (b * dst_block + rng.gen_range(0..dst_block)).min(dst_count - 1);
-            pairs.push((s as u32, d as u32));
-        } else {
-            pairs.push((
-                rng.gen_range(0..src_count) as u32,
-                rng.gen_range(0..dst_count) as u32,
-            ));
-        }
-    }
-    BipartiteGraph::from_pairs(name, src_count, dst_count, &pairs)
-        .expect("sampled endpoints are in range by construction")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,17 +249,8 @@ mod tests {
     }
 
     #[test]
-    fn planted_communities_concentrate_edges() {
-        let g = planted_communities("c", 100, 100, 1000, 10, 1.0, 2);
-        // with affinity 1.0 every edge stays in its 10x10 block
-        for e in g.iter_edges() {
-            assert_eq!(e.src.index() / 10, e.dst.index() / 10);
-        }
-    }
-
-    #[test]
     fn zero_edges_is_fine() {
-        let g = uniform_bipartite("z", 5, 5, 0, 0);
+        let g = PowerLawConfig::new(5, 5, 0).generate("z", 0);
         assert!(g.is_empty());
     }
 }

@@ -106,21 +106,6 @@ impl HeteroGraph {
         Ok(())
     }
 
-    /// Raw edge pairs of one relation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::UnknownRelation`] for an unregistered relation.
-    pub fn relation_edges(&self, relation: RelationId) -> Result<&[(u32, u32)]> {
-        self.edges
-            .get(relation.index())
-            .map(|v| v.as_slice())
-            .ok_or(GraphError::UnknownRelation {
-                relation,
-                len: self.schema.relations().len(),
-            })
-    }
-
     /// Total edges across all relations.
     pub fn total_edges(&self) -> usize {
         self.edges.iter().map(|e| e.len()).sum()
@@ -216,12 +201,5 @@ mod tests {
             Err(GraphError::UnknownRelation { .. })
         ));
         assert!(g.semantic_graph(bogus).is_err());
-        assert!(g.relation_edges(bogus).is_err());
-    }
-
-    #[test]
-    fn relation_edges_returns_raw_pairs() {
-        let (g, r1, _) = toy();
-        assert_eq!(g.relation_edges(r1).unwrap(), &[(0, 0), (2, 1)]);
     }
 }

@@ -10,8 +10,7 @@
 //! * [`BipartiteGraph`] directed bipartite semantic graphs,
 //! * seeded random generators ([`gen`]) and the Table 2 dataset
 //!   synthesizers ([`datasets`]),
-//! * metapath composition ([`metapath`]) and topology statistics
-//!   ([`stats`]).
+//! * metapath composition ([`metapath`]).
 //!
 //! # Examples
 //!
@@ -42,7 +41,6 @@ mod schema;
 pub mod datasets;
 pub mod gen;
 pub mod metapath;
-pub mod stats;
 
 pub use bipartite::BipartiteGraph;
 pub use csr::Csr;

@@ -90,7 +90,6 @@ impl Relation {
 /// let author = schema.add_vertex_type("author", 5959, 1902)?;
 /// let writes = schema.add_relation("A->P", author, paper)?;
 /// assert_eq!(schema.relation(writes).unwrap().name(), "A->P");
-/// assert!(schema.is_heterogeneous());
 /// # Ok::<(), gdr_hetgraph::GraphError>(())
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -195,11 +194,6 @@ impl Schema {
     pub fn total_vertices(&self) -> usize {
         self.vertex_types.iter().map(|t| t.count).sum()
     }
-
-    /// A graph is heterogeneous when `|T_v| + |T_e| > 2` (paper §2).
-    pub fn is_heterogeneous(&self) -> bool {
-        self.vertex_types.len() + self.relations.len() > 2
-    }
 }
 
 #[cfg(test)]
@@ -244,17 +238,5 @@ mod tests {
             s.add_relation("r", a, bogus),
             Err(GraphError::UnknownVertexType { .. })
         ));
-    }
-
-    #[test]
-    fn heterogeneity_rule() {
-        let mut s = Schema::new();
-        assert!(!s.is_heterogeneous());
-        let a = s.add_vertex_type("a", 1, 0).unwrap();
-        s.add_relation("self", a, a).unwrap();
-        // 1 type + 1 relation = 2 -> homogeneous
-        assert!(!s.is_heterogeneous());
-        s.add_relation("self2", a, a).unwrap();
-        assert!(s.is_heterogeneous());
     }
 }

@@ -29,11 +29,6 @@ pub fn raw_features(count: usize, dim: usize, seed: u64, type_tag: u64) -> Matri
     Matrix::random(count, dim, 1.0, seed ^ type_tag.wrapping_mul(0x9E37_79B9))
 }
 
-/// Bytes occupied by one raw feature vector of `dim` fp32 entries.
-pub fn raw_feature_bytes(dim: usize) -> usize {
-    dim * 4
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,8 +45,6 @@ mod tests {
     fn featureless_types_are_empty() {
         let f = raw_features(7, 0, 1, 2);
         assert_eq!((f.rows(), f.cols()), (7, 0));
-        assert_eq!(raw_feature_bytes(0), 0);
-        assert_eq!(raw_feature_bytes(64), 256);
     }
 
     #[test]

@@ -99,24 +99,6 @@ impl ModelConfig {
         }
     }
 
-    /// Bytes of one projected feature vector (fp32, all heads concatenated
-    /// at `hidden_dim` total — HiHGNN stores the concatenated projection).
-    pub fn projected_bytes(&self) -> usize {
-        self.hidden_dim * 4
-    }
-
-    /// MAC operations the FP stage spends projecting one vertex with raw
-    /// feature dimension `in_dim` (an `in_dim × hidden` dense product; a
-    /// featureless type, `in_dim == 0`, becomes an embedding-table lookup
-    /// charged as one `hidden`-wide row copy).
-    pub fn fp_macs_per_vertex(&self, in_dim: usize) -> u64 {
-        if in_dim == 0 {
-            self.hidden_dim as u64
-        } else {
-            (in_dim * self.hidden_dim) as u64
-        }
-    }
-
     /// MAC-equivalent operations the NA stage spends per edge.
     pub fn na_ops_per_edge(&self) -> u64 {
         let h = self.hidden_dim as u64;
@@ -158,7 +140,6 @@ mod tests {
         assert_eq!(rgat.edge_dim, 0);
         let shgn = ModelConfig::paper(ModelKind::SimpleHgn);
         assert_eq!(shgn.edge_dim, 64);
-        assert_eq!(shgn.projected_bytes(), 256);
     }
 
     #[test]
@@ -168,13 +149,6 @@ mod tests {
             .map(|&k| ModelConfig::paper(k).na_ops_per_edge())
             .collect();
         assert!(ops[0] < ops[1] && ops[1] < ops[2], "{ops:?}");
-    }
-
-    #[test]
-    fn featureless_projection_is_embedding_lookup() {
-        let cfg = ModelConfig::paper(ModelKind::Rgcn);
-        assert_eq!(cfg.fp_macs_per_vertex(0), 64);
-        assert_eq!(cfg.fp_macs_per_vertex(334), 334 * 64);
     }
 
     #[test]

@@ -88,40 +88,6 @@ pub fn similarity_order(graphs: &[SgWork]) -> Vec<usize> {
     order
 }
 
-/// Fraction of FP projections the similarity order saves by reusing a
-/// type's projection from the immediately preceding semantic graph.
-pub fn fp_reuse_fraction(graphs: &[SgWork], order: &[usize]) -> f64 {
-    if order.is_empty() {
-        return 0.0;
-    }
-    let mut total: u64 = 0;
-    let mut reused: u64 = 0;
-    for (pos, &i) in order.iter().enumerate() {
-        let g = &graphs[i];
-        let mut endpoint_types: Vec<(usize, u64)> = vec![
-            (g.src_ty, g.touched_src as u64),
-            (g.dst_ty, g.touched_dst as u64),
-        ];
-        if g.src_ty == g.dst_ty {
-            endpoint_types.truncate(1);
-        }
-        for (ty, count) in endpoint_types {
-            total += count;
-            if pos > 0 {
-                let prev = &graphs[order[pos - 1]];
-                if prev.src_ty == ty || prev.dst_ty == ty {
-                    reused += count;
-                }
-            }
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        reused as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,24 +132,33 @@ mod tests {
 
     #[test]
     fn chained_order_beats_scrambled_order_on_reuse() {
-        let het = Dataset::Imdb.build_scaled(1, 0.05);
-        let w = Workload::from_hetero(ModelConfig::paper(ModelKind::Rgcn), &het);
-        let chained = similarity_order(w.graphs());
-        // deliberately split the fwd/rev relation pairs apart
-        let scrambled: Vec<usize> = vec![0, 2, 4, 1, 3, 5];
-        let r_chain = fp_reuse_fraction(w.graphs(), &chained);
-        let r_scrambled = fp_reuse_fraction(w.graphs(), &scrambled);
-        assert!(
-            r_chain >= r_scrambled,
-            "chained reuse {r_chain} < scrambled {r_scrambled}"
-        );
-        assert!(r_chain > 0.5, "every IMDB relation shares the movie type");
+        // Pairs at positions 2k and 2k+1 that are a relation and its
+        // reverse: the second graph reuses both projected types.
+        let reverse_pairs = |w: &Workload, order: &[usize]| {
+            order
+                .chunks(2)
+                .filter(|p| {
+                    let (a, b) = (&w.graphs()[p[0]], &w.graphs()[p[1]]);
+                    (a.src_ty, a.dst_ty) == (b.dst_ty, b.src_ty)
+                })
+                .count()
+        };
+        for dataset in Dataset::ALL {
+            let het = dataset.build_scaled(1, 0.05);
+            let w = Workload::from_hetero(ModelConfig::paper(ModelKind::Rgcn), &het);
+            let chained = similarity_order(w.graphs());
+            let pairs = chained.len() / 2;
+            assert_eq!(reverse_pairs(&w, &chained), pairs, "{dataset:?}");
+            if dataset == Dataset::Imdb {
+                // deliberately split the fwd/rev relation pairs apart
+                assert_eq!(reverse_pairs(&w, &[0, 2, 4, 1, 3, 5]), 0);
+            }
+        }
     }
 
     #[test]
     fn empty_input() {
         assert!(similarity_order(&[]).is_empty());
-        assert_eq!(fp_reuse_fraction(&[], &[]), 0.0);
     }
 
     #[test]

@@ -115,25 +115,6 @@ impl Workload {
         &self.graphs
     }
 
-    /// FP MACs for one semantic graph, assuming no cross-graph reuse
-    /// (both endpoint sets projected).
-    pub fn fp_macs(&self, sg: &SgWork) -> u64 {
-        sg.touched_src as u64 * self.model.fp_macs_per_vertex(sg.src_in_dim)
-            + sg.touched_dst as u64 * self.model.fp_macs_per_vertex(sg.dst_in_dim)
-    }
-
-    /// FP raw-feature bytes read from DRAM for one semantic graph.
-    pub fn fp_read_bytes(&self, sg: &SgWork) -> u64 {
-        (sg.touched_src as u64 * sg.src_in_dim as u64
-            + sg.touched_dst as u64 * sg.dst_in_dim as u64)
-            * 4
-    }
-
-    /// Projected-feature bytes FP writes for one semantic graph.
-    pub fn fp_write_bytes(&self, sg: &SgWork) -> u64 {
-        (sg.touched_src + sg.touched_dst) as u64 * self.model.projected_bytes() as u64
-    }
-
     /// NA MAC-equivalent ops for one semantic graph.
     pub fn na_ops(&self, sg: &SgWork) -> u64 {
         sg.edges as u64 * self.model.na_ops_per_edge()
@@ -142,11 +123,6 @@ impl Workload {
     /// SF MAC-equivalent ops for one semantic graph's contribution.
     pub fn sf_ops(&self, sg: &SgWork) -> u64 {
         sg.touched_dst as u64 * self.model.sf_ops_per_vertex()
-    }
-
-    /// Total FP MACs across semantic graphs (no reuse).
-    pub fn total_fp_macs(&self) -> u64 {
-        self.graphs.iter().map(|g| self.fp_macs(g)).sum()
     }
 
     /// Total NA ops across semantic graphs.
@@ -198,23 +174,23 @@ mod tests {
 
     #[test]
     fn fp_bytes_track_feature_dims() {
-        let w = workload(ModelKind::Rgcn);
+        let het = Dataset::Dblp.build_scaled(2, 0.05);
+        let w = Workload::from_hetero(ModelConfig::paper(ModelKind::Rgcn), &het);
         // the P->A graph reads paper(4231-dim) sources and author(334-dim) dsts
         let pa = w.graphs().iter().find(|g| g.name == "P->A").unwrap();
         assert_eq!(pa.src_in_dim, 4231);
         assert_eq!(pa.dst_in_dim, 334);
-        let bytes = w.fp_read_bytes(pa);
-        assert_eq!(
-            bytes,
-            (pa.touched_src as u64 * 4231 + pa.touched_dst as u64 * 334) * 4
-        );
+        // every descriptor carries its endpoint types' raw feature widths
+        let types = het.schema().vertex_types();
+        for sg in w.graphs() {
+            assert_eq!(sg.src_in_dim, types[sg.src_ty].feature_dim());
+            assert_eq!(sg.dst_in_dim, types[sg.dst_ty].feature_dim());
+        }
     }
 
     #[test]
     fn totals_are_sums() {
         let w = workload(ModelKind::Rgat);
-        let fp: u64 = w.graphs().iter().map(|g| w.fp_macs(g)).sum();
-        assert_eq!(fp, w.total_fp_macs());
         let edges: usize = w.graphs().iter().map(|g| g.edges).sum();
         assert_eq!(edges, w.total_edges());
         assert!(w.total_sf_ops() > 0);

@@ -1,8 +1,8 @@
 //! Set-associative on-chip buffer model.
 //!
-//! This is the hardware-accurate counterpart of `gdr-core`'s idealized LRU
-//! analysis: HiHGNN's NA buffer is organized set-associatively, so
-//! conflict misses add to the thrashing the paper measures in Fig. 2.
+//! HiHGNN's NA buffer is organized set-associatively, so conflict misses
+//! add to the thrashing the paper measures in Fig. 2; one set of `n`
+//! ways under [`Replacement::Lru`] is the fully associative LRU buffer.
 //! The model tracks residency only — which tags each set holds and which
 //! one a miss evicts. Callers that need per-tag statistics (Fig. 2's
 //! replacement times) count the misses an access reports.

@@ -98,13 +98,6 @@ mod calib {
     pub const MAC_STATIC_MW: f64 = 0.011;
     /// Fused MAC dynamic energy per operation in pJ.
     pub const MAC_PJ_PER_OP: f64 = 1.1;
-    /// HBM access energy: pJ per bit (the paper's 7 pJ/bit).
-    pub const HBM_PJ_PER_BIT: f64 = 7.0;
-}
-
-/// HBM access energy in pJ for a transfer of `bytes` (7 pJ/bit, §5.1).
-pub fn hbm_access_energy_pj(bytes: u64) -> f64 {
-    calib::HBM_PJ_PER_BIT * (bytes * 8) as f64
 }
 
 /// Analytic macro estimator for a technology node.
@@ -223,12 +216,6 @@ mod tests {
         let busy = m.power_mw(64e9); // 64 GB/s of accesses
         assert!(busy > idle);
         assert_eq!(idle, m.static_mw);
-    }
-
-    #[test]
-    fn hbm_energy_matches_7pj_per_bit() {
-        assert_eq!(hbm_access_energy_pj(1), 56.0);
-        assert_eq!(hbm_access_energy_pj(64), 7.0 * 512.0);
     }
 
     #[test]

@@ -76,34 +76,6 @@ impl HbmConfig {
         }
     }
 
-    /// GDDR6-like configuration for the T4 baseline (320 GB/s).
-    pub fn gddr6_320gbps() -> Self {
-        Self {
-            channels: 8,
-            banks: 16,
-            row_bytes: 2048,
-            interleave_bytes: 256,
-            bytes_per_cycle: 320,
-            t_cas: 16,
-            t_rcd: 16,
-            t_rp: 16,
-        }
-    }
-
-    /// HBM2e-like configuration for the A100 baseline (1555 GB/s).
-    pub fn hbm2e_1555gbps() -> Self {
-        Self {
-            channels: 32,
-            banks: 16,
-            row_bytes: 1024,
-            interleave_bytes: 256,
-            bytes_per_cycle: 1555,
-            t_cas: 14,
-            t_rcd: 14,
-            t_rp: 14,
-        }
-    }
-
     /// Per-channel data-bus throughput in bytes per cycle.
     pub fn channel_bytes_per_cycle(&self) -> u64 {
         (self.bytes_per_cycle / self.channels as u64).max(1)
@@ -140,16 +112,6 @@ impl HbmStats {
     /// Total bytes moved.
     pub fn bytes_total(&self) -> u64 {
         self.bytes_read + self.bytes_written
-    }
-
-    /// Row-hit fraction (0 when idle).
-    pub fn row_hit_rate(&self) -> f64 {
-        let t = self.row_hits + self.row_misses;
-        if t == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / t as f64
-        }
     }
 }
 
@@ -344,7 +306,6 @@ mod tests {
         let end = hbm.drain_trace(0, (0..1000).map(|i| MemRequest::read(i * 256, 256)));
         let util = hbm.bandwidth_utilization(end);
         assert!(util > 0.0 && util <= 1.0, "util {util}");
-        assert!(hbm.stats().row_hit_rate() >= 0.0);
     }
 
     #[test]
@@ -354,16 +315,6 @@ mod tests {
         hbm.reset();
         assert_eq!(hbm.stats().accesses(), 0);
         assert_eq!(hbm.stats().last_completion, 0);
-    }
-
-    #[test]
-    fn baseline_configs_differ_in_bandwidth() {
-        assert!(
-            HbmConfig::hbm2e_1555gbps().bytes_per_cycle > HbmConfig::hbm1_512gbps().bytes_per_cycle
-        );
-        assert!(
-            HbmConfig::hbm1_512gbps().bytes_per_cycle > HbmConfig::gddr6_320gbps().bytes_per_cycle
-        );
     }
 
     #[test]

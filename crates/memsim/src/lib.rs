@@ -2,7 +2,7 @@
 //!
 //! Cycle-level memory substrates for the GDR-HGNN reproduction:
 //!
-//! * [`hbm`] — transaction-level HBM/GDDR DRAM model (the Ramulator
+//! * [`hbm`] — transaction-level HBM DRAM model (the Ramulator
 //!   substitute): channels, banks, open-row tracking, DDR timing and
 //!   bandwidth accounting.
 //! * [`buffer`] — set-associative on-chip buffer residency model; each

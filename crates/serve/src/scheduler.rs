@@ -661,11 +661,6 @@ impl<'c> Simulator<'c> {
         }
     }
 
-    /// The shard map in force (full when the pool is unsharded).
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shards
-    }
-
     /// Attaches a [`TraceSink`] that will receive one
     /// [`TraceEvent`] per lifecycle step, in virtual-time order.
     /// Tracing never alters the simulation: a traced run's

@@ -121,12 +121,6 @@ impl TrafficStream {
         }
     }
 
-    /// Whether this stream is closed-loop (arrivals depend on
-    /// completions).
-    pub fn is_closed_loop(&self) -> bool {
-        matches!(self.traffic.process, ArrivalProcess::ClosedLoop { .. })
-    }
-
     /// Requests issued so far.
     pub fn issued(&self) -> u64 {
         self.issued
@@ -285,7 +279,6 @@ mod tests {
             think_ns: 1_000_000,
         };
         let mut s = stream(p, 10, 5);
-        assert!(s.is_closed_loop());
         let first = s.initial_arrivals();
         assert_eq!(first.len(), 4, "one initial request per client");
         assert_eq!(s.issued(), 4);

@@ -89,12 +89,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Supplies a fully custom model configuration.
-    pub fn model_config(mut self, model: ModelConfig) -> Self {
-        self.model = model;
-        self
-    }
-
     /// Dataset generation seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;

@@ -8,7 +8,6 @@ use gdr_accel::report::geomean;
 use gdr_frontend::area_power::FrontendAreaPower;
 use gdr_frontend::config::FrontendConfig;
 use gdr_hetgraph::datasets::Dataset;
-use gdr_hetgraph::stats::GraphStats;
 use gdr_hgnn::model::ModelKind;
 use gdr_memsim::cacti_lite::{CactiLite, TechNode};
 
@@ -542,16 +541,6 @@ pub fn table3() -> String {
     table(&["platform", "configuration"], &rows)
 }
 
-/// Per-semantic-graph topology statistics of a dataset (supporting data
-/// for the bipartite-structure observation in §4.1).
-pub fn dataset_topology(cfg: &ExperimentConfig, dataset: Dataset) -> Vec<(String, GraphStats)> {
-    let het = dataset.build_scaled(cfg.seed, cfg.scale);
-    het.all_semantic_graphs()
-        .iter()
-        .map(|g| (g.name().to_string(), GraphStats::compute(g)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,18 +681,5 @@ mod tests {
         for (_, pct) in &m {
             assert!(*pct >= 0.0 && *pct <= 100.0);
         }
-    }
-
-    #[test]
-    fn topology_stats_available() {
-        let stats = dataset_topology(
-            &ExperimentConfig {
-                seed: 1,
-                scale: 0.05,
-            },
-            Dataset::Dblp,
-        );
-        assert_eq!(stats.len(), 6);
-        assert!(stats.iter().all(|(_, s)| s.edges > 0));
     }
 }

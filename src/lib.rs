@@ -8,7 +8,7 @@
 //! |---|---|
 //! | [`hetgraph`] | heterogeneous graph substrate + Table 2 datasets |
 //! | [`core`] | graph decoupling / recoupling algorithms |
-//! | [`memsim`] | HBM, buffers, FIFOs, CACTI-lite |
+//! | [`memsim`] | HBM, buffers, hash table, CACTI-lite |
 //! | [`hgnn`] | RGCN / RGAT / Simple-HGN models and workloads |
 //! | [`accel`] | [`prelude::Platform`] trait, HiHGNN cycle model, T4/A100 baselines |
 //! | [`frontend`] | the GDR-HGNN hardware frontend + streaming [`prelude::Session`] |
@@ -180,23 +180,25 @@
 //!
 //! Lower-level pieces stay available through the per-crate re-exports —
 //! e.g. restructure one semantic graph by hand and measure the
-//! locality win:
+//! locality win in the NA engine's buffer model, here one fully
+//! associative LRU set of `cap` feature vectors:
 //!
 //! ```
-//! use gdr::hetgraph::datasets::Dataset;
+//! use gdr::accel::na_engine::NaBufferSim;
 //! use gdr::core::restructure::Restructurer;
 //! use gdr::core::schedule::EdgeSchedule;
-//! use gdr::core::locality::simulate_lru;
+//! use gdr::hetgraph::datasets::Dataset;
+//! use gdr::memsim::buffer::Replacement;
 //!
 //! let acm = Dataset::Acm.build_scaled(42, 0.05);
 //! let sg = acm.all_semantic_graphs().into_iter()
 //!     .max_by_key(|g| g.edge_count()).unwrap();
 //! let restructured = Restructurer::new().restructure(&sg);
 //! let cap = 256;
-//! let before = simulate_lru(&EdgeSchedule::dst_major(&sg), cap)?;
-//! let after = simulate_lru(restructured.schedule(), cap)?;
-//! assert!(after.misses() <= before.misses());
-//! # Ok::<(), gdr::hetgraph::GdrError>(())
+//! let lru = NaBufferSim::new(cap, cap).with_policy(Replacement::Lru);
+//! let before = lru.simulate(&sg, &EdgeSchedule::dst_major(&sg), 0);
+//! let after = lru.simulate(&sg, restructured.schedule(), 0);
+//! assert!(after.misses <= before.misses);
 //! ```
 
 #![warn(missing_docs)]

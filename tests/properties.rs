@@ -7,12 +7,13 @@
 //! breadth of inputs (empty graphs, duplicates, skewed degrees) with
 //! reproducible failures — the panic message names the failing case.
 
+use gdr::accel::na_engine::NaBufferSim;
 use gdr::core::backbone::BackboneStrategy;
-use gdr::core::locality::{compulsory_misses, simulate_lru};
 use gdr::core::restructure::{MatcherKind, Restructured, Restructurer};
 use gdr::core::schedule::EdgeSchedule;
 use gdr::hetgraph::gen::PowerLawConfig;
 use gdr::hetgraph::BipartiteGraph;
+use gdr::memsim::buffer::Replacement;
 use gdr::prelude::{FrontendConfig, Session};
 
 const CASES: u64 = 64;
@@ -39,6 +40,12 @@ fn arb_graph(case: u64) -> BipartiteGraph {
     PowerLawConfig::new(ns, nd, ne)
         .dst_alpha(alpha)
         .generate("prop", seed)
+}
+
+/// A fully associative LRU buffer of `cap` feature vectors: the NA
+/// engine's buffer model with one set of `cap` ways.
+fn lru(cap: usize) -> NaBufferSim {
+    NaBufferSim::new(cap, cap).with_policy(Replacement::Lru)
 }
 
 /// Restructures `g` with the given matcher and backbone strategy.
@@ -128,9 +135,7 @@ fn all_schedules_are_permutations() {
         let r = Restructurer::new().restructure(&g);
         for sched in [
             EdgeSchedule::dst_major(&g),
-            EdgeSchedule::src_major(&g),
             EdgeSchedule::random(&g, seed),
-            EdgeSchedule::degree_sorted(&g),
             EdgeSchedule::islandized(&g),
             r.schedule().clone(),
         ] {
@@ -145,14 +150,42 @@ fn lru_misses_bounded_and_monotone() {
         let g = arb_graph(case);
         let cap = 1 + (mix(case, 7) % 63) as usize;
         let sched = EdgeSchedule::dst_major(&g);
-        let small = simulate_lru(&sched, cap).unwrap();
-        let big = simulate_lru(&sched, cap * 2).unwrap();
+        let small = lru(cap).simulate(&g, &sched, 0);
+        let big = lru(cap * 2).simulate(&g, &sched, 0);
         // stack property of LRU
-        assert!(big.misses() <= small.misses(), "case {case}");
+        assert!(big.misses <= small.misses, "case {case}");
         // bounds: compulsory <= misses <= accesses
-        assert!(small.misses() >= compulsory_misses(&g), "case {case}");
-        assert!(small.misses() <= small.accesses(), "case {case}");
+        let compulsory = (0..g.src_count()).filter(|&s| g.out_degree(s) > 0).count()
+            + (0..g.dst_count()).filter(|&d| g.in_degree(d) > 0).count();
+        assert!(small.misses >= compulsory as u64, "case {case}");
+        assert!(small.misses <= small.accesses, "case {case}");
     }
+}
+
+#[test]
+fn recursion_improves_small_buffer_locality() {
+    // With skew on the destination side only, depth 2 emits the depth-0
+    // order unchanged; skew on both sides gives the recursion work.
+    let g = PowerLawConfig::new(600, 600, 4800)
+        .src_alpha(0.9)
+        .dst_alpha(0.9)
+        .generate("g", 4);
+    let konig = Restructurer::new().backbone_strategy(BackboneStrategy::KonigExact);
+    let flat = konig.restructure(&g);
+    let deep = konig.recursion_depth(2).restructure(&g);
+    assert_ne!(
+        flat.schedule().edges(),
+        deep.schedule().edges(),
+        "depth 2 left the schedule unchanged"
+    );
+    let m_flat = lru(48).simulate(&g, flat.schedule(), 0).misses;
+    let m_deep = lru(48).simulate(&g, deep.schedule(), 0).misses;
+    // Recursion targets smaller buffers; it must not be much worse and
+    // should typically help.
+    assert!(
+        (m_deep as f64) <= m_flat as f64 * 1.10,
+        "recursive {m_deep} vs flat {m_flat}"
+    );
 }
 
 #[test]
