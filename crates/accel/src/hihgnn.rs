@@ -151,12 +151,12 @@ impl HiHgnnRun {
 #[derive(Debug)]
 pub struct HiHgnnSim {
     cfg: HiHgnnConfig,
-    /// Pooled per-execution state — the NA buffer scratch, the DRAM
-    /// request trace, and the lane cycle counters — `clear()`ed at each
-    /// [`HiHgnnSim::try_execute`] but never dropped, so repeated
-    /// executions on one sim reuse capacity. Behind a mutex because the
-    /// `Platform` trait executes through `&self`; uncontended in
-    /// practice (each worker lane owns its own sim).
+    /// Pooled per-execution state — the NA buffer scratch and the lane
+    /// cycle counters — `clear()`ed at each [`HiHgnnSim::try_execute`]
+    /// but never dropped, so repeated executions on one sim reuse
+    /// capacity. Behind a mutex because the `Platform` trait executes
+    /// through `&self`; uncontended in practice (each worker lane owns
+    /// its own sim).
     scratch: Mutex<HiHgnnScratch>,
 }
 
@@ -166,8 +166,6 @@ struct HiHgnnScratch {
     /// NA buffer + per-wave request log; its fetch counts aggregate
     /// across waves within one execution.
     na: BufferScratch,
-    /// Full-execution DRAM request trace.
-    requests: Vec<MemRequest>,
     /// Per-lane cycle accumulators.
     lane_cycles: Vec<u64>,
     /// Size of the previous execution's fetch-count table — pre-sizes
@@ -271,12 +269,10 @@ impl HiHgnnSim {
         let mut guard = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
         let HiHgnnScratch {
             na,
-            requests,
             lane_cycles,
             counts_hint,
         } = &mut *guard;
         na.reset();
-        requests.clear();
         lane_cycles.clear();
         lane_cycles.resize(self.cfg.lanes, 0);
         let mut stage = StageBreakdown::default();
@@ -314,14 +310,14 @@ impl HiHgnnSim {
                         (nnz * model.hidden_dim as u64, nnz * 8)
                     };
                     fp_macs += macs;
-                    push_stream(
-                        &mut *requests,
+                    issue_stream(
+                        &mut hbm,
                         RAW_BASE + ty as u64 * 0x0800_0000,
                         read_bytes,
                         false,
                     );
-                    push_stream(
-                        &mut *requests,
+                    issue_stream(
+                        &mut hbm,
                         PROJ_BASE + ty as u64 * 0x0080_0000,
                         count as u64 * FEATURE_BYTES as u64,
                         true,
@@ -333,8 +329,8 @@ impl HiHgnnSim {
                 if deep > 0 {
                     let touched = (sgw.touched_src + sgw.touched_dst) as u64;
                     fp_macs += deep * touched * (model.hidden_dim * model.hidden_dim) as u64;
-                    push_stream(
-                        &mut *requests,
+                    issue_stream(
+                        &mut hbm,
                         PROJ_BASE + 0x4000_0000 + gi as u64 * 0x0100_0000,
                         deep * touched * FEATURE_BYTES as u64 * 2,
                         false,
@@ -345,14 +341,14 @@ impl HiHgnnSim {
                 // ---- NA / SF compute (SIMD), charged per lane ----
                 let na_cycles = (workload.na_ops(sgw) * layers).div_ceil(self.cfg.simd_ops);
                 let sf_bytes = sgw.touched_dst as u64 * FEATURE_BYTES as u64 * layers;
-                push_stream(
-                    &mut *requests,
+                issue_stream(
+                    &mut hbm,
                     OUT_BASE + gi as u64 * 0x0100_0000,
                     sf_bytes,
                     false,
                 );
-                push_stream(
-                    &mut *requests,
+                issue_stream(
+                    &mut hbm,
                     OUT_BASE + 0x8000_0000 + gi as u64 * 0x0100_0000,
                     sf_bytes,
                     true,
@@ -382,12 +378,15 @@ impl HiHgnnSim {
             let trace = na_sim.simulate_wave_with(na, &items, 16);
             na_hits += trace.hits * layers;
             na_accesses += trace.accesses * layers;
+            // Every layer replays the wave's log into the memory model.
             for _ in 0..layers {
-                requests.extend(na.requests.iter().copied());
+                hbm.drain_trace(0, na.requests.iter().copied());
             }
         }
 
-        let mem_makespan = hbm.drain_trace(0, requests.iter().copied());
+        // Every request arrived at cycle 0, so the makespan is the
+        // latest completion.
+        let mem_makespan = hbm.stats().last_completion;
         let compute_cycles = lane_cycles.iter().copied().max().unwrap_or(0);
         // pipeline fill/drain overhead across the stage pipeline
         let fill = 2_000u64;
@@ -457,16 +456,20 @@ impl Platform for HiHgnnSim {
     }
 }
 
-/// Appends a streaming (sequential) transfer as 256 B bursts.
-fn push_stream(requests: &mut Vec<MemRequest>, base: u64, bytes: u64, write: bool) {
+/// Issues a streaming (sequential) transfer as 256 B bursts, all
+/// arriving at cycle 0.
+fn issue_stream(hbm: &mut HbmModel, base: u64, bytes: u64, write: bool) {
     let mut off = 0;
     while off < bytes {
         let chunk = (bytes - off).min(256) as u32;
-        requests.push(if write {
-            MemRequest::write(base + off, chunk)
-        } else {
-            MemRequest::read(base + off, chunk)
-        });
+        hbm.access_at(
+            0,
+            MemRequest {
+                addr: base + off,
+                bytes: chunk,
+                write,
+            },
+        );
         off += chunk as u64;
     }
 }

@@ -10,6 +10,13 @@
 //! by implementing [`Platform`] and joining the platform list passed to
 //! `gdr-system`'s grid drivers.
 //!
+//! A platform with an internal GDR frontend (the combined system) names
+//! its frontend configuration through [`Platform::restructures_with`],
+//! and executes from a frontend run its caller already holds through
+//! [`Platform::execute_restructured`]: the serving cost model
+//! restructures each dataset once that way and prices all of the
+//! dataset's models from the one run.
+//!
 //! # Examples
 //!
 //! ```
@@ -36,6 +43,8 @@
 //! ```
 
 use gdr_core::schedule::EdgeSchedule;
+use gdr_frontend::config::FrontendConfig;
+use gdr_frontend::pipeline::FrontendRun;
 use gdr_hetgraph::{BipartiteGraph, GdrResult};
 use gdr_hgnn::workload::Workload;
 
@@ -70,12 +79,6 @@ impl PlatformRun {
         }
     }
 
-    /// Appends a platform-specific observable (builder style).
-    pub fn with_extra(mut self, key: impl Into<String>, value: f64) -> Self {
-        self.extra.push((key.into(), value));
-        self
-    }
-
     /// NA-stage hit rate, when modeled (forwarded from the report).
     pub fn na_hit_rate(&self) -> Option<f64> {
         self.report.na_hit_rate
@@ -101,13 +104,21 @@ pub trait Platform {
         false
     }
 
+    /// The configuration of the GDR frontend with which the platform
+    /// restructures its own edge schedules, or `None` (the default) for
+    /// platforms without an internal frontend.
+    fn restructures_with(&self) -> Option<&FrontendConfig> {
+        None
+    }
+
     /// Whether consecutive executions over the *same dataset* can reuse
-    /// internally restructured edge schedules (a schedule cache). Online
-    /// serving schedulers use this capability flag to model locality:
-    /// dataset-affine dispatch saves the restructuring cost on a warm
-    /// replica. Platforms without an internal frontend return `false`.
+    /// internally restructured edge schedules (a schedule cache): true
+    /// exactly for platforms with an internal frontend
+    /// ([`Platform::restructures_with`]). Online serving schedulers use
+    /// this capability flag to model locality: dataset-affine dispatch
+    /// saves the restructuring cost on a warm replica.
     fn reuses_schedules(&self) -> bool {
-        false
+        self.restructures_with().is_some()
     }
 
     /// Executes `workload` over `graphs`, optionally with one edge
@@ -125,6 +136,33 @@ pub trait Platform {
         graphs: &[BipartiteGraph],
         schedules: Option<&[EdgeSchedule]>,
     ) -> GdrResult<PlatformRun>;
+
+    /// Executes `workload` over `graphs` from `frontend`, a run of the
+    /// platform's own frontend ([`Platform::restructures_with`]) over
+    /// the same `graphs`, instead of restructuring them again. The
+    /// frontend's output depends only on the semantic graphs, so a
+    /// caller that executes several workloads of one dataset (the
+    /// serving cost model prices three models per dataset) restructures
+    /// the dataset once. The report is the one [`Platform::execute`]
+    /// gives with no schedules. The default ignores `frontend` and calls
+    /// exactly that.
+    ///
+    /// # Errors
+    ///
+    /// As [`Platform::execute`]; and
+    /// [`gdr_hetgraph::GdrError::LengthMismatch`] when `frontend` does
+    /// not hold one result per graph, or
+    /// [`gdr_hetgraph::GdrError::InvalidConfig`] when one of its
+    /// schedules is not a permutation of its graph's edges.
+    fn execute_restructured(
+        &self,
+        workload: &Workload,
+        graphs: &[BipartiteGraph],
+        frontend: &FrontendRun,
+    ) -> GdrResult<PlatformRun> {
+        let _ = frontend;
+        self.execute(workload, graphs, None)
+    }
 }
 
 /// Rejects schedules on platforms that cannot consume them.
@@ -165,20 +203,6 @@ mod tests {
         assert!(run.src_replacement_times.is_empty());
         assert!(run.extra.is_empty());
         assert_eq!(run.na_hit_rate(), Some(0.5));
-    }
-
-    #[test]
-    fn extra_metrics_keep_insertion_order() {
-        let run = PlatformRun::from_report(report())
-            .with_extra("cycles", 10.0)
-            .with_extra("frontend_cycles", 3.0);
-        assert_eq!(
-            run.extra,
-            vec![
-                ("cycles".to_string(), 10.0),
-                ("frontend_cycles".into(), 3.0)
-            ]
-        );
     }
 
     #[test]

@@ -1,12 +1,19 @@
 //! The `gdr-bench` binary's exit-code contract on hostile input: a bad
 //! flag value or a malformed report is a usage error (exit 2, with a
 //! message naming the problem), never a panic, an abort or a silent
-//! clamp.
+//! clamp. The parsers behind `--compare` also survive damaged copies of
+//! the files `gdr-bench sweep` and `gdr-bench trace` write.
 
 use std::path::Path;
 use std::process::{Command, Output};
 
+use gdr_bench::parse_axis;
+use gdr_bench::sweep::{run_sweep, sweep_record};
+use gdr_serve::suite::{default_specs, ServeHarness};
+use gdr_serve::sweep::SweepSpec;
+use gdr_system::grid::ExperimentConfig;
 use gdr_system::json::Json;
+use gdr_system::report::BenchReport;
 
 /// The committed gate baseline: a real report to edit.
 const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/baseline.json");
@@ -217,4 +224,97 @@ fn report_numbers_past_the_f64_range_are_a_usage_error() {
         let out = gdr_bench(&["--compare", file.to_str().unwrap(), "--baseline", BASELINE]);
         assert_usage_error(&out, "number out of range at byte");
     }
+}
+
+/// Deterministic case expansion (SplitMix64).
+fn mix(case: u64, salt: u64) -> u64 {
+    let mut z = case
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(salt.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Feeds truncated and byte-mutated copies of `text` to the JSON and
+/// report parsers. Either may reject a copy and neither may panic; a
+/// prefix that stops before the document's closing brace is incomplete,
+/// so both must reject it.
+fn parsers_survive_damage(label: &str, text: &str, cases: u64) {
+    let bytes = text.as_bytes();
+    let len = bytes.len() as u64;
+    let complete = text.trim_end().len() as u64;
+    for case in 0..cases {
+        let cut = mix(case, 400) % len;
+        let truncated = String::from_utf8_lossy(&bytes[..cut as usize]);
+        if cut < complete {
+            assert!(
+                Json::parse(&truncated).is_err(),
+                "{label} {case}: cut {cut}"
+            );
+            assert!(
+                BenchReport::parse(&truncated).is_err(),
+                "{label} {case}: cut {cut}"
+            );
+        }
+        let mut mutated = bytes.to_vec();
+        for i in 0..=mix(case, 401) % 8 {
+            mutated[(mix(case, 410 + i) % len) as usize] = mix(case, 420 + i) as u8;
+        }
+        let mutated = String::from_utf8_lossy(&mutated);
+        let _ = Json::parse(&mutated);
+        let _ = BenchReport::parse(&mutated);
+    }
+}
+
+#[test]
+fn parsers_never_panic_on_truncated_or_mutated_sweeps_and_traces() {
+    let cfg = ExperimentConfig::test_scale();
+    // A sweep report as `gdr-bench sweep` writes it, over four scenarios.
+    let mut spec = SweepSpec {
+        requests: 96,
+        ..SweepSpec::default()
+    };
+    for axis in [
+        "arrival=poisson",
+        "rate=400000,800000",
+        "batch=immediate,size-capped:8",
+        "scheduler=least-loaded",
+        "replicas=2",
+        "cache-bytes=0",
+    ] {
+        parse_axis(&mut spec, axis).unwrap();
+    }
+    let records = run_sweep(&cfg, &spec, 1).unwrap();
+    let sweep = BenchReport {
+        seed: cfg.seed,
+        scale: cfg.scale,
+        platforms: vec![spec.platform.clone()],
+        points: Vec::new(),
+        wall_clock_s: 0.0,
+        serve: Vec::new(),
+        host: Vec::new(),
+        sweep: vec![sweep_record("default", &spec, &records, Some(1e5), 1.0)],
+        breakdown: Vec::new(),
+    }
+    .to_json()
+    .to_pretty();
+    assert!(BenchReport::parse(&sweep).is_ok());
+    // The crash/failover suite scenario's Chrome trace, as
+    // `gdr-bench trace` writes it.
+    let scenario = default_specs(&cfg)
+        .into_iter()
+        .find(|s| s.name == "crash/failover/least-loaded")
+        .unwrap();
+    let pool: Vec<&str> = scenario.pool.iter().map(String::as_str).collect();
+    let trace = ServeHarness::new(&cfg, &pool)
+        .unwrap()
+        .run_traced(&scenario, cfg.seed)
+        .unwrap()
+        .chrome
+        .to_json()
+        .to_pretty();
+    assert!(Json::parse(&trace).is_ok());
+    parsers_survive_damage("sweep", &sweep, 32);
+    parsers_survive_damage("trace", &trace, 16);
 }

@@ -223,7 +223,11 @@ impl EdgeSchedule {
         self.edges.iter().copied()
     }
 
-    /// Checks that this schedule is a permutation of `g`'s edge multiset.
+    /// Checks that this schedule is a permutation of `g`'s edge multiset,
+    /// in time linear in the edges: the scheduled edges are dealt into
+    /// the rows of `g`'s out-CSR by source, and each row's destinations
+    /// are then compared with the CSR row as a multiset, through one
+    /// counter per destination.
     ///
     /// # Errors
     ///
@@ -233,15 +237,37 @@ impl EdgeSchedule {
         if self.edges.len() != g.edge_count() {
             return false;
         }
-        let mut a: Vec<(u32, u32)> = self
-            .edges
-            .iter()
-            .map(|e| (e.src.raw(), e.dst.raw()))
-            .collect();
-        let mut b: Vec<(u32, u32)> = g.iter_edges().map(|e| (e.src.raw(), e.dst.raw())).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        a == b
+        let out = g.out_csr();
+        let offsets = out.offsets();
+        // `fill[s]` is the next free slot of row `s`; a full row means
+        // the schedule has more edges from `s` than `g` does.
+        let mut fill = offsets[..g.src_count()].to_vec();
+        let mut dealt = vec![0u32; self.edges.len()];
+        for e in &self.edges {
+            let s = e.src.index();
+            if s >= fill.len() || fill[s] == offsets[s + 1] {
+                return false;
+            }
+            dealt[fill[s] as usize] = e.dst.raw();
+            fill[s] += 1;
+        }
+        // The counts match, so every row is now exactly full. Each row
+        // raises its CSR destinations' counters and lowers them again by
+        // the dealt ones, which leaves every counter at zero unless a
+        // dealt destination is missing from the row.
+        let mut count = vec![0u32; g.dst_count()];
+        for s in 0..g.src_count() {
+            for &d in out.neighbors(s) {
+                count[d as usize] += 1;
+            }
+            for &d in &dealt[offsets[s] as usize..offsets[s + 1] as usize] {
+                match count.get_mut(d as usize) {
+                    Some(c) if *c > 0 => *c -= 1,
+                    _ => return false,
+                }
+            }
+        }
+        true
     }
 
     /// Typed-error variant of [`EdgeSchedule::is_permutation_of`], for
@@ -301,6 +327,8 @@ mod tests {
     use crate::backbone::BackboneStrategy;
     use crate::restructure::{Restructured, Restructurer};
     use gdr_hetgraph::gen::PowerLawConfig;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn graph(seed: u64) -> BipartiteGraph {
         PowerLawConfig::new(30, 30, 120)
@@ -372,6 +400,71 @@ mod tests {
             assert!(!b.src_in(e.src.index()) && b.dst_in(e.dst.index()));
         }
         assert_eq!(s.len(), g.edge_count());
+    }
+
+    /// The permutation check as it was before the linear one: both edge
+    /// lists copied and sorted, then compared.
+    fn sorted_equal(s: &EdgeSchedule, g: &BipartiteGraph) -> bool {
+        let mut a: Vec<(u32, u32)> = s.iter().map(|e| (e.src.raw(), e.dst.raw())).collect();
+        let mut b: Vec<(u32, u32)> = g.iter_edges().map(|e| (e.src.raw(), e.dst.raw())).collect();
+        a.sort_unstable();
+        b.sort_unstable();
+        a == b
+    }
+
+    #[test]
+    fn permutation_check_matches_the_sorting_reference() {
+        for case in 0..200u64 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            // Few vertices and many edges drawn with replacement, so
+            // multi-edges are common; some vertices stay isolated.
+            let (n_src, n_dst) = (rng.gen_range(1..12u32), rng.gen_range(1..12u32));
+            let pairs: Vec<(u32, u32)> = (0..rng.gen_range(0..60usize))
+                .map(|_| (rng.gen_range(0..n_src), rng.gen_range(0..n_dst)))
+                .collect();
+            let g =
+                BipartiteGraph::from_pairs("g", n_src as usize, n_dst as usize, &pairs).unwrap();
+            let shuffled = EdgeSchedule::random(&g, case);
+            let mut schedules = vec![shuffled.clone()];
+            let edges = shuffled.edges();
+            if !edges.is_empty() {
+                let i = rng.gen_range(0..edges.len());
+                let j = rng.gen_range(0..edges.len());
+                let e = edges[i];
+                let mut mutated = |f: &dyn Fn(&mut Vec<Edge>)| {
+                    let mut v = edges.to_vec();
+                    f(&mut v);
+                    schedules.push(EdgeSchedule::new("mutated", v));
+                };
+                mutated(&|v| {
+                    v.remove(i);
+                });
+                mutated(&|v| v.push(e));
+                mutated(&|v| v[i] = v[j]);
+                mutated(&|v| v[i] = Edge::new(e.src.raw(), (e.dst.raw() + 1) % n_dst));
+                mutated(&|v| v[i] = Edge::new((e.src.raw() + 1) % n_src, e.dst.raw()));
+                mutated(&|v| v[i] = Edge::new(n_src, e.dst.raw()));
+                mutated(&|v| v[i] = Edge::new(e.src.raw(), n_dst));
+                mutated(&|v| v[i] = Edge::new(u32::MAX, u32::MAX));
+                // two retargets that cancel in the per-source counts
+                if edges.len() > 1 && i != j {
+                    let f = edges[j];
+                    mutated(&|v| {
+                        v[i] = Edge::new(e.src.raw(), f.dst.raw());
+                        v[j] = Edge::new(f.src.raw(), e.dst.raw());
+                    });
+                }
+            }
+            for sched in &schedules {
+                assert_eq!(
+                    sched.is_permutation_of(&g),
+                    sorted_equal(sched, &g),
+                    "case {case}: {:?} against {pairs:?}",
+                    sched.edges()
+                );
+            }
+            assert!(shuffled.is_permutation_of(&g), "case {case}");
+        }
     }
 
     #[test]

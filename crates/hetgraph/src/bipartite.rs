@@ -240,18 +240,6 @@ impl BipartiteGraph {
         self.edge_count() == 0
     }
 
-    /// Average in-degree over destinations with at least one neighbor.
-    pub fn mean_in_degree(&self) -> f64 {
-        let touched = (0..self.dst_count())
-            .filter(|&d| self.in_degree(d) > 0)
-            .count();
-        if touched == 0 {
-            0.0
-        } else {
-            self.edge_count() as f64 / touched as f64
-        }
-    }
-
     /// Returns the reverse semantic graph (dst becomes src), modelling the
     /// paired reverse relation every HetG dataset in Table 2 carries.
     pub fn reversed(&self) -> BipartiteGraph {
@@ -285,6 +273,9 @@ mod tests {
         assert_eq!(g.out_degree(2), 0);
         assert_eq!(g.in_degree(0), 2);
         assert!(!g.is_empty());
+        assert!(BipartiteGraph::from_pairs("e", 2, 2, &[])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -372,15 +363,5 @@ mod tests {
         assert_eq!(g.relation(), Some(RelationId::new(1)));
         assert_eq!(g.src_ty(), Some(VertexTypeId::new(0)));
         assert_eq!(g.dst_ty(), Some(VertexTypeId::new(2)));
-    }
-
-    #[test]
-    fn mean_in_degree_ignores_isolated() {
-        let g = toy();
-        // all 3 destinations touched, 5 edges
-        assert!((g.mean_in_degree() - 5.0 / 3.0).abs() < 1e-12);
-        let empty = BipartiteGraph::from_pairs("e", 2, 2, &[]).unwrap();
-        assert_eq!(empty.mean_in_degree(), 0.0);
-        assert!(empty.is_empty());
     }
 }

@@ -85,53 +85,6 @@ impl Csr {
         })
     }
 
-    /// Builds a CSR directly from raw offset and column arrays.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::MalformedCsr`] if `offsets` is not
-    /// non-decreasing or does not have `rows + 1` entries ending at
-    /// `cols.len()`, or if a row's columns are not in non-decreasing
-    /// order (lookups binary-search a row); and
-    /// [`GraphError::VertexOutOfRange`] for column overflow.
-    pub fn from_raw(
-        rows: usize,
-        cols: usize,
-        offsets: Vec<u32>,
-        col_store: Vec<u32>,
-    ) -> Result<Self> {
-        if offsets.len() != rows + 1
-            || offsets.last().copied().unwrap_or(0) as usize != col_store.len()
-        {
-            return Err(GraphError::MalformedCsr { row: rows });
-        }
-        for r in 0..rows {
-            if offsets[r] > offsets[r + 1] {
-                return Err(GraphError::MalformedCsr { row: r });
-            }
-        }
-        for r in 0..rows {
-            if !col_store[offsets[r] as usize..offsets[r + 1] as usize].is_sorted() {
-                return Err(GraphError::MalformedCsr { row: r });
-            }
-        }
-        for &c in &col_store {
-            if c as usize >= cols {
-                return Err(GraphError::VertexOutOfRange {
-                    what: "destination",
-                    index: c as usize,
-                    len: cols,
-                });
-            }
-        }
-        Ok(Self {
-            rows,
-            cols_len: cols,
-            offsets,
-            cols: col_store,
-        })
-    }
-
     /// Number of rows (source-side vertices).
     pub fn rows(&self) -> usize {
         self.rows
@@ -272,28 +225,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn from_raw_validates() {
-        assert!(Csr::from_raw(2, 2, vec![0, 1, 2], vec![0, 1]).is_ok());
-        assert!(matches!(
-            Csr::from_raw(2, 2, vec![0, 2, 1], vec![0]),
-            Err(GraphError::MalformedCsr { row: 1 })
-        ));
-        assert!(Csr::from_raw(2, 2, vec![0, 1], vec![0, 1]).is_err());
-        assert!(Csr::from_raw(2, 2, vec![0, 1, 2], vec![0, 9]).is_err());
-        // an unsorted row would break `contains`' binary search
-        assert!(matches!(
-            Csr::from_raw(1, 3, vec![0, 3], vec![2, 1, 0]),
-            Err(GraphError::MalformedCsr { row: 0 })
-        ));
-        assert!(matches!(
-            Csr::from_raw(2, 3, vec![0, 1, 3], vec![2, 1, 0]),
-            Err(GraphError::MalformedCsr { row: 1 })
-        ));
-        // repeated columns (multi-edges) are non-decreasing, so legal
-        assert!(Csr::from_raw(1, 2, vec![0, 3], vec![0, 1, 1]).is_ok());
     }
 
     #[test]

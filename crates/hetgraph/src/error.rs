@@ -48,11 +48,6 @@ pub enum GraphError {
         /// The duplicated name.
         name: String,
     },
-    /// A CSR offset array was not monotonically non-decreasing.
-    MalformedCsr {
-        /// Row at which the violation was detected.
-        row: usize,
-    },
     /// An operation required a non-empty graph but the graph had no edges.
     EmptyGraph,
 }
@@ -74,9 +69,6 @@ impl fmt::Display for GraphError {
             }
             GraphError::DuplicateName { name } => {
                 write!(f, "duplicate schema name `{name}`")
-            }
-            GraphError::MalformedCsr { row } => {
-                write!(f, "csr offsets decrease at row {row}")
             }
             GraphError::EmptyGraph => write!(f, "graph has no edges"),
         }
@@ -218,7 +210,6 @@ mod tests {
             GraphError::DuplicateName {
                 name: "paper".into(),
             },
-            GraphError::MalformedCsr { row: 7 },
             GraphError::EmptyGraph,
         ];
         for c in cases {

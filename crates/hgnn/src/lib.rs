@@ -22,8 +22,10 @@
 //!
 //! let het = Dataset::Imdb.build_scaled(1, 0.05);
 //! let w = Workload::from_hetero(ModelConfig::paper(ModelKind::Rgat), &het);
-//! println!("NA ops: {}", w.total_na_ops());
-//! assert!(w.total_na_ops() > w.total_sf_ops());
+//! for g in w.graphs() {
+//!     println!("{}: {} NA ops", g.name, w.na_ops(g));
+//!     assert!(w.na_ops(g) > w.sf_ops(g));
+//! }
 //! ```
 
 #![warn(missing_docs)]

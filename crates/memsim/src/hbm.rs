@@ -130,9 +130,59 @@ impl HbmStats {
 #[derive(Debug, Clone)]
 pub struct HbmModel {
     cfg: HbmConfig,
+    decode: Decode,
     open_rows: Vec<Option<u64>>, // [channel * banks + bank]
     channel_free: Vec<u64>,
     stats: HbmStats,
+}
+
+/// The address and burst arithmetic of a power-of-two geometry, fixed
+/// once in [`HbmModel::new`]: every field is a shift or a mask.
+#[derive(Debug, Clone, Copy)]
+struct Decode {
+    /// `log2(interleave_bytes)`.
+    channel_shift: u32,
+    /// `channels - 1`.
+    channel_mask: u64,
+    /// `log2(row_bytes)`.
+    bank_shift: u32,
+    /// `banks - 1`.
+    bank_mask: u64,
+    /// `log2(row_bytes * banks)`.
+    row_shift: u32,
+    /// `log2(channel_bytes_per_cycle)`.
+    burst_shift: u32,
+}
+
+impl Decode {
+    /// # Panics
+    ///
+    /// Panics unless channels, banks, row and interleave bytes and the
+    /// per-channel bytes per cycle are all powers of two.
+    fn new(cfg: &HbmConfig) -> Self {
+        let pow2 = |what: &str, x: u64| {
+            assert!(
+                x.is_power_of_two(),
+                "hbm geometry must be powers of two: {what} is {x}"
+            );
+            x.trailing_zeros()
+        };
+        let channel_bits = pow2("channels", cfg.channels as u64);
+        let bank_bits = pow2("banks", cfg.banks as u64);
+        let bank_shift = pow2("row_bytes", cfg.row_bytes);
+        assert!(
+            bank_shift + bank_bits < u64::BITS,
+            "hbm geometry overflows: row_bytes * banks exceeds u64"
+        );
+        Self {
+            channel_shift: pow2("interleave_bytes", cfg.interleave_bytes),
+            channel_mask: (1 << channel_bits) - 1,
+            bank_shift,
+            bank_mask: (1 << bank_bits) - 1,
+            row_shift: bank_shift + bank_bits,
+            burst_shift: pow2("channel bytes per cycle", cfg.channel_bytes_per_cycle()),
+        }
+    }
 }
 
 impl HbmModel {
@@ -140,10 +190,15 @@ impl HbmModel {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero channels or banks.
+    /// Panics if the configuration has zero channels or banks, or if its
+    /// channels, banks, row bytes, interleave bytes or per-channel bytes
+    /// per cycle ([`HbmConfig::channel_bytes_per_cycle`]) are not powers
+    /// of two: the model decodes addresses and burst lengths with shifts
+    /// and masks.
     pub fn new(cfg: HbmConfig) -> Self {
         assert!(cfg.channels > 0 && cfg.banks > 0, "degenerate hbm geometry");
         Self {
+            decode: Decode::new(&cfg),
             open_rows: vec![None; cfg.channels * cfg.banks],
             channel_free: vec![0; cfg.channels],
             stats: HbmStats::default(),
@@ -168,24 +223,13 @@ impl HbmModel {
         self.stats = HbmStats::default();
     }
 
-    fn channel_of(&self, addr: u64) -> usize {
-        ((addr / self.cfg.interleave_bytes) % self.cfg.channels as u64) as usize
-    }
-
-    fn bank_of(&self, addr: u64) -> usize {
-        ((addr / self.cfg.row_bytes) % self.cfg.banks as u64) as usize
-    }
-
-    fn row_of(&self, addr: u64) -> u64 {
-        addr / (self.cfg.row_bytes * self.cfg.banks as u64)
-    }
-
     /// Issues a transaction no earlier than cycle `now`; returns its
     /// completion cycle.
     pub fn access_at(&mut self, now: u64, req: MemRequest) -> u64 {
-        let ch = self.channel_of(req.addr);
-        let bank = self.bank_of(req.addr);
-        let row = self.row_of(req.addr);
+        let d = self.decode;
+        let ch = ((req.addr >> d.channel_shift) & d.channel_mask) as usize;
+        let bank = ((req.addr >> d.bank_shift) & d.bank_mask) as usize;
+        let row = req.addr >> d.row_shift;
         let slot = ch * self.cfg.banks + bank;
 
         let hit = self.open_rows[slot] == Some(row);
@@ -197,9 +241,8 @@ impl HbmModel {
             self.open_rows[slot] = Some(row);
             self.cfg.t_rp + self.cfg.t_rcd + self.cfg.t_cas
         };
-        let transfer = (req.bytes as u64)
-            .div_ceil(self.cfg.channel_bytes_per_cycle())
-            .max(1);
+        let burst = (1u64 << d.burst_shift) - 1;
+        let transfer = ((req.bytes as u64 + burst) >> d.burst_shift).max(1);
         let start = now.max(self.channel_free[ch]);
         let completion = start + prep + transfer;
         // The data bus is held for the transfer; activation overlaps with
@@ -244,6 +287,156 @@ impl HbmModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The model as it decoded before the shifts: every address field
+    /// and burst length by division and remainder.
+    struct DivisionReference {
+        cfg: HbmConfig,
+        open_rows: Vec<Option<u64>>,
+        channel_free: Vec<u64>,
+        stats: HbmStats,
+    }
+
+    impl DivisionReference {
+        fn new(cfg: HbmConfig) -> Self {
+            Self {
+                open_rows: vec![None; cfg.channels * cfg.banks],
+                channel_free: vec![0; cfg.channels],
+                stats: HbmStats::default(),
+                cfg,
+            }
+        }
+
+        fn access_at(&mut self, now: u64, req: MemRequest) -> u64 {
+            let ch = ((req.addr / self.cfg.interleave_bytes) % self.cfg.channels as u64) as usize;
+            let bank = ((req.addr / self.cfg.row_bytes) % self.cfg.banks as u64) as usize;
+            let row = req.addr / (self.cfg.row_bytes * self.cfg.banks as u64);
+            let slot = ch * self.cfg.banks + bank;
+            let prep = if self.open_rows[slot] == Some(row) {
+                self.stats.row_hits += 1;
+                self.cfg.t_cas
+            } else {
+                self.stats.row_misses += 1;
+                self.open_rows[slot] = Some(row);
+                self.cfg.t_rp + self.cfg.t_rcd + self.cfg.t_cas
+            };
+            let transfer = (req.bytes as u64)
+                .div_ceil(self.cfg.channel_bytes_per_cycle())
+                .max(1);
+            let start = now.max(self.channel_free[ch]);
+            let completion = start + prep + transfer;
+            self.channel_free[ch] = start + transfer;
+            self.stats.busy_cycles += transfer;
+            if req.write {
+                self.stats.writes += 1;
+                self.stats.bytes_written += req.bytes as u64;
+            } else {
+                self.stats.reads += 1;
+                self.stats.bytes_read += req.bytes as u64;
+            }
+            self.stats.last_completion = self.stats.last_completion.max(completion);
+            completion
+        }
+    }
+
+    /// A random power-of-two geometry (the first case is Table 3's).
+    fn arb_config(case: u64, rng: &mut SmallRng) -> HbmConfig {
+        if case == 0 {
+            return HbmConfig::hbm1_512gbps();
+        }
+        let channels = 1usize << rng.gen_range(0..5u32);
+        HbmConfig {
+            channels,
+            banks: 1 << rng.gen_range(0..6u32),
+            row_bytes: 1 << rng.gen_range(5..13u32),
+            interleave_bytes: 1 << rng.gen_range(5..10u32),
+            // per-channel bytes per cycle from 1 to 256
+            bytes_per_cycle: (channels as u64) << rng.gen_range(0..9u32),
+            t_cas: rng.gen_range(1..20u64),
+            t_rcd: rng.gen_range(0..20u64),
+            t_rp: rng.gen_range(0..20u64),
+        }
+    }
+
+    #[test]
+    fn shift_decoding_matches_division_on_random_streams() {
+        for case in 0..64u64 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            let cfg = arb_config(case, &mut rng);
+            let mut model = HbmModel::new(cfg.clone());
+            let mut reference = DivisionReference::new(cfg.clone());
+            // Clustered and streaming addresses reach row hits; wide
+            // ones reach the upper address bits.
+            let base: u64 = rng.gen_range(0..1u64 << 36);
+            let mut now = 0u64;
+            for i in 0..2000u64 {
+                let addr = match rng.gen_range(0..3u32) {
+                    0 => base + i * 64,
+                    1 => base + rng.gen_range(0..1u64 << 16),
+                    _ => rng.gen_range(0..u64::MAX),
+                };
+                let bytes = match rng.gen_range(0..4u32) {
+                    0 => 0,
+                    1 => rng.gen_range(1..=1024u32),
+                    2 => 256,
+                    _ => rng.gen_range(0..=u32::MAX),
+                };
+                let req = MemRequest {
+                    addr,
+                    bytes,
+                    write: rng.gen_bool(0.3),
+                };
+                if rng.gen_bool(0.1) {
+                    now += rng.gen_range(0..200u64);
+                }
+                assert_eq!(
+                    model.access_at(now, req),
+                    reference.access_at(now, req),
+                    "case {case}, request {i}: {req:?} on {cfg:?}"
+                );
+            }
+            assert_eq!(model.stats(), &reference.stats, "case {case}: {cfg:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn non_power_of_two_geometry_is_rejected() {
+        HbmModel::new(HbmConfig {
+            banks: 12,
+            ..HbmConfig::hbm1_512gbps()
+        });
+    }
+
+    #[test]
+    fn every_non_power_of_two_field_is_rejected() {
+        let base = HbmConfig::hbm1_512gbps();
+        for cfg in [
+            HbmConfig {
+                channels: 6,
+                bytes_per_cycle: 6 * 64,
+                ..base.clone()
+            },
+            HbmConfig {
+                row_bytes: 3000,
+                ..base.clone()
+            },
+            HbmConfig {
+                interleave_bytes: 96,
+                ..base.clone()
+            },
+            // 8 channels sharing 500 B per cycle: 62 B each
+            HbmConfig {
+                bytes_per_cycle: 500,
+                ..base.clone()
+            },
+        ] {
+            let built = std::panic::catch_unwind(|| HbmModel::new(cfg.clone()));
+            assert!(built.is_err(), "accepted {cfg:?}");
+        }
+    }
 
     #[test]
     fn sequential_reads_hit_rows() {

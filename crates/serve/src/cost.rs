@@ -19,12 +19,14 @@
 //!   same dataset back to back: platforms whose frontend restructures
 //!   internally ([`Platform::reuses_schedules`]) skip the *exposed*
 //!   restructuring time on a schedule-cache hit. The exposure is priced
-//!   by replaying the §4.3 overlap accounting over one reused
-//!   [`Session`] — [`Session::rebind`]
-//!   keeps a single warm pipeline, re-bound once per dataset and shared
-//!   by that dataset's three models, and one reused restructuring
-//!   [`Workspace`] carries its scratch from dataset to dataset, exactly
-//!   as a serving replica would.
+//!   by replaying the §4.3 overlap accounting over the platform's own
+//!   frontend run of the dataset: one [`Session`] in the platform's
+//!   configuration ([`Platform::restructures_with`]) per dataset, whose
+//!   run also executes that dataset's three models
+//!   ([`Platform::execute_restructured`]), so each dataset is
+//!   restructured once and measuring starts no thread. One reused
+//!   restructuring [`Workspace`] carries its scratch from dataset to
+//!   dataset, exactly as a serving replica would.
 //! * `hit_per_request_ns` — the marginal cost when the cell's features
 //!   are already resident in the replica's cross-batch feature cache:
 //!   the NA gather stage (the memory-bound share of the work) is served
@@ -38,21 +40,20 @@
 //!   serve a dataset it does not hold (a partial-replica **shard miss**)
 //!   or that a freshly autoscaled replica pays before its first batch.
 //!   For platforms with an internal frontend this is the complete
-//!   restructuring pass over the cell (the un-overlapped
-//!   [`Session::rebind`] replay); for the GPU baselines it is one full
-//!   streaming pass over the working set (≈ the measured cell time).
+//!   restructuring pass over the cell (the un-overlapped frontend run's
+//!   cycles); for the GPU baselines it is one full streaming pass over
+//!   the working set (≈ the measured cell time).
 //!
 //! Everything is rounded to whole virtual nanoseconds, so downstream
 //! arithmetic is integer-exact and reports are byte-for-byte
 //! reproducible.
 
-use gdr_accel::platform::Platform;
-use gdr_frontend::config::FrontendConfig;
+use gdr_accel::platform::{Platform, PlatformRun};
 use gdr_frontend::pipeline::FrontendRun;
 use gdr_frontend::session::Session;
 use gdr_frontend::Workspace;
 use gdr_hetgraph::datasets::Dataset;
-use gdr_hetgraph::{BipartiteGraph, GdrResult};
+use gdr_hetgraph::GdrResult;
 use gdr_hgnn::model::{ModelConfig, ModelKind};
 use gdr_hgnn::workload::Workload;
 use gdr_system::grid::ExperimentConfig;
@@ -153,45 +154,53 @@ impl CostModel {
     /// server would run before accepting traffic. Dataset inputs are
     /// built once per dataset — one build, one semantic-graph split and,
     /// since the restructured schedule depends only on those graphs, one
-    /// warm-session restructuring replay — and shared across the
-    /// dataset's models and every platform.
+    /// frontend run per platform that restructures internally, in that
+    /// platform's own configuration — and shared across the dataset's
+    /// models. Such a platform executes each model from its run
+    /// ([`Platform::execute_restructured`]) instead of restructuring the
+    /// dataset again; every other platform executes through
+    /// [`Platform::execute`].
     ///
     /// # Errors
     ///
     /// Propagates the first platform error; the paper platforms cannot
     /// fail on grid-generated inputs.
     pub fn measure(platforms: &[&dyn Platform], cfg: &ExperimentConfig) -> GdrResult<Self> {
-        let needs_frontend = platforms.iter().any(|p| p.reuses_schedules());
-        // One warm pipeline, re-bound per dataset — the Session reuse
-        // hook — and one restructuring workspace reused across every
-        // dataset's rebind replay, exactly as a serving replica holds
-        // them: the three replays share matching tables, BFS arrays,
-        // subgraph CSR storage, and (via the request pool, refilled as
-        // each replay retires) the DRAM request logs, instead of
-        // reallocating them per dataset.
-        let warm_session = Session::new(FrontendConfig::default(), &[]);
+        // One restructuring workspace reused across every dataset's
+        // frontend run, exactly as a serving replica holds it: the runs
+        // share matching tables, BFS arrays and (via the request pool,
+        // refilled as each run retires) the DRAM request logs, instead
+        // of reallocating them per dataset.
         let mut ws = Workspace::new();
-        let clock = FrontendConfig::default().clock_ghz;
-
         let mut costs: Vec<[ServiceCost; CELL_COUNT]> =
             vec![[ServiceCost::default(); CELL_COUNT]; platforms.len()];
         for dataset in Dataset::ALL {
             let het = dataset.build_scaled(cfg.seed, cfg.scale);
             let graphs = het.all_semantic_graphs();
-            let frontend =
-                needs_frontend.then(|| warm_session.rebind(&graphs).process_with(&mut ws));
+            // One run per frontend platform, in its own configuration,
+            // executes and prices all of this dataset's models.
+            let frontends: Vec<Option<FrontendRun>> = platforms
+                .iter()
+                .map(|p| {
+                    let fc = p.restructures_with()?;
+                    Some(Session::new(fc.clone(), &graphs).process_with(&mut ws))
+                })
+                .collect();
             for model in ModelKind::ALL {
                 let workload = Workload::from_hetero(ModelConfig::paper(model), &het);
                 let cell = Cell { model, dataset };
-                for (p, row) in platforms.iter().zip(costs.iter_mut()) {
-                    row[cell.index()] =
-                        service_cost(*p, &workload, &graphs, frontend.as_ref(), clock)?;
+                for ((p, fr), row) in platforms.iter().zip(&frontends).zip(costs.iter_mut()) {
+                    let run = match fr {
+                        Some(fr) => p.execute_restructured(&workload, &graphs, fr)?,
+                        None => p.execute(&workload, &graphs, None)?,
+                    };
+                    row[cell.index()] = service_cost(*p, &run, &workload, fr.as_ref())?;
                 }
             }
-            // Every model of this dataset is priced; retire the replay's
-            // request logs into the workspace so the next dataset's
-            // replay reuses the storage instead of reallocating it.
-            if let Some(fr) = frontend {
+            // Every model of this dataset is priced; retire the runs'
+            // request logs into the workspace so the next dataset's runs
+            // reuse the storage instead of reallocating it.
+            for fr in frontends.into_iter().flatten() {
                 fr.recycle_into(&mut ws);
             }
         }
@@ -253,17 +262,16 @@ impl CostModel {
     }
 }
 
-/// Prices one (platform, cell) pair from one execution of the cell's
-/// `workload` on `p`. `frontend` is the dataset's warm-session replay,
-/// present when some measured platform restructures internally.
+/// Prices one (platform, cell) pair from `run`, one execution of the
+/// cell's `workload` on `p`. `frontend` is `p`'s own frontend run over
+/// the cell's dataset, present when `p` restructures internally
+/// ([`Platform::restructures_with`]).
 fn service_cost(
     p: &dyn Platform,
+    run: &PlatformRun,
     workload: &Workload,
-    graphs: &[BipartiteGraph],
     frontend: Option<&FrontendRun>,
-    clock: f64,
 ) -> GdrResult<ServiceCost> {
-    let run = p.execute(workload, graphs, None)?;
     let fixed_ns = run.report.stages.overhead_ns.max(0.0).round() as u64;
     let work_ns = (run.report.time_ns - run.report.stages.overhead_ns).max(1.0);
     let per_request_ns = ((work_ns / MINI_BATCH_DIVISOR as f64).round() as u64).max(1);
@@ -273,20 +281,17 @@ fn service_cost(
     let hit_per_request_ns =
         ((hit_work_ns / MINI_BATCH_DIVISOR as f64).round() as u64).clamp(1, per_request_ns);
     let dram_bytes_per_request = (run.report.dram_bytes / MINI_BATCH_DIVISOR).max(1);
-    let warm_save_ns = match frontend {
-        Some(fr) if p.reuses_schedules() => {
-            exposure_ns(fr, workload, run.report.time_ns, clock)?.min(fixed_ns)
-        }
-        _ => 0,
+    let warm = frontend.zip(p.restructures_with().map(|fc| fc.clock_ghz));
+    let warm_save_ns = match warm {
+        Some((fr, clock)) => exposure_ns(fr, workload, run.report.time_ns, clock)?.min(fixed_ns),
+        None => 0,
     };
     // Cold bind: a full un-overlapped restructuring pass for frontend
     // platforms, one full streaming pass over the working set (≈ the
     // measured cell time) for the rest.
-    let bind_ns = match frontend {
-        Some(fr) if p.reuses_schedules() => {
-            ((fr.total_cycles() as f64 / clock).round() as u64).max(1)
-        }
-        _ => (run.report.time_ns.max(0.0).round() as u64).max(1),
+    let bind_ns = match warm {
+        Some((fr, clock)) => ((fr.total_cycles() as f64 / clock).round() as u64).max(1),
+        None => (run.report.time_ns.max(0.0).round() as u64).max(1),
     };
     Ok(ServiceCost {
         fixed_ns,
@@ -331,6 +336,14 @@ fn exposure_ns(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    use gdr_accel::hihgnn::HiHgnnConfig;
+    use gdr_accel::report::{ExecReport, StageBreakdown};
+    use gdr_core::schedule::EdgeSchedule;
+    use gdr_frontend::config::FrontendConfig;
+    use gdr_hetgraph::BipartiteGraph;
+    use gdr_system::combined::CombinedSystem;
     use gdr_system::grid::{cell_inputs, paper_platforms, platform_refs};
 
     #[test]
@@ -463,30 +476,175 @@ mod tests {
     }
 
     /// The cost table built the direct way: every cell builds its own
-    /// inputs ([`cell_inputs`]) and runs its own warm-session replay.
+    /// inputs ([`cell_inputs`]), executes every platform through plain
+    /// [`Platform::execute`], and prices the frontend platforms' warm
+    /// saving and cold bind from a frontend run of its own.
     fn per_cell_reference(
         platforms: &[&dyn Platform],
         cfg: &ExperimentConfig,
     ) -> GdrResult<CostModel> {
-        let needs_frontend = platforms.iter().any(|p| p.reuses_schedules());
-        let warm_session = Session::new(FrontendConfig::default(), &[]);
-        let mut ws = Workspace::new();
-        let clock = FrontendConfig::default().clock_ghz;
         let mut costs = vec![[ServiceCost::default(); CELL_COUNT]; platforms.len()];
         for cell in Cell::all() {
             let (workload, graphs) = cell_inputs(cell.model, cell.dataset, cfg);
-            let frontend =
-                needs_frontend.then(|| warm_session.rebind(&graphs).process_with(&mut ws));
             for (p, row) in platforms.iter().zip(costs.iter_mut()) {
-                row[cell.index()] = service_cost(*p, &workload, &graphs, frontend.as_ref(), clock)?;
-            }
-            if let Some(fr) = frontend {
-                fr.recycle_into(&mut ws);
+                let run = p.execute(&workload, &graphs, None)?;
+                let frontend = p
+                    .restructures_with()
+                    .map(|fc| Session::new(fc.clone(), &graphs).process());
+                row[cell.index()] = service_cost(*p, &run, &workload, frontend.as_ref())?;
             }
         }
         Ok(CostModel::synthetic(
             platforms.iter().map(|p| p.name().to_string()).collect(),
             costs,
         ))
+    }
+
+    /// One restructured execution as [`Counting`] saw it.
+    struct Call {
+        dataset: String,
+        /// Address of the frontend run it was handed.
+        run: usize,
+        frontend_cycles: u64,
+    }
+
+    /// A frontend platform that counts its executions and records the
+    /// frontend run each restructured one receives.
+    struct Counting {
+        frontend: FrontendConfig,
+        plain: RefCell<usize>,
+        restructured: RefCell<Vec<Call>>,
+    }
+
+    impl Platform for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+
+        fn restructures_with(&self) -> Option<&FrontendConfig> {
+            Some(&self.frontend)
+        }
+
+        fn execute(
+            &self,
+            workload: &Workload,
+            _: &[BipartiteGraph],
+            _: Option<&[EdgeSchedule]>,
+        ) -> GdrResult<PlatformRun> {
+            *self.plain.borrow_mut() += 1;
+            Ok(self.run(workload))
+        }
+
+        fn execute_restructured(
+            &self,
+            workload: &Workload,
+            graphs: &[BipartiteGraph],
+            frontend: &FrontendRun,
+        ) -> GdrResult<PlatformRun> {
+            assert_eq!(frontend.per_graph().len(), graphs.len());
+            for (g, s) in graphs.iter().zip(frontend.schedules()) {
+                assert!(s.is_permutation_of(g), "{}", g.name());
+            }
+            self.restructured.borrow_mut().push(Call {
+                dataset: workload.dataset().to_string(),
+                run: std::ptr::from_ref(frontend) as usize,
+                frontend_cycles: frontend.total_cycles(),
+            });
+            Ok(self.run(workload))
+        }
+    }
+
+    impl Counting {
+        fn new(frontend: FrontendConfig) -> Self {
+            Self {
+                frontend,
+                plain: RefCell::new(0),
+                restructured: RefCell::new(Vec::new()),
+            }
+        }
+
+        /// A fixed report: pricing needs one, not its values.
+        fn run(&self, workload: &Workload) -> PlatformRun {
+            PlatformRun::from_report(ExecReport {
+                platform: self.name().to_string(),
+                workload: workload.dataset().to_string(),
+                time_ns: 1e6,
+                dram_bytes: 1 << 20,
+                dram_accesses: 1 << 15,
+                bandwidth_utilization: 0.5,
+                stages: StageBreakdown {
+                    na_ns: 4e5,
+                    overhead_ns: 1e5,
+                    ..StageBreakdown::default()
+                },
+                na_hit_rate: None,
+            })
+        }
+    }
+
+    #[test]
+    fn measure_restructures_each_dataset_once() {
+        let cfg = ExperimentConfig {
+            seed: 11,
+            scale: 0.04,
+        };
+        let p = Counting::new(FrontendConfig::default());
+        assert!(p.reuses_schedules());
+        CostModel::measure(&[&p], &cfg).unwrap();
+        assert_eq!(*p.plain.borrow(), 0, "plain execute was called");
+        let calls = p.restructured.borrow();
+        assert_eq!(
+            calls.len(),
+            CELL_COUNT,
+            "one restructured execution per cell"
+        );
+        for dataset in Dataset::ALL {
+            let mine: Vec<&Call> = calls
+                .iter()
+                .filter(|c| c.dataset == dataset.name())
+                .collect();
+            assert_eq!(mine.len(), ModelKind::ALL.len(), "{}", dataset.name());
+            // all three models get the same run, and it is this
+            // platform's frontend's run over the dataset
+            assert!(
+                mine.iter().all(|c| c.run == mine[0].run),
+                "{}",
+                dataset.name()
+            );
+            let (_, graphs) = cell_inputs(ModelKind::Rgcn, dataset, &cfg);
+            let fresh = Session::new(FrontendConfig::default(), &graphs).process();
+            assert_eq!(mine[0].frontend_cycles, fresh.total_cycles());
+        }
+    }
+
+    #[test]
+    fn combined_system_is_priced_from_its_own_frontend_configuration() {
+        let cfg = ExperimentConfig {
+            seed: 11,
+            scale: 0.04,
+        };
+        let custom = FrontendConfig {
+            dispatch_width: 4,
+            ..FrontendConfig::default()
+        };
+        let sys = CombinedSystem::new(HiHgnnConfig::default(), custom.clone());
+        let m = CostModel::measure(&[&sys], &cfg).unwrap();
+        let default = CostModel::measure(&[&CombinedSystem::default_config()], &cfg).unwrap();
+        let reference = per_cell_reference(&[&sys], &cfg).unwrap();
+        let mut differs = false;
+        for cell in Cell::all() {
+            assert_eq!(m.cost(0, cell), reference.cost(0, cell), "{}", cell.label());
+            // the cold bind is the un-overlapped run of this configuration
+            let (_, graphs) = cell_inputs(cell.model, cell.dataset, &cfg);
+            let run = Session::new(custom.clone(), &graphs).process();
+            assert_eq!(
+                m.cost(0, cell).bind_ns,
+                run.total_cycles(),
+                "{}",
+                cell.label()
+            );
+            differs |= m.cost(0, cell) != default.cost(0, cell);
+        }
+        assert!(differs, "the configuration should change the prices");
     }
 }

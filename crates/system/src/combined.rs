@@ -87,12 +87,11 @@ impl CombinedSystem {
             .expect("combined-system execution inputs misaligned")
     }
 
-    /// Fallible [`CombinedSystem::execute`].
-    ///
-    /// The frontend runs as a parallel [`Session`] over the semantic
-    /// graphs (they are independent restructuring problems) and the
-    /// accelerator borrows the restructured schedules straight out of
-    /// the frontend results — no edge lists are cloned on this path.
+    /// Fallible [`CombinedSystem::execute`]: the frontend restructures
+    /// the semantic graphs as a parallel [`Session`] (they are
+    /// independent restructuring problems), and
+    /// [`CombinedSystem::try_execute_with`] runs the accelerator from
+    /// that run.
     ///
     /// # Errors
     ///
@@ -108,13 +107,34 @@ impl CombinedSystem {
             workload.graphs().len(),
             graphs.len(),
         )?;
-        // Frontend restructures every semantic graph (in parallel — each
-        // graph is independent).
         let frontend = Session::new(self.frontend_cfg.clone(), graphs).par_process();
-        let schedules: Vec<&EdgeSchedule> = frontend.schedules().collect();
+        let accel = self.try_execute_with(workload, graphs, &frontend)?;
+        Ok(CombinedRun { accel, frontend })
+    }
 
-        // Accelerator executes the restructured schedules, borrowed from
-        // the frontend run.
+    /// Runs the accelerator from `frontend`, a run of this system's
+    /// frontend ([`CombinedSystem::frontend_config`]) over `graphs`, and
+    /// folds the frontend into the accelerator's report: its
+    /// non-overlapped cycles (§4.3) and its DRAM traffic on the shared
+    /// memory controller. The accelerator borrows the restructured
+    /// schedules straight out of the run, so no edge list is cloned, and
+    /// the report equals [`CombinedSystem::try_execute`]'s. The frontend's
+    /// output depends only on the semantic graphs, so one run serves
+    /// every workload over the same dataset.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GdrError::LengthMismatch`] if `graphs` is not
+    /// index-aligned with the workload descriptors or `frontend` does not
+    /// hold one result per graph, and [`GdrError::InvalidConfig`] if one
+    /// of its schedules is not a permutation of its graph's edges.
+    pub fn try_execute_with(
+        &self,
+        workload: &Workload,
+        graphs: &[BipartiteGraph],
+        frontend: &FrontendRun,
+    ) -> GdrResult<HiHgnnRun> {
+        let schedules: Vec<&EdgeSchedule> = frontend.schedules().collect();
         let mut accel = HiHgnnSim::new(self.accel_cfg.clone()).try_execute(
             workload,
             graphs,
@@ -149,8 +169,26 @@ impl CombinedSystem {
         accel.report.bandwidth_utilization =
             (accel.report.dram_bytes as f64 / (peak * total_cycles.max(1) as f64)).min(1.0);
         accel.report.stages.overhead_ns += exposed as f64 / self.accel_cfg.clock_ghz;
+        Ok(accel)
+    }
 
-        Ok(CombinedRun { accel, frontend })
+    /// The platform view of one execution: the accelerator's report and
+    /// extras, with the frontend session's aggregate stats alongside, so
+    /// reports show both halves of the combined system without
+    /// re-running the frontend.
+    fn platform_run(&self, accel: HiHgnnRun, frontend: &FrontendRun) -> PlatformRun {
+        let mut extra = accel.platform_extras(self.accel_cfg.clock_ghz);
+        extra.extend(
+            frontend
+                .summary_metrics()
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v)),
+        );
+        PlatformRun {
+            src_replacement_times: accel.src_replacement_times(),
+            extra,
+            report: accel.report,
+        }
     }
 }
 
@@ -159,12 +197,12 @@ impl Platform for CombinedSystem {
         "HiHGNN+GDR"
     }
 
-    fn reuses_schedules(&self) -> bool {
+    fn restructures_with(&self) -> Option<&FrontendConfig> {
         // The GDR frontend's output depends only on the dataset's semantic
         // graphs, so back-to-back batches over the same dataset can skip
         // restructuring entirely — the locality lever `gdr-serve`'s
         // shard-affinity scheduler pulls.
-        true
+        Some(&self.frontend_cfg)
     }
 
     fn execute(
@@ -183,27 +221,24 @@ impl Platform for CombinedSystem {
             ));
         }
         let run = self.try_execute(workload, graphs)?;
-        // Surface the frontend session's aggregate stats alongside the
-        // accelerator's cycle count, so reports show both halves of the
-        // combined system without re-running the frontend.
-        let mut extra = run.accel.platform_extras(self.accel_cfg.clock_ghz);
-        extra.extend(
-            run.frontend
-                .summary_metrics()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v)),
-        );
-        Ok(PlatformRun {
-            src_replacement_times: run.accel.src_replacement_times(),
-            extra,
-            report: run.accel.report,
-        })
+        Ok(self.platform_run(run.accel, &run.frontend))
+    }
+
+    fn execute_restructured(
+        &self,
+        workload: &Workload,
+        graphs: &[BipartiteGraph],
+        frontend: &FrontendRun,
+    ) -> GdrResult<PlatformRun> {
+        let accel = self.try_execute_with(workload, graphs, frontend)?;
+        Ok(self.platform_run(accel, frontend))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::ExperimentConfig;
     use gdr_accel::hihgnn::HiHgnnSim;
     use gdr_hetgraph::datasets::Dataset;
     use gdr_hgnn::model::{ModelConfig, ModelKind};
@@ -299,6 +334,37 @@ mod tests {
         let dst_major: Vec<EdgeSchedule> = graphs.iter().map(EdgeSchedule::dst_major).collect();
         let err = p.execute(&w, &graphs, Some(&dst_major)).unwrap_err();
         assert!(matches!(err, GdrError::InvalidConfig { .. }));
+    }
+
+    #[test]
+    fn one_frontend_run_prices_every_model_of_its_dataset() {
+        let cfg = ExperimentConfig::test_scale();
+        let sys = CombinedSystem::default_config();
+        for dataset in Dataset::ALL {
+            let het = dataset.build_scaled(cfg.seed, cfg.scale);
+            let graphs = het.all_semantic_graphs();
+            let frontend = Session::new(sys.frontend_config().clone(), &graphs).process();
+            for model in ModelKind::ALL {
+                let w = Workload::from_hetero(ModelConfig::paper(model), &het);
+                let reused = sys.try_execute_with(&w, &graphs, &frontend).unwrap();
+                let fresh = sys.try_execute(&w, &graphs).unwrap();
+                assert_eq!(&reused.report, fresh.report(), "{model:?} on {dataset:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_frontend_run_of_other_graphs_is_a_typed_error() {
+        let (w, graphs) = setup();
+        let sys = CombinedSystem::default_config();
+        let short = Session::new(FrontendConfig::default(), &graphs[1..]).process();
+        let err = sys.try_execute_with(&w, &graphs, &short).unwrap_err();
+        assert!(matches!(err, GdrError::LengthMismatch { .. }), "{err}");
+        let mut rotated = graphs.clone();
+        rotated.rotate_left(1);
+        let other = Session::new(FrontendConfig::default(), &rotated).process();
+        assert!(sys.try_execute_with(&w, &graphs, &other).is_err());
+        assert!(sys.execute_restructured(&w, &graphs, &other).is_err());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! writers must also print exactly the bytes of [`reference`], the
 //! plain `fmt`-based writer they replaced, so a writer that round-trips
 //! but prints `1.0` for `1` fails. A second net feeds truncated and
-//! byte-mutated copies of the committed gate baseline to the report
-//! parser, which may reject them but never panics. Failures reproduce
-//! from the case index alone.
+//! byte-mutated copies of the committed gate baseline, and random byte
+//! strings, to the JSON and report parsers, which may reject them but
+//! never panic. Failures reproduce from the case index alone.
 
 use gdr_system::json::Json;
 use gdr_system::report::BenchReport;
@@ -379,14 +379,19 @@ fn committed_baseline_round_trips_byte_for_byte() {
 #[test]
 fn report_parser_never_panics_on_truncated_or_mutated_baselines() {
     // `gdr-bench --compare` maps a parse error to exit 2; a panic here
-    // would abort the gate instead.
+    // would abort the gate instead. Generated sweep reports and Chrome
+    // traces get the same net in `crates/bench/tests/cli.rs`.
     assert!(BenchReport::parse(BASELINE).is_ok());
     let bytes = BASELINE.as_bytes();
     let len = bytes.len() as u64;
+    // Every proper prefix that stops before the document's closing brace
+    // is incomplete, so both parsers must reject it.
+    let complete = BASELINE.trim_end().len() as u64;
     for case in 0..48 {
-        let cut = (mix(case, 300) % len) as usize;
-        let truncated = String::from_utf8_lossy(&bytes[..cut]);
-        if !truncated.trim_end().ends_with('}') {
+        let cut = mix(case, 300) % len;
+        let truncated = String::from_utf8_lossy(&bytes[..cut as usize]);
+        if cut < complete {
+            assert!(Json::parse(&truncated).is_err(), "case {case}: cut {cut}");
             assert!(
                 BenchReport::parse(&truncated).is_err(),
                 "case {case}: cut {cut}"
@@ -398,6 +403,28 @@ fn report_parser_never_panics_on_truncated_or_mutated_baselines() {
         for i in 0..=mix(case, 301) % 8 {
             mutated[(mix(case, 310 + i) % len) as usize] = mix(case, 320 + i) as u8;
         }
-        let _ = BenchReport::parse(&String::from_utf8_lossy(&mutated));
+        let mutated = String::from_utf8_lossy(&mutated);
+        let _ = Json::parse(&mutated);
+        let _ = BenchReport::parse(&mutated);
+    }
+    // Wholly random byte strings: half uniform bytes, half JSON's own
+    // punctuation and literal letters, which reach deeper into both
+    // parsers before they fail.
+    const TOKENS: &[u8] = b"{}[]\":,.-+0123456789eEtrufalsn \n\\";
+    for case in 0..256 {
+        let n = mix(case, 330) % 512;
+        let random: Vec<u8> = (0..n)
+            .map(|i| {
+                let r = mix(case, 340 + i);
+                if case % 2 == 0 {
+                    r as u8
+                } else {
+                    TOKENS[(r % TOKENS.len() as u64) as usize]
+                }
+            })
+            .collect();
+        let text = String::from_utf8_lossy(&random);
+        let _ = Json::parse(&text);
+        let _ = BenchReport::parse(&text);
     }
 }
